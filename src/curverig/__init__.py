@@ -9,9 +9,8 @@ function H with T-degeneracy scanning, and finite motion tracing.
 from .errors import (CurverigError, DegenerateParametrization,
                      DimensionMismatch, DisconnectedFramework, DomainError,
                      DomainExit, ExactnessUnavailable, InsufficientSamples,
-                     JetOrderError, NewtonDivergence, PoleError,
-                     SchemeMismatch, SingularH, SingularParametrization,
-                     StepTooSmall)
+                     JetOrderError, PoleError, SchemeMismatch, SingularH,
+                     SingularParametrization)
 from .rational import Poly, RationalFunction, as_fraction, count_real_roots, is_exact
 from .curves import (AnalyticCurve, CurveSpec, HelixCurve, Interval,
                      RationalCurve, SimplicityReport, arc_length_reparametrize,

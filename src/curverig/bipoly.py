@@ -250,10 +250,6 @@ def _u_mul(a, b):
     return _u_trim(out)
 
 
-def _u_scale(a, c):
-    return _u_trim([x * c for x in a])
-
-
 def _u_sub(a, b):
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, y in enumerate(b):

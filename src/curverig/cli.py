@@ -22,7 +22,7 @@ from .counting import (Exact, Tolerance, count_distinct_values, elekes_lower_bou
                        fit_exponent, generate_point_set, parse_scheme)
 from .curves import builtin_curve, check_simplicity, curve_from_json
 from .elekes import admissibility_scan, verify_incidence_invariant
-from .errors import CurverigError, DomainExit, NewtonDivergence, SingularH, StepTooSmall
+from .errors import CurverigError, DomainExit, SingularH
 from .motion import (classify_helix, derivative_norm_profile,
                      trace_framework_motion, trace_triangle_motion)
 from .quantity import quantity_from_json
@@ -31,7 +31,7 @@ from .rigidity import Framework, infinitesimal_nullity, scan_T_degeneracy, trian
 from .counting import ParamPointSet
 from .curves import HelixCurve
 
-_NUMERIC_ERRORS = (DomainExit, NewtonDivergence, SingularH, StepTooSmall)
+_NUMERIC_ERRORS = (DomainExit, SingularH)
 
 
 def _load_doc(arg: str) -> dict:
@@ -218,7 +218,7 @@ def cmd_classify_curve(args) -> int:
     started = time.perf_counter()
     curve = load_curve_arg(args.curve)
     profile = derivative_norm_profile(curve, max_order=args.max_order,
-                                      samples=args.samples, h=args.fd_step)
+                                      samples=args.samples)
     result = {"profile": profile.to_dict(),
               "helix_candidate": profile.helix_candidate}
     if isinstance(curve, HelixCurve):
@@ -226,7 +226,7 @@ def cmd_classify_curve(args) -> int:
             curve, denominator_bound=args.denominator_bound,
             tol=args.ratio_tol).to_dict()
     config = {"curve": args.curve, "max_order": args.max_order,
-              "samples": args.samples, "fd_step": args.fd_step,
+              "samples": args.samples,
               "denominator_bound": args.denominator_bound,
               "ratio_tol": args.ratio_tol, "threads": args.threads,
               "seed": args.seed}
@@ -484,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve")
     p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--samples", type=int, default=24)
-    p.add_argument("--fd-step", type=float, default=1e-3)
     p.add_argument("--denominator-bound", type=int, default=10 ** 6)
     p.add_argument("--ratio-tol", type=float, default=1e-12)
     p.add_argument("--csv-out", default=None)

@@ -298,13 +298,51 @@ def _gl_integrate_speed(curve, a: float, b: float) -> float:
     return 0.5 * (b - a) * float(np.dot(_GL_WEIGHTS, sp))
 
 
+def _compose(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of sum_j coeffs[j] h^j, truncated to len(h) terms;
+    h is a scalar series with h[0] = 0, coeffs[j] may be vectors."""
+    out = np.zeros((len(h),) + coeffs.shape[1:])
+    power = np.zeros(len(h))
+    power[0] = 1.0
+    for c in coeffs:
+        out += np.multiply.outer(power, c)
+        power = np.convolve(power, h)[:len(h)]
+    return out
+
+
+def _unit_speed_jet(jet) -> list:
+    """[sigma, sigma', ..., sigma^(K)] at s(t) from [gamma, ..., gamma^(K)]
+    at t, K >= 1, by truncated Taylor arithmetic in h (Griewank-Walther,
+    Evaluating Derivatives, 2nd ed.): the speed series
+    sqrt<gamma'(t+h), gamma'(t+h)> is integrated to s(h), reverted to h(s)
+    and composed into gamma(t + h(s))."""
+    K = len(jet) - 1
+    fact = np.cumprod([1.0] + list(range(1, K + 1)))
+    c = np.array([np.asarray(g, dtype=float) for g in jet]) / fact[:, None]
+    d = c[1:] * np.arange(1, K + 1)[:, None]  # gamma'(t+h), degree K-1
+    q = [sum(float(d[i] @ d[m - i]) for i in range(m + 1)) for m in range(K)]
+    v = np.zeros(K)  # speed series: v*v = q
+    v[0] = math.sqrt(q[0])
+    for m in range(1, K):
+        v[m] = (q[m] - v[1:m] @ v[m - 1:0:-1]) / (2.0 * v[0])
+    a = np.concatenate([[0.0], v / np.arange(1, K + 1)])  # s(h)
+    h = np.zeros(K + 1)
+    h[1] = 1.0 / a[1]
+    target = np.zeros(K + 1)
+    target[1] = 1.0
+    for _ in range(K - 1):  # each pass fixes one more coefficient of h(s)
+        h -= (_compose(a, h) - target) / a[1]
+    return list(_compose(c, h) * fact[:, None])
+
+
 def arc_length_reparametrize(curve: CurveSpec, n: int = 64) -> AnalyticCurve:
     """Unit-speed reparametrization sigma on (0, L) built by panelwise
     Gauss-Legendre quadrature of ||gamma'|| plus Newton inversion.
 
     Requires a finite domain and n >= 16 panels; raises
     SingularParametrization when ||gamma'|| < 1e-12 anywhere on the panel
-    node grid.  The returned curve supports jets up to order 2 (chain rule).
+    node grid.  Jets of sigma come from the curve's own jets by
+    _unit_speed_jet, so sigma supports the same jet orders as the curve.
     """
     if n < 16:
         raise ValueError("need n >= 16 quadrature panels")
@@ -345,21 +383,11 @@ def arc_length_reparametrize(curve: CurveSpec, n: int = 64) -> AnalyticCurve:
         return t
 
     def evaluator(s: float, order: int):
-        t = invert(s)
-        jet = curve.derivative_jet(t, min(order, 2))
-        out = [np.asarray(jet[0], dtype=float)]
-        if order >= 1:
-            g1 = np.asarray(jet[1], dtype=float)
-            v = np.linalg.norm(g1)
-            s1 = g1 / v
-            out.append(s1)
-            if order >= 2:
-                g2 = np.asarray(jet[2], dtype=float)
-                out.append((g2 - s1 * np.dot(g2, s1)) / (v * v))
-        return out
+        jet = curve.derivative_jet(invert(s), max(order, 1))
+        return _unit_speed_jet(jet)[:order + 1]
 
-    sigma = AnalyticCurve(curve.dimension, evaluator,
-                          Interval(0.0, total), max_jet_order=2,
+    sigma = AnalyticCurve(curve.dimension, evaluator, Interval(0.0, total),
+                          max_jet_order=getattr(curve, "max_jet_order", None),
                           label="arc-length")
     sigma.total_length = total
     sigma.parameter_of_arc_length = invert

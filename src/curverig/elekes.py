@@ -285,8 +285,9 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
         J2 = e2.tangent_batch(s)
         det = -J1[:, 0] * J2[:, 1] + J1[:, 1] * J2[:, 0]
         ok = np.abs(det) > 1e-300
-        dt = np.where(ok, (-J2[:, 1] * F[:, 0] + J2[:, 0] * F[:, 1]) / det, 0.0)
-        ds = np.where(ok, (-J1[:, 1] * F[:, 0] + J1[:, 0] * F[:, 1]) / det, 0.0)
+        safe = np.where(ok, det, 1.0)
+        dt = np.where(ok, (-J2[:, 1] * F[:, 0] + J2[:, 0] * F[:, 1]) / safe, 0.0)
+        ds = np.where(ok, (-J1[:, 1] * F[:, 0] + J1[:, 0] * F[:, 1]) / safe, 0.0)
         step = np.maximum(np.abs(dt), np.abs(ds))
         clip = np.minimum(1.0, 0.1 * max(hi1 - lo1, hi2 - lo2)
                           / np.maximum(step, 1e-300))

@@ -46,18 +46,9 @@ class SingularH(CurverigError):
     removable points; the simple-pair precondition is violated."""
 
 
-class NewtonDivergence(CurverigError):
-    """Newton iteration failed to converge after all step halvings."""
-
-
 class DomainExit(CurverigError):
     """A traced vertex left the curve's domain."""
 
 
 class DisconnectedFramework(CurverigError):
     """Motion propagation requires a connected framework."""
-
-
-class StepTooSmall(CurverigError):
-    """Finite-difference cancellation detected: estimates are non-monotone
-    under step halving."""

@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .curves import CurveSpec, HelixCurve, arc_length_reparametrize
-from .errors import (DisconnectedFramework, DomainError, DomainExit,
-                     StepTooSmall)
+from .errors import DisconnectedFramework, DomainError, DomainExit
 from .quantity import QuantitySpec
 from .rigidity import Framework, triangle
 
@@ -230,48 +229,6 @@ def trace_triangle_motion(curve: CurveSpec, quantity: QuantitySpec,
 
 # -- derivative-norm profiles -------------------------------------------------
 
-# central stencils: order -> (offsets, coefficients, accuracy order)
-_STENCILS = {
-    1: ((-2, -1, 1, 2), (Fraction(1, 12), Fraction(-8, 12),
-                         Fraction(8, 12), Fraction(-1, 12)), 4),
-    2: ((-2, -1, 0, 1, 2), (Fraction(-1, 12), Fraction(16, 12),
-                            Fraction(-30, 12), Fraction(16, 12),
-                            Fraction(-1, 12)), 4),
-    3: ((-3, -2, -1, 1, 2, 3), (Fraction(1, 8), Fraction(-1),
-                                Fraction(13, 8), Fraction(-13, 8),
-                                Fraction(1), Fraction(-1, 8)), 4),
-    4: ((-3, -2, -1, 0, 1, 2, 3), (Fraction(-1, 6), Fraction(2),
-                                   Fraction(-13, 2), Fraction(28, 3),
-                                   Fraction(-13, 2), Fraction(2),
-                                   Fraction(-1, 6)), 4),
-    5: ((-3, -2, -1, 1, 2, 3), (Fraction(-1, 2), Fraction(2),
-                                Fraction(-5, 2), Fraction(5, 2),
-                                Fraction(-2), Fraction(1, 2)), 2),
-}
-
-
-def _fd_vector(evaluate, s: float, order: int, h: float) -> np.ndarray:
-    offsets, coeffs, _ = _STENCILS[order]
-    acc = None
-    for o, c in zip(offsets, coeffs):
-        v = float(c) * evaluate(s + o * h)
-        acc = v if acc is None else acc + v
-    return acc / h ** order
-
-
-def _richardson_vector(evaluate, s: float, order: int, h: float):
-    """One Richardson step on the stencil pair (h, h/2); also reports the
-    coarse pair (2h, h) so cancellation can be detected."""
-    p = _STENCILS[order][2]
-    a_2h = _fd_vector(evaluate, s, order, 2 * h)
-    a_h = _fd_vector(evaluate, s, order, h)
-    a_h2 = _fd_vector(evaluate, s, order, h / 2)
-    w = 2.0 ** p
-    refined = (w * a_h2 - a_h) / (w - 1.0)
-    e_coarse = float(np.linalg.norm(a_h - a_2h))
-    e_fine = float(np.linalg.norm(a_h2 - a_h))
-    return refined, e_coarse, e_fine
-
 
 @dataclass
 class DerivativeNormProfile:
@@ -283,62 +240,43 @@ class DerivativeNormProfile:
     variations: list      # per-order relative variation
     helix_candidate: bool
     arc_length: float
-    fd_step: float
 
     def to_dict(self) -> dict:
         return {"orders": self.orders, "samples": self.samples,
                 "norms": self.norms, "variations": self.variations,
                 "helix_candidate": self.helix_candidate,
-                "arc_length": self.arc_length, "fd_step": self.fd_step}
+                "arc_length": self.arc_length}
 
 
 _HELIX_VARIATION_TOL = 1e-4
 
 
 def derivative_norm_profile(curve: CurveSpec, max_order: int = 3,
-                            samples: int = 24, h: float = 1e-3,
+                            samples: int = 24,
                             arc_grid: int = 64) -> DerivativeNormProfile:
-    """Finite-difference norms of sigma^(k) on the arc-length curve.
+    """Norms of sigma^(k) on the arc-length curve, from its exact jets.
 
-    Central stencils of order >= 2 with one Richardson step; order 1 is the
-    unit-speed check and must come out 1.  The helix-candidate flag is set
-    when every order-2..K variation stays below 1e-4 (constant-norm
-    derivatives characterize generalized helices).  Raises StepTooSmall when
-    halving the step grows the estimate gap (float cancellation).
+    Order 1 is the unit-speed check and must come out 1.  The
+    helix-candidate flag is set when every order-2..K variation stays below
+    1e-4 (constant-norm derivatives characterize generalized helices).
+    Raises JetOrderError when the curve cannot supply jets of order K.
     """
     if not 1 <= max_order <= 5:
         raise ValueError("max_order must be in 1..5")
     sigma = arc_length_reparametrize(curve, n=max(16, arc_grid))
     L = sigma.total_length
-    margin = max(8 * h, 0.08 * L)
+    margin = 0.08 * L
     ss = np.linspace(margin, L - margin, samples)
+    jets = [sigma.derivative_jet(float(s), max_order) for s in ss]
+    norms = [[float(np.linalg.norm(jet[k])) for jet in jets]
+             for k in range(1, max_order + 1)]
 
-    def point(s: float) -> np.ndarray:
-        return sigma.evaluator(float(s), 0)[0]
-
-    norms = []
-    for k in range(1, max_order + 1):
-        row = []
-        for s in ss:
-            vec, e_coarse, e_fine = _richardson_vector(point, float(s), k, h)
-            nrm = float(np.linalg.norm(vec))
-            if e_fine > 4.0 * e_coarse and e_fine > 1e-4 * max(nrm, 1.0):
-                raise StepTooSmall(
-                    f"order {k} at s={s:.4g}: estimate gap grew "
-                    f"{e_coarse:.2e} -> {e_fine:.2e} under h -> h/2")
-            row.append(nrm)
-        norms.append(row)
-
-    variations = []
-    for k, row in enumerate(norms, start=1):
-        top = max(row)
-        variations.append((max(row) - min(row)) / max(top, 1e-6))
-    helix = all(v < _HELIX_VARIATION_TOL for v in variations[1:]) if \
-        max_order >= 2 else True
+    variations = [(max(row) - min(row)) / max(max(row), 1e-6) for row in norms]
+    helix = all(v < _HELIX_VARIATION_TOL for v in variations[1:])
     return DerivativeNormProfile(
         orders=list(range(1, max_order + 1)), samples=[float(s) for s in ss],
         norms=norms, variations=variations, helix_candidate=helix,
-        arc_length=L, fd_step=h)
+        arc_length=L)
 
 
 # -- algebraic-helix classification -------------------------------------------

@@ -139,7 +139,6 @@ class Poly:
         return [float(c) for c in self.coeffs]
 
 
-P_ZERO = Poly([])
 P_ONE = Poly([1])
 
 

@@ -254,11 +254,11 @@ def test_criterion_06_motion_dichotomy():
 def test_criterion_07_derivative_norm_constancy():
     t0 = time.perf_counter()
     helix = make_circular_helix(0.5, 0.0, 6.0)
-    prof = derivative_norm_profile(helix, max_order=2, samples=20, h=1e-3)
+    prof = derivative_norm_profile(helix, max_order=2, samples=20)
     ok = prof.variations[1] < 1e-5
     ok = ok and all(abs(v - 0.8) <= 1e-4 for v in prof.norms[1])
     par = make_parabola(0, 1)
-    prof2 = derivative_norm_profile(par, max_order=2, samples=20, h=1e-3)
+    prof2 = derivative_norm_profile(par, max_order=2, samples=20)
     ok = ok and prof2.variations[1] > 0.10
     _report(7, "derivative-norm constancy", time.perf_counter() - t0, 5.0,
             ok, f"helix |sigma''|~{prof.norms[1][0]:.6f} "

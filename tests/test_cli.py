@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +184,26 @@ def test_self_tests_pass(command, capsys):
     code, out, _ = run_cli([command, "--self-test"], capsys)
     assert code == 0
     assert "FAIL" not in out
+
+
+# -- README examples -------------------------------------------------------------
+
+_README_BLOCKS = re.findall(
+    r"```(?:json)?\n(.*?)```",
+    (Path(__file__).resolve().parent.parent / "README.md").read_text(),
+    flags=re.S)
+_README_FRAMEWORK = next(b for b in _README_BLOCKS if '"edges"' in b)
+_README_COMMANDS = next(b for b in _README_BLOCKS if b.startswith("curverig "))
+# elekes-analyze is left out: its 200-pair instance takes tens of seconds,
+# and acceptance criterion 11 already runs that size
+_README_EXAMPLES = {argv[1]: argv[1:] for argv in map(
+    shlex.split, _README_COMMANDS.replace("\\\n", " ").splitlines())
+    if argv[1] != "elekes-analyze"}
+
+
+@pytest.mark.parametrize("command", sorted(_README_EXAMPLES))
+def test_readme_example_exits_zero(command, tmp_path, monkeypatch, capsys):
+    (tmp_path / "fw.json").write_text(_README_FRAMEWORK)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(_README_EXAMPLES[command], capsys)
+    assert code == 0, err

@@ -176,9 +176,19 @@ def test_arc_length_requires_small_grid_rejected():
 
 
 def test_analytic_curve_jet_order_contract():
-    from curverig import JetOrderError
-    sig = arc_length_reparametrize(make_parabola(0, 1), 16)
-    sig.derivative_jet(0.5, 2)  # supported
+    from curverig import AnalyticCurve, JetOrderError
+
+    def evaluator(t, order):
+        return [np.array([t, t * t]), np.array([1.0, 2 * t]),
+                np.array([0.0, 2.0])][:order + 1]
+
+    par = AnalyticCurve(2, evaluator, Interval(0.0, 1.0), max_jet_order=2)
+    par.derivative_jet(0.5, 2)  # supported
+    with pytest.raises(JetOrderError):
+        par.derivative_jet(0.5, 3)
+    # the arc-length curve inherits the contract
+    sig = arc_length_reparametrize(par, 16)
+    sig.derivative_jet(0.5, 2)
     with pytest.raises(JetOrderError):
         sig.derivative_jet(0.5, 3)
 

@@ -4,33 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curverig import (DisconnectedFramework, DomainExit, Framework,
-                      HelixCurve, Interval, classify_helix, complete_framework,
-                      derivative_norm_profile, eval_H, infinitesimal_nullity,
-                      trace_framework_motion, trace_triangle_motion, triangle)
-from curverig.motion import _fd_vector
-from conftest import (make_circular_helix, make_parabola, make_unit_circle)
+from curverig import (AnalyticCurve, DisconnectedFramework, DomainExit,
+                      Framework, HelixCurve, Interval, JetOrderError,
+                      arc_length_reparametrize, classify_helix,
+                      complete_framework, derivative_norm_profile, eval_H,
+                      infinitesimal_nullity, trace_framework_motion,
+                      trace_triangle_motion, triangle)
+from conftest import (make_circular_helix, make_parabola,
+                      make_rational_circle, make_unit_circle)
 
 F = Fraction
-
-
-# -- stencil sanity ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-def test_stencils_on_sine(order):
-    # d^k/ds^k sin(2s) known in closed form
-    w = 2.0
-    s0 = 0.3
-
-    def f(s):
-        return np.array([math.sin(w * s)])
-
-    exact = w ** order * math.sin(w * s0 + order * math.pi / 2)
-    h = 1e-2 if order >= 4 else 1e-3
-    got = _fd_vector(f, s0, order, h)[0]
-    tol = 1e-5 if order < 5 else 1e-3
-    assert got == pytest.approx(exact, rel=tol, abs=tol)
 
 
 # -- triangle traces -------------------------------------------------------------
@@ -180,7 +163,7 @@ def test_driver_index_validated(sq):
 def test_helix_second_derivative_norm(sq):
     # closed-form curvature oracle: a / (a^2 + c^2) = 0.8 for c = 0.5
     helix = make_circular_helix(0.5, 0.0, 6.0)
-    prof = derivative_norm_profile(helix, max_order=2, samples=20, h=1e-3)
+    prof = derivative_norm_profile(helix, max_order=2, samples=20)
     assert prof.variations[0] < 1e-6           # unit speed
     assert all(abs(n - 1.0) < 1e-6 for n in prof.norms[0])
     assert prof.variations[1] < 1e-5
@@ -190,7 +173,7 @@ def test_helix_second_derivative_norm(sq):
 
 def test_circle_curvature_one(sq):
     circ = make_unit_circle()
-    prof = derivative_norm_profile(circ, max_order=3, samples=16, h=1e-3)
+    prof = derivative_norm_profile(circ, max_order=3, samples=16)
     assert all(abs(n - 1.0) < 1e-5 for n in prof.norms[1])
     assert all(abs(n - 1.0) < 1e-2 for n in prof.norms[2])
     assert prof.helix_candidate
@@ -198,7 +181,7 @@ def test_circle_curvature_one(sq):
 
 def test_parabola_curvature_varies(sq):
     par = make_parabola(0, 1)
-    prof = derivative_norm_profile(par, max_order=2, samples=20, h=1e-3)
+    prof = derivative_norm_profile(par, max_order=2, samples=20)
     # curvature 2(1+4t^2)^(-3/2) spans more than 10%
     assert prof.variations[1] > 0.10
     assert not prof.helix_candidate
@@ -215,11 +198,59 @@ def test_profile_validation(sq):
         derivative_norm_profile(make_parabola(0, 1), max_order=6)
 
 
-def test_profile_step_cancellation_detected(sq):
-    from curverig import StepTooSmall
-    with pytest.raises(StepTooSmall):
-        derivative_norm_profile(make_parabola(0, 1), max_order=2,
-                                samples=6, h=1e-7)
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_circle_jet_norms(order):
+    # a circle of radius r has ||sigma^(k)|| = r^(1-k) at every s
+    for r in (0.5, 1.0, 2.0):
+        circ = HelixCurve([r], [1.0], [], 2, Interval(-3.0, 3.0))
+        prof = derivative_norm_profile(circ, max_order=order, samples=9)
+        for n in prof.norms[order - 1]:
+            assert n == pytest.approx(r ** (1 - order), rel=1e-12)
+        assert prof.helix_candidate
+
+
+def test_rational_circle_jet_norms():
+    # the same unit circle through the tan-half-angle parametrization
+    prof = derivative_norm_profile(make_rational_circle(), max_order=5,
+                                   samples=12)
+    for row in prof.norms:
+        assert all(n == pytest.approx(1.0, rel=1e-9) for n in row)
+    assert max(prof.variations) < 1e-9
+
+
+@pytest.mark.parametrize("a,c", [(1.0, 0.5), (1.5, 2.0)])
+def test_helix_curvature_and_third_derivative(a, c):
+    # unit-speed helix: ||sigma''|| = kappa = a/(a^2+c^2) and
+    # ||sigma'''|| = kappa sqrt(kappa^2 + tau^2) with tau = c/(a^2+c^2)
+    kappa, tau = a / (a * a + c * c), c / (a * a + c * c)
+    helix = HelixCurve([a], [1.0], [c], 3, Interval(-6.0, 6.0))
+    prof = derivative_norm_profile(helix, max_order=5, samples=10)
+    assert all(n == pytest.approx(kappa, rel=1e-12) for n in prof.norms[1])
+    third = kappa * math.sqrt(kappa ** 2 + tau ** 2)
+    assert all(n == pytest.approx(third, rel=1e-12) for n in prof.norms[2])
+    assert max(prof.variations) < 1e-9
+    assert prof.helix_candidate
+
+
+def test_parabola_curvature_closed_form():
+    # ||sigma''(s)|| = 2 (1 + 4t^2)^(-3/2) at t = t(s)
+    sigma = arc_length_reparametrize(make_parabola(0, 1))
+    for s in np.linspace(0.05, 0.95, 7) * sigma.total_length:
+        t = sigma.parameter_of_arc_length(float(s))
+        got = float(np.linalg.norm(sigma.derivative_jet(float(s), 2)[2]))
+        assert got == pytest.approx(2.0 * (1 + 4 * t * t) ** -1.5, rel=1e-12)
+
+
+def test_profile_needs_curve_jets_of_max_order():
+    def evaluator(t, order):
+        return [np.array([math.cos(t), math.sin(t)]),
+                np.array([-math.sin(t), math.cos(t)]),
+                np.array([-math.cos(t), -math.sin(t)])][:order + 1]
+
+    circ = AnalyticCurve(2, evaluator, Interval(-3.0, 3.0), max_jet_order=2)
+    assert derivative_norm_profile(circ, max_order=2, samples=6).helix_candidate
+    with pytest.raises(JetOrderError):
+        derivative_norm_profile(circ, max_order=3, samples=6)
 
 
 # -- helix classification --------------------------------------------------------------
@@ -269,8 +300,8 @@ def test_structural_and_behavioral_routes_agree(sq):
     # declared helix data vs measured constant-norm profile
     torus = HelixCurve([1.0, 0.5], [1.0, 2.0], [], 4, Interval(0.0, 5.0))
     assert classify_helix(torus).is_algebraic
-    prof = derivative_norm_profile(torus, max_order=3, samples=12, h=1e-3)
+    prof = derivative_norm_profile(torus, max_order=3, samples=12)
     assert prof.helix_candidate
     par = make_parabola(0, 1)
-    prof2 = derivative_norm_profile(par, max_order=2, samples=12, h=1e-3)
+    prof2 = derivative_norm_profile(par, max_order=2, samples=12)
     assert not prof2.helix_candidate

@@ -17,9 +17,9 @@ from .curves import (AnalyticCurve, CurveSpec, HelixCurve, Interval,
                      builtin_curve, check_simplicity, curve_from_json,
                      curve_to_json, derivative_jet, evaluate, trig_ellipse)
 from .quantity import (GeneralPolynomial, PinnedAreaSquared, QuantitySpec,
-                       SquaredEuclidean, eval_quantity, grad_quantity,
-                       quantity_degree, quantity_from_json, quantity_is_rational,
-                       quantity_to_json)
+                       SquaredEuclidean, eval_quantity, grad_quantity, pairing,
+                       pairings, quantity_degree, quantity_from_json,
+                       quantity_is_rational, quantity_to_json)
 from .counting import (ArithmeticProgression, CountResult, EquallySpacedAngle,
                        Exact, ExponentFit, GeometricProgression, ParamPointSet,
                        Tolerance, UniformRandom, count_distinct_values,

@@ -415,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.add_argument("--threads", type=int,
-                       default=max(1, os.cpu_count() or 1))
+        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--self-test", action="store_true",
                        help="run this subcommand's built-in checks and exit")

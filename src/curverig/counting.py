@@ -247,8 +247,7 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
         out = []
         for i in range(a, b):
             if i + 1 < n:
-                out.append(q.eval_batch(
-                    np.broadcast_to(P[i], P[i + 1:].shape), P[i + 1:]))
+                out.append(q.eval_batch(P[i], P[i + 1:]))
         return out
 
     parts = parallel_chunked(worker, n, threads=threads, chunk_size=32)

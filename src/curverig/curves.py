@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (DomainError, JetOrderError, PoleError,
                      SingularParametrization)
+from .quantity import pairings
 from .rational import (NEG_INF, POS_INF, Poly, RationalFunction, as_fraction,
                        count_real_roots, is_exact)
 
@@ -459,8 +460,7 @@ def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
     conditions = []
 
     # 1: injectivity + nonvanishing first derivative
-    diff = P[:, None, :] - P[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
+    dist = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
     iu = np.triu_indices(n, k=1)
     pair_d = dist[iu]
     speeds = np.linalg.norm(V, axis=-1)
@@ -487,10 +487,9 @@ def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
         None if ok else ("gamma'' ~ 0 on grid",),
         f"max ||gamma''|| = {float(np.max(acc_norms)):.3e}"))
 
-    # 3: distance-polynomial axioms on grid pairs
-    Xi = np.broadcast_to(P[:, None, :], (n, n, P.shape[1]))
-    Yj = np.broadcast_to(P[None, :, :], (n, n, P.shape[1]))
-    Dij = quantity.eval_batch(Xi, Yj)
+    # 3: distance-polynomial axioms on grid pairs; u and w serve condition 5
+    Dij, u, w = pairings(quantity, P[:, None, :], V[:, None, :],
+                         P[None, :, :], V[None, :, :])
     sym_gap = np.abs(Dij - Dij.T)
     scale = np.maximum(1.0, np.abs(Dij))
     ok = True
@@ -538,9 +537,6 @@ def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
                                       witness, detail))
 
     # 5: submersion off the diagonal
-    gX, gY = quantity.grad_batch(Xi, Yj)
-    u = np.einsum("ijk,ik->ij", gX, V)
-    w = np.einsum("ijk,jk->ij", gY, V)
     gnorm = np.hypot(u, w)
     np.fill_diagonal(gnorm, np.inf)
     ok = bool(np.min(gnorm) > tol)

@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -22,7 +21,8 @@ from .counting import ParamPointSet
 from .curves import CurveSpec, RationalCurve
 from .errors import DegenerateParametrization
 from .parallel import parallel_chunked
-from .quantity import (QuantitySpec, quantity_degree, quantity_is_rational)
+from .quantity import (QuantitySpec, pairings, quantity_degree,
+                       quantity_is_rational)
 from .rational import RationalFunction, is_exact
 
 
@@ -128,6 +128,7 @@ class ElekesCurve:
         self.p_param = p_param
         self.q_param = q_param
         self._components: Optional[tuple] = None
+        self._base_points: Optional[tuple] = None
         self._implicit: Optional[ImplicitPlanePoly] = None
 
     def __repr__(self):
@@ -173,30 +174,27 @@ class ElekesCurve:
         q = self.curve.evaluate(self.q_param)
         return (self.quantity.eval(x, p), self.quantity.eval(x, q))
 
+    def base_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """gamma(p) and gamma(q), evaluated once and rounded to float."""
+        if self._base_points is None:
+            self._base_points = tuple(
+                np.array([float(c) for c in self.curve.evaluate(t)])
+                for t in (self.p_param, self.q_param))
+        return self._base_points
+
     def eval_batch(self, ts: np.ndarray) -> np.ndarray:
         """xi over a float parameter array, shape (len(ts), 2)."""
-        ts = np.asarray(ts, dtype=float)
-        X = self.curve.evaluate_array(ts)
-        P = np.broadcast_to(np.asarray(
-            [float(c) for c in self.curve.evaluate(self.p_param)]), X.shape)
-        Q = np.broadcast_to(np.asarray(
-            [float(c) for c in self.curve.evaluate(self.q_param)]), X.shape)
-        return np.stack([self.quantity.eval_batch(X, P),
-                         self.quantity.eval_batch(X, Q)], axis=-1)
+        X = self.curve.evaluate_array(np.asarray(ts, dtype=float))
+        return np.stack([self.quantity.eval_batch(X, b)
+                         for b in self.base_points()], axis=-1)
 
     def tangent_batch(self, ts: np.ndarray) -> np.ndarray:
         """xi'(t) = (gamma'(t) . D_X(gamma(t), p_or_q)) over a float array."""
         ts = np.asarray(ts, dtype=float)
         X = self.curve.evaluate_array(ts)
         V = self.curve.derivative_array(ts, 1)
-        P = np.broadcast_to(np.asarray(
-            [float(c) for c in self.curve.evaluate(self.p_param)]), X.shape)
-        Q = np.broadcast_to(np.asarray(
-            [float(c) for c in self.curve.evaluate(self.q_param)]), X.shape)
-        dxp, _ = self.quantity.grad_batch(X, P)
-        dxq, _ = self.quantity.grad_batch(X, Q)
-        return np.stack([np.einsum("...k,...k->...", dxp, V),
-                         np.einsum("...k,...k->...", dxq, V)], axis=-1)
+        return np.stack([pairings(self.quantity, X, V, b, None)[1]
+                         for b in self.base_points()], axis=-1)
 
 
 def eval_elekes(e: ElekesCurve, t):
@@ -388,6 +386,13 @@ class AdmissibilityReport:
                 "detection_method": self.detection_method}
 
 
+def _unrank_pair(k: int, n: int) -> tuple[int, int]:
+    """The k-th pair of itertools.combinations(range(n), 2), without
+    building the list."""
+    i = n - 2 - (math.isqrt(4 * n * (n - 1) - 8 * k - 7) - 1) // 2
+    return i, k + i + 1 - n * (n - 1) // 2 + (n - i) * (n - i - 1) // 2
+
+
 def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
                        n: int = 64, tol: float = 1e-5, seed: int = 0,
                        threads: int = 1) -> AdmissibilityReport:
@@ -424,10 +429,10 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
         return AdmissibilityReport(0, 0, {}, dup, len(curves), len(classes),
                                    method, dup_implicits)
 
-    all_pairs = list(combinations(range(len(curves)), 2))
+    n_pairs = len(curves) * (len(curves) - 1) // 2
     rng = random.Random(seed)
-    take = min(sample_pairs, len(all_pairs))
-    chosen = sorted(rng.sample(range(len(all_pairs)), take))
+    take = min(sample_pairs, n_pairs)
+    chosen = sorted(rng.sample(range(n_pairs), take))
 
     class_of = {}
     for ci, cls in enumerate(classes):
@@ -437,7 +442,7 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
     def worker(a, b):
         out = []
         for k in chosen[a:b]:
-            i, j = all_pairs[k]
+            i, j = _unrank_pair(k, len(curves))
             e1, e2 = curves[i], curves[j]
             if exact and class_of[e1.pair()] == class_of[e2.pair()]:
                 out.append(("same", e1.pair(), e2.pair()))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .curves import CurveSpec, HelixCurve, arc_length_reparametrize
 from .errors import DisconnectedFramework, DomainError, DomainExit
-from .quantity import QuantitySpec
+from .quantity import QuantitySpec, pairing
 from .rigidity import Framework, triangle
 
 
@@ -114,8 +114,7 @@ class _EdgeSolver:
             g = float(self.quantity.eval(pa, px)) - target
             if _rel(g, target) <= _NEWTON_TOL:
                 return x, it
-            _, dy = self.quantity.grad(pa, px)
-            dg = float(np.dot(vx, np.asarray(dy, dtype=float)))
+            dg = float(pairing(self.quantity, pa, None, px, vx)[1])
             if abs(dg) < 1e-300:
                 return None, it
             x = x - g / dg

@@ -3,7 +3,9 @@
 Three kinds are supported: the squared Euclidean distance, the squared
 pinned triangle area about a fixed apex (d = 2 only), and a free-form
 polynomial in the 2d coordinates of (x, y).  Evaluation and gradients are
-exact on rational inputs; batch variants operate on float numpy arrays.
+exact on rational inputs; batch variants operate on broadcast float numpy
+arrays.  `pairing` and `pairings` give the edge-gradient pairing
+gamma'(a) . D_X(gamma(a), gamma(b)) that the rest of the package builds on.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ class GeneralPolynomial:
         return tuple(out[:d]), tuple(out[d:])
 
     def eval_batch(self, X, Y):
-        Z = np.concatenate([X, Y], axis=-1)
+        Z = np.concatenate(np.broadcast_arrays(X, Y), axis=-1)
         total = np.zeros(Z.shape[:-1])
         for expo, coeff in self.terms:
             term = np.full(Z.shape[:-1], float(coeff))
@@ -189,7 +191,7 @@ class GeneralPolynomial:
 
     def grad_batch(self, X, Y):
         d = X.shape[-1]
-        Z = np.concatenate([X, Y], axis=-1)
+        Z = np.concatenate(np.broadcast_arrays(X, Y), axis=-1)
         out = np.zeros(Z.shape[:-1] + (2 * d,))
         for expo, coeff in self.terms:
             for k in range(2 * d):
@@ -234,6 +236,24 @@ def eval_quantity(q: QuantitySpec, x, y):
 def grad_quantity(q: QuantitySpec, x, y):
     """(D_X, D_Y) partial-derivative vectors at (x, y)."""
     return q.grad(x, y)
+
+
+def pairing(q: QuantitySpec, x, vx, y, vy):
+    """(vx . D_X(x, y), vy . D_Y(x, y)) at one point pair; exact when the
+    points and velocities are rational.  A None velocity gives None."""
+    dx, dy = q.grad(x, y)
+    return (None if vx is None else sum(a * b for a, b in zip(vx, dx)),
+            None if vy is None else sum(a * b for a, b in zip(vy, dy)))
+
+
+def pairings(q: QuantitySpec, X, VX, Y, VY):
+    """(D, VX . D_X, VY . D_Y) over float arrays whose leading axes
+    broadcast against each other; a None velocity gives None."""
+    D = q.eval_batch(X, Y)  # before the gradients: a lower memory peak
+    dx, dy = q.grad_batch(X, Y)
+    return (D,
+            None if VX is None else np.einsum("...k,...k->...", dx, VX),
+            None if VY is None else np.einsum("...k,...k->...", dy, VY))
 
 
 def quantity_degree(q: QuantitySpec) -> int:

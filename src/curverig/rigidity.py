@@ -19,7 +19,7 @@ import numpy as np
 from .curves import CurveSpec, RationalCurve
 from .errors import SingularH
 from .parallel import parallel_chunked
-from .quantity import QuantitySpec, quantity_is_rational
+from .quantity import QuantitySpec, pairing, pairings, quantity_is_rational
 from .rational import is_exact
 
 
@@ -72,6 +72,11 @@ def complete_framework(curve, quantity, params) -> Framework:
     return Framework(n, edges, tuple(params), curve, quantity)
 
 
+def _float_jet(curve, t):
+    """(gamma(t), gamma'(t)) as float arrays."""
+    return [np.asarray(v, float) for v in curve.derivative_jet(t, 1)]
+
+
 def flexibility_matrix(fw: Framework, exact: Optional[bool] = None):
     """|E| x V constraint matrix whose kernel is the infinitesimal motions.
 
@@ -81,25 +86,12 @@ def flexibility_matrix(fw: Framework, exact: Optional[bool] = None):
     """
     if exact is None:
         exact = fw.is_exact()
-    jets = [fw.curve.derivative_jet(t, 1) for t in fw.params]
-    if exact:
-        zero = Fraction(0)
-        M = [[zero] * fw.vertex_count for _ in fw.edges]
-        for r, (u, w) in enumerate(fw.edges):
-            pu, vu = jets[u]
-            pw, vw = jets[w]
-            dx, dy = fw.quantity.grad(pu, pw)
-            M[r][u] = sum(a * b for a, b in zip(vu, dx))
-            M[r][w] = sum(a * b for a, b in zip(vw, dy))
-        return M
-    M = np.zeros((len(fw.edges), fw.vertex_count))
+    jets = [fw.curve.derivative_jet(t, 1) if exact else _float_jet(fw.curve, t)
+            for t in fw.params]
+    M = [[Fraction(0) if exact else 0.0] * fw.vertex_count for _ in fw.edges]
     for r, (u, w) in enumerate(fw.edges):
-        pu, vu = (np.asarray(v, dtype=float) for v in jets[u])
-        pw, vw = (np.asarray(v, dtype=float) for v in jets[w])
-        dx, dy = fw.quantity.grad(pu, pw)
-        M[r, u] = float(np.dot(vu, np.asarray(dx, dtype=float)))
-        M[r, w] = float(np.dot(vw, np.asarray(dy, dtype=float)))
-    return M
+        M[r][u], M[r][w] = pairing(fw.quantity, *jets[u], *jets[w])
+    return M if exact else np.array(M, dtype=float)
 
 
 def _exact_rank_and_kernel(M: list) -> tuple[int, list]:
@@ -197,19 +189,6 @@ def infinitesimal_nullity(fw: Framework, tol: float = 1e-9) -> FlexibilityResult
 # -- the rigidity function H -------------------------------------------------
 
 
-def _h_pieces(curve, quantity, alpha, beta, tau):
-    ga, va = (np.asarray(v, float) for v in curve.derivative_jet(alpha, 1))
-    gb, vb = (np.asarray(v, float) for v in curve.derivative_jet(beta, 1))
-    gt, vt = (np.asarray(v, float) for v in curve.derivative_jet(tau, 1))
-    dx_ta, dy_ta = quantity.grad(gt, ga)
-    dx_tb, dy_tb = quantity.grad(gt, gb)
-    num1 = float(np.dot(vb, np.asarray(dy_tb, float)))
-    num2 = float(np.dot(vt, np.asarray(dx_ta, float)))
-    den1 = float(np.dot(va, np.asarray(dy_ta, float)))
-    den2 = float(np.dot(vt, np.asarray(dx_tb, float)))
-    return num1, num2, den1, den2
-
-
 def h_removable_value(curve, quantity, alpha, beta) -> float:
     """Limit of H at tau in {alpha, beta}.
 
@@ -217,11 +196,8 @@ def h_removable_value(curve, quantity, alpha, beta) -> float:
     magnitudes with opposite signs, so the limit carries an extra minus sign
     relative to the bare ratio of the surviving factors.
     """
-    ga, va = (np.asarray(v, float) for v in curve.derivative_jet(alpha, 1))
-    gb, vb = (np.asarray(v, float) for v in curve.derivative_jet(beta, 1))
-    dx, dy = quantity.grad(ga, gb)
-    num = float(np.dot(vb, np.asarray(dy, float)))
-    den = float(np.dot(va, np.asarray(dx, float)))
+    den, num = pairing(quantity, *_float_jet(curve, alpha),
+                       *_float_jet(curve, beta))
     if abs(den) < 1e-300:
         raise SingularH("removable value undefined: base pairing vanishes")
     return -num / den
@@ -250,7 +226,9 @@ def eval_H(curve: CurveSpec, quantity: QuantitySpec, alpha, beta, tau) -> float:
     if t == a or t == b:
         return h_removable_value(curve, quantity, alpha, beta)
     gap = min(abs(t - a), abs(t - b))
-    num1, num2, den1, den2 = _h_pieces(curve, quantity, alpha, beta, tau)
+    gt = _float_jet(curve, tau)
+    num2, den1 = pairing(quantity, *gt, *_float_jet(curve, alpha))
+    den2, num1 = pairing(quantity, *gt, *_float_jet(curve, beta))
     if gap < NEAR_EPS:
         rem = h_removable_value(curve, quantity, alpha, beta)
         if abs(den1) < 1e-300 or abs(den2) < 1e-300:
@@ -307,16 +285,9 @@ def _h_over_grid(curve, quantity, alpha: float, beta: float, taus: np.ndarray):
     """
     G = curve.evaluate_array(taus)
     V = curve.derivative_array(taus, 1)
-    ga, va = (np.asarray(v, float) for v in curve.derivative_jet(alpha, 1))
-    gb, vb = (np.asarray(v, float) for v in curve.derivative_jet(beta, 1))
-    A = np.broadcast_to(ga, G.shape)
-    B = np.broadcast_to(gb, G.shape)
-    dx_ta, dy_ta = quantity.grad_batch(G, A)
-    dx_tb, dy_tb = quantity.grad_batch(G, B)
-    factors = [dy_tb @ vb,
-               np.einsum("ij,ij->i", dx_ta, V),
-               dy_ta @ va,
-               np.einsum("ij,ij->i", dx_tb, V)]
+    _, num2, den1 = pairings(quantity, G, V, *_float_jet(curve, alpha))
+    _, den2, num1 = pairings(quantity, G, V, *_float_jet(curve, beta))
+    factors = [num1, num2, den1, den2]
     span = curve.domain.span()
     valid = (np.abs(taus - alpha) > 1e-6 * span) \
         & (np.abs(taus - beta) > 1e-6 * span)

@@ -10,6 +10,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from curverig import (ArithmeticProgression, EquallySpacedAngle, Framework,
                       HelixCurve, ParamPointSet, PinnedAreaSquared,
@@ -44,10 +45,11 @@ def _report(num, name, elapsed, limit, ok, detail=""):
         f"criterion {num} runtime {elapsed:.2f}s exceeds {limit}s"
 
 
-# cached computations reused by the determinism criterion
-_cache = {}
+# Cached, so that the determinism criterion reuses what criteria 1-4 and 11
+# computed when they ran first, and computes it itself when it runs alone.
 
 
+@lru_cache(maxsize=None)
 def _helix_counts(threads):
     helix = make_circular_helix(0.5)
     out = []
@@ -58,6 +60,7 @@ def _helix_counts(threads):
     return out
 
 
+@lru_cache(maxsize=None)
 def _circle_counts(threads):
     circ = make_unit_circle()
     out = []
@@ -68,6 +71,7 @@ def _circle_counts(threads):
     return out
 
 
+@lru_cache(maxsize=None)
 def _parabola_counts(threads):
     par = make_parabola(0, 1)
     out = []
@@ -90,6 +94,7 @@ _SCAN_CASES = [
 ]
 
 
+@lru_cache(maxsize=None)
 def _scan_outputs(threads):
     return [(name, scan_T_degeneracy(make(), q, m=12, n=256, tol=1e-9,
                                      threads=threads).to_dict())
@@ -103,6 +108,7 @@ def _parabola_12_point_set():
     return ParamPointSet(par, params)
 
 
+@lru_cache(maxsize=None)
 def _admissibility_output(threads):
     pset = _parabola_12_point_set()
     return admissibility_scan(pset, SQ, sample_pairs=200, n=64, seed=1,
@@ -112,7 +118,6 @@ def _admissibility_output(threads):
 def test_criterion_01_helix_linear_growth():
     t0 = time.perf_counter()
     counts = _helix_counts(threads=1)
-    _cache["helix_counts"] = counts
     ok = all(c <= n - 1 for n, c, _ in counts)
     fit = fit_exponent([(n, c) for n, c, _ in counts])
     ok = ok and fit.slope <= 1.05
@@ -123,7 +128,6 @@ def test_criterion_01_helix_linear_growth():
 def test_criterion_02_circle_degeneracy():
     t0 = time.perf_counter()
     counts = _circle_counts(threads=1)
-    _cache["circle_counts"] = counts
     # brute-force chord-length oracle
     oracle = {n: len({round(4 * math.sin(math.pi * k / n) ** 2, 9)
                       for k in range(1, n)}) for n, _, _ in counts}
@@ -135,7 +139,6 @@ def test_criterion_02_circle_degeneracy():
 def test_criterion_03_parabola_exponent_gap():
     t0 = time.perf_counter()
     counts = _parabola_counts(threads=1)
-    _cache["parabola_counts"] = counts
     fit = fit_exponent(counts)
     ok = fit.slope >= 1.25
     _report(3, "parabola exponent >= 1.25", time.perf_counter() - t0, 30.0,
@@ -145,7 +148,6 @@ def test_criterion_03_parabola_exponent_gap():
 def test_criterion_04_H_dichotomy():
     t0 = time.perf_counter()
     results = _scan_outputs(threads=1)
-    _cache["scans"] = results
     ok = True
     details = []
     for (name, doc), (_, _, _, degenerate) in zip(results, _SCAN_CASES):
@@ -331,7 +333,6 @@ def test_criterion_10_incidence_invariant():
 def test_criterion_11_elekes_intersection_bound():
     t0 = time.perf_counter()
     doc = _admissibility_output(threads=8)
-    _cache["admissibility_t8"] = doc
     pairs_same = any(len(cls) > 1 for cls in doc["duplicate_curve_classes"])
     ok = not pairs_same
     ok = ok and doc["pairs_checked"] == 200
@@ -343,14 +344,12 @@ def test_criterion_11_elekes_intersection_bound():
 
 def test_criterion_12_determinism_across_threads():
     t0 = time.perf_counter()
-    ok = _helix_counts(threads=8) == _cache["helix_counts"]
-    ok = ok and _circle_counts(threads=8) == _cache["circle_counts"]
-    ok = ok and _parabola_counts(threads=8) == _cache["parabola_counts"]
-    scans8 = _scan_outputs(threads=8)
-    ok = ok and json.dumps(scans8, sort_keys=True) == \
-        json.dumps(_cache["scans"], sort_keys=True)
-    adm1 = _admissibility_output(threads=1)
-    ok = ok and json.dumps(adm1, sort_keys=True) == \
-        json.dumps(_cache["admissibility_t8"], sort_keys=True)
+    ok = _helix_counts(threads=8) == _helix_counts(threads=1)
+    ok = ok and _circle_counts(threads=8) == _circle_counts(threads=1)
+    ok = ok and _parabola_counts(threads=8) == _parabola_counts(threads=1)
+    ok = ok and json.dumps(_scan_outputs(threads=8), sort_keys=True) == \
+        json.dumps(_scan_outputs(threads=1), sort_keys=True)
+    ok = ok and json.dumps(_admissibility_output(threads=1), sort_keys=True) == \
+        json.dumps(_admissibility_output(threads=8), sort_keys=True)
     _report(12, "thread-count determinism", time.perf_counter() - t0, 120.0,
             ok, "counts, scans and admissibility identical for 1 vs 8 threads")

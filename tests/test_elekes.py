@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
                       PinnedAreaSquared, admissibility_scan,
                       eval_elekes, implicitize_rational, intersect_elekes_pair,
                       same_algebraic_curve, verify_incidence_invariant)
+from curverig.elekes import _unrank_pair
 from conftest import (make_parabola, make_rational_circle, make_rect_hyperbola,
                       make_unit_circle, rational_rotation_circle_params)
 
@@ -322,6 +324,12 @@ def test_admissibility_circle_orbit_has_duplicates(sq):
     assert rep.duplicate_curve_classes            # collapse happens
     assert all(len(cls) > 1 for cls in rep.duplicate_curve_classes)
     assert rep.n_classes < rep.n_curves
+
+
+def test_unrank_pair_matches_combinations():
+    for n in range(2, 41):
+        assert [_unrank_pair(k, n) for k in range(n * (n - 1) // 2)] \
+            == list(combinations(range(n), 2))
 
 
 def test_admissibility_threads_deterministic(sq):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from curverig import (DimensionMismatch, GeneralPolynomial, PinnedAreaSquared,
-                      SquaredEuclidean, eval_quantity, grad_quantity,
-                      quantity_degree, quantity_from_json, quantity_to_json)
+                      SquaredEuclidean, eval_quantity, grad_quantity, pairing,
+                      pairings, quantity_degree, quantity_from_json,
+                      quantity_to_json)
 
 F = Fraction
 
@@ -81,11 +82,15 @@ def _richardson_grad(q, x, y, h=1e-5):
     return out_x, out_y
 
 
+# D(x, y) != D(y, x) and D_X != D_Y, so a swapped pairing cannot pass
+ASYMMETRIC = GeneralPolynomial(dimension=2, terms=(
+    ((2, 0, 0, 1), F(3)), ((0, 1, 1, 0), F(-2)), ((1, 1, 1, 1), F(1, 2))))
+
+
 @pytest.mark.parametrize("q", [
     SquaredEuclidean(),
     PinnedAreaSquared(apex=(0.25, -0.5)),
-    GeneralPolynomial(dimension=2, terms=(
-        ((2, 0, 0, 1), F(3)), ((0, 1, 1, 0), F(-2)), ((1, 1, 1, 1), F(1, 2)))),
+    ASYMMETRIC,
 ])
 def test_gradient_matches_finite_differences(q):
     rng = random.Random(5)
@@ -136,6 +141,74 @@ def test_batch_matches_scalar(sq):
             sgx, sgy = q.grad(X[i], Y[i])
             assert np.allclose(gx[i], np.asarray(sgx, float))
             assert np.allclose(gy[i], np.asarray(sgy, float))
+
+
+def test_general_polynomial_batch_broadcasts():
+    rng = np.random.default_rng(1)
+    X, Y = rng.normal(size=(3, 1, 2)), rng.normal(size=(4, 2))
+    vals = ASYMMETRIC.eval_batch(X, Y)
+    gx, gy = ASYMMETRIC.grad_batch(X, Y)
+    assert vals.shape == (3, 4) and gx.shape == gy.shape == (3, 4, 2)
+    for i in range(3):
+        for j in range(4):
+            assert vals[i, j] == pytest.approx(
+                ASYMMETRIC.eval(X[i, 0], Y[j]), rel=1e-12)
+            sgx, sgy = ASYMMETRIC.grad(X[i, 0], Y[j])
+            assert np.allclose(gx[i, j], sgx) and np.allclose(gy[i, j], sgy)
+
+
+RATIONAL_KINDS = [SquaredEuclidean(), PinnedAreaSquared(apex=(F(1, 4), F(-1, 2))),
+                  ASYMMETRIC]
+
+
+def _rational_points(rng, n):
+    return [(F(rng.randrange(-40, 40), rng.randrange(1, 9)),
+             F(rng.randrange(-40, 40), rng.randrange(1, 9))) for _ in range(n)]
+
+
+def _close(a, exact):
+    return a == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", RATIONAL_KINDS)
+def test_pairing_is_the_velocity_dotted_gradient(q):
+    rng = random.Random(13)
+    for x, vx, y, vy in zip(*(_rational_points(rng, 20) for _ in range(4))):
+        gx, gy = grad_quantity(q, x, y)
+        u, w = pairing(q, x, vx, y, vy)
+        assert isinstance(u, F) and isinstance(w, F)
+        assert u == sum(a * b for a, b in zip(vx, gx))
+        assert w == sum(a * b for a, b in zip(vy, gy))
+        assert pairing(q, x, None, y, vy) == (None, w)
+        assert pairing(q, x, vx, y, None) == (u, None)
+
+
+@pytest.mark.parametrize("q", RATIONAL_KINDS)
+def test_pairings_match_exact_pairing(q):
+    rng = random.Random(17)
+    n = 7
+    X, VX, Y, VY = (_rational_points(rng, n) for _ in range(4))
+    fX, fVX, fY, fVY = (np.array(p, dtype=float) for p in (X, VX, Y, VY))
+
+    # (n, d) against one point (d,)
+    D, u, w = pairings(q, fX, fVX, fY[0], fVY[0])
+    assert D.shape == u.shape == w.shape == (n,)
+    for i in range(n):
+        eu, ew = pairing(q, X[i], VX[i], Y[0], VY[0])
+        assert _close(D[i], q.eval(X[i], Y[0]))
+        assert _close(u[i], eu) and _close(w[i], ew)
+
+    # every pair: (n, 1, d) against (1, n, d)
+    D, u, w = pairings(q, fX[:, None], fVX[:, None], fY[None], fVY[None])
+    assert D.shape == u.shape == w.shape == (n, n)
+    for i in range(n):
+        for j in range(n):
+            eu, ew = pairing(q, X[i], VX[i], Y[j], VY[j])
+            assert _close(D[i, j], q.eval(X[i], Y[j]))
+            assert _close(u[i, j], eu) and _close(w[i, j], ew)
+
+    _, u, w = pairings(q, fX, None, fY, fVY)
+    assert u is None and w.shape == (n,)
 
 
 def test_quantity_degree():

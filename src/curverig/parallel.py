@@ -1,40 +1,24 @@
-"""Deterministic chunked parallelism.
+"""Deterministic chunked iteration.
 
-Work is split into chunks whose boundaries do not depend on the worker
-count, chunks may run concurrently, and results are merged in chunk order,
-so outputs are identical for any `threads` value.
+Work is split into chunks whose boundaries depend only on the item count,
+and the chunks run in order in the calling thread.  The `threads` argument
+is accepted for compatibility and has no effect: the work is pure Python
+under the interpreter lock, where a thread pool measured slower.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
-
-
-def chunk_ranges(n_items: int, chunk_size: int) -> list[tuple[int, int]]:
-    if n_items <= 0:
-        return []
-    chunk_size = max(1, chunk_size)
-    return [(i, min(i + chunk_size, n_items))
-            for i in range(0, n_items, chunk_size)]
 
 
 def parallel_chunked(worker: Callable, n_items: int, threads: int = 1,
                      chunk_size: int = 64) -> list:
-    """Apply worker(start, stop) over fixed chunks; concatenate in order.
+    """Apply worker(start, stop) over fixed chunks in order; concatenate.
 
-    worker returns a list; the flattened list is identical regardless of
-    the thread count.
+    worker returns a list.  `threads` is ignored.
     """
-    ranges = chunk_ranges(n_items, chunk_size)
-    if threads <= 1 or len(ranges) <= 1:
-        out = []
-        for a, b in ranges:
-            out.extend(worker(a, b))
-        return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda r: worker(*r), ranges))
+    chunk_size = max(1, chunk_size)
     out = []
-    for part in parts:
-        out.extend(part)
+    for a in range(0, n_items, chunk_size):
+        out.extend(worker(a, min(a + chunk_size, n_items)))
     return out

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from curverig.cli import main, _SELF_TESTS
+from curverig.cli import build_parser, main, _SELF_TESTS
 
 
 def run_cli(args, capsys):
@@ -186,6 +186,16 @@ def test_self_tests_pass(command, capsys):
     assert "FAIL" not in out
 
 
+def test_self_test_failure_exits_one(monkeypatch, capsys):
+    flags, _ = _SELF_TESTS["bound"]
+    monkeypatch.setitem(_SELF_TESTS, "bound", (flags, [
+        ("wrong closed form", lambda r: r["delta_star"] == 2.0)]))
+    code, out, _ = run_cli(["bound", "--self-test"], capsys)
+    assert code == 1
+    assert "[bound] ok: exit code 0" in out
+    assert "[bound] FAIL: wrong closed form" in out
+
+
 # -- README examples -------------------------------------------------------------
 
 _README_BLOCKS = re.findall(
@@ -205,5 +215,17 @@ _README_EXAMPLES = {argv[1]: argv[1:] for argv in map(
 def test_readme_example_exits_zero(command, tmp_path, monkeypatch, capsys):
     (tmp_path / "fw.json").write_text(_README_FRAMEWORK)
     monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(_README_EXAMPLES[command], capsys)
+    argv = _README_EXAMPLES[command]
+    if command == "bound":  # bound prints one line; its report needs --out
+        argv = argv + ["--out", "bound.json"]
+    code, out, err = run_cli(argv, capsys)
     assert code == 0, err
+    doc = (read_json(argv[argv.index("--out") + 1]) if "--out" in argv
+           else json.loads(out))
+    # config echoes every parsed option except the output flags
+    parsed = vars(build_parser().parse_args(argv))
+    expected = {k: v for k, v in parsed.items() if k not in (
+        "command", "func", "required_opts", "self_test", "out", "format",
+        "csv_out")}
+    assert doc["config"] == expected
+    assert all(type(n) is int for n in doc["config"].get("sizes", []))

@@ -208,16 +208,6 @@ def sylvester_resultant(p_coeffs: list, q_coeffs: list) -> BiPoly:
     q = q_coeffs[:n2 + 1]
     if n1 == 0 and n2 == 0:
         raise ValueError("resultant of two constants is undefined here")
-    if n1 == 0:
-        out = BiPoly.const(1)
-        for _ in range(n2):
-            out = out * p[0]
-        return out
-    if n2 == 0:
-        out = BiPoly.const(1)
-        for _ in range(n1):
-            out = out * q[0]
-        return out
     size = n1 + n2
     M = [[BiPoly.zero() for _ in range(size)] for _ in range(size)]
     for r in range(n2):
@@ -230,167 +220,67 @@ def sylvester_resultant(p_coeffs: list, q_coeffs: list) -> BiPoly:
 
 
 # -- gcd and square-free part ------------------------------------------------
-# X is the main variable; coefficients live in Z[Y] as ascending int tuples.
+# Primitive PRS in one main variable v (index 0 for X, 1 for Y); the
+# coefficients of the powers of v are BiPolys free of v.
 
 
-def _u_trim(a: list) -> tuple:
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _u_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _u_trim(out)
-
-
-def _u_sub(a, b):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _u_trim(out)
-
-
-def _u_content(a) -> int:
-    return math.gcd(*[abs(x) for x in a]) if a else 0
-
-
-def _u_primitive(a):
-    c = _u_content(a)
-    if c <= 1:
-        return tuple(a)
-    return tuple(x // c for x in a)
-
-
-def _u_exact_div(a, b):
-    """Exact division in Z[Y]; raises on inexact input."""
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(_u_trim(list(a))) >= len(b):
-        a = list(_u_trim(list(a)))
-        k = len(a) - len(b)
-        f, r = divmod(a[-1], b[-1])
-        if r:
-            raise ArithmeticError("inexact univariate division")
-        q[k] = f
-        for i, y in enumerate(b):
-            a[k + i] -= f * y
-    if _u_trim(list(a)):
-        raise ArithmeticError("inexact univariate division")
-    return _u_trim(q)
-
-
-def _u_pseudo_rem(a, b):
-    """prem(a, b) in Z[Y] up to a power of lc(b); exact integer steps."""
-    r = list(a)
-    lc = b[-1]
-    while True:
-        r = list(_u_trim(r))
-        if len(r) < len(b):
-            return tuple(r)
-        k = len(r) - len(b)
-        lead = r[-1]
-        r = [x * lc for x in r]
-        for i, y in enumerate(b):
-            r[k + i] -= lead * y
-
-
-def _u_gcd(a, b):
-    """Primitive PRS gcd in Z[Y], positive leading coefficient."""
-    a, b = _u_primitive(a), _u_primitive(b)
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            r = _u_pseudo_rem(a, b)
-            a, b = b, _u_primitive(r)
-        g = _u_primitive(a)
-    if g and g[-1] < 0:
-        g = tuple(-x for x in g)
-    return g
-
-
-def _to_x_poly(p: BiPoly) -> dict:
+def _coeffs(P: BiPoly, v: int) -> dict:
+    """P as {k: terms of the coefficient of v^k}, each free of v."""
     out: dict = {}
-    for (i, j), c in p.terms.items():
-        col = out.setdefault(i, {})
-        col[j] = c
-    return {i: _u_trim([col.get(j, 0) for j in range(max(col) + 1)])
-            for i, col in out.items()}
+    for e, c in P.terms.items():
+        out.setdefault(e[v], {})[(0, e[1]) if v == 0 else (e[0], 0)] = c
+    return out
 
 
-def _from_x_poly(xp: dict) -> BiPoly:
-    terms = {}
-    for i, coeffs in xp.items():
-        for j, c in enumerate(coeffs):
-            if c:
-                terms[(i, j)] = c
-    return BiPoly(terms)
+def _lead(P: BiPoly, v: int) -> tuple[int, BiPoly]:
+    """(deg_v P, coefficient of v^deg) of a nonzero P."""
+    cs = _coeffs(P, v)
+    d = max(cs)
+    return d, BiPoly(cs[d])
 
 
-def _x_degree(xp: dict) -> int:
-    live = [i for i, c in xp.items() if c]
-    return max(live) if live else -1
+def _content(P: BiPoly, v: int) -> BiPoly:
+    """gcd of the v-coefficients of a nonzero P, integer content included."""
+    g = BiPoly.zero()
+    for terms in _coeffs(P, v).values():
+        g = gcd_bipoly(g, BiPoly(terms))
+        if g.is_constant():
+            break
+    return g * P.content()
 
 
-def _x_content(xp: dict):
-    g = ()
-    for c in xp.values():
-        if c:
-            g = _u_gcd(g, c)
-    return g
-
-
-def _x_map(xp: dict, f) -> dict:
-    return {i: f(c) for i, c in xp.items() if f(c)}
-
-
-def _x_pseudo_rem(A: dict, B: dict) -> dict:
-    """prem(A, B) with X main variable; leading terms cancel exactly."""
-    dB = _x_degree(B)
-    lcB = B[dB]
-    R = dict(A)
-    while (dR := _x_degree(R)) >= dB:
-        lead = R[dR]
-        R = {i: _u_mul(c, lcB) for i, c in R.items()}
-        for i, c in B.items():
-            k = i + dR - dB
-            R[k] = _u_sub(R.get(k, ()), _u_mul(c, lead))
-        R = {i: c for i, c in R.items() if c and i < dR}
+def _pseudo_rem(R: BiPoly, B: BiPoly, v: int) -> BiPoly:
+    """prem_v(R, B) up to a power of lc(B); each step cancels R's lead."""
+    dB, lcB = _lead(B, v)
+    while not R.is_zero():
+        dR, lead = _lead(R, v)
+        if dR < dB:
+            break
+        shift = BiPoly.monomial(dR - dB, 0) if v == 0 else BiPoly.monomial(0, dR - dB)
+        R = R * lcB - B * (lead * shift)
     return R
 
 
 def gcd_bipoly(A: BiPoly, B: BiPoly) -> BiPoly:
-    """gcd in Z[X, Y] via primitive PRS (X main variable), normalized."""
+    """gcd in Z[X, Y] via primitive PRS, normalized.
+
+    The main variable is X when either input contains X, else Y; contents
+    are gcds of coefficients in the other variable, found by recursion.
+    """
     if A.is_zero():
         return B.normalized()
     if B.is_zero():
         return A.normalized()
-    a, b = _to_x_poly(A), _to_x_poly(B)
-    ca, cb = _x_content(a), _x_content(b)
-    cont = _u_gcd(ca, cb)
-    a = _x_map(a, lambda c: _u_exact_div(c, ca))
-    b = _x_map(b, lambda c: _u_exact_div(c, cb))
-    if _x_degree(a) < _x_degree(b):
-        a, b = b, a
-    while _x_degree(b) >= 0:
-        r = _x_pseudo_rem(a, b)
-        rc = _x_content(r)
-        a, b = b, (_x_map(r, lambda c: _u_exact_div(c, rc)) if rc else {})
-    out = _from_x_poly(a) * _from_x_poly({0: cont})
-    return out.normalized()
+    if A.is_constant() or B.is_constant():
+        return BiPoly.const(1)
+    v = 0 if A.degree_x() or B.degree_x() else 1
+    ca, cb = _content(A, v), _content(B, v)
+    cont = gcd_bipoly(ca, cb)
+    a, b = A.exact_div(ca), B.exact_div(cb)
+    while not b.is_zero():
+        r = _pseudo_rem(a, b, v)
+        a, b = b, (r if r.is_zero() else r.exact_div(_content(r, v)))
+    return (a * cont).normalized()
 
 
 def square_free_part(G: BiPoly) -> BiPoly:

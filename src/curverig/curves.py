@@ -101,6 +101,7 @@ class RationalCurve:
             self._certify_denominator(rf.den, domain)
         self.degree = max(rf.degree for rf in self.coords)
         self._jets = [list(self.coords)]  # order -> coordinate derivatives
+        self._float_jets: list = []  # order -> [(num, den)] polyval arrays
 
     @staticmethod
     def _certify_denominator(den: Poly, domain: Interval):
@@ -145,12 +146,13 @@ class RationalCurve:
     def derivative_array(self, ts: np.ndarray, order: int) -> np.ndarray:
         """Vectorized order-th derivative values, shape (len(ts), d)."""
         ts = np.asarray(ts, dtype=float)
-        cols = []
-        for rf in self._derivatives(order):
-            num = np.polyval(rf.num.float_coeffs()[::-1] or [0.0], ts)
-            den = np.polyval(rf.den.float_coeffs()[::-1], ts)
-            cols.append(num / den)
-        return np.stack(cols, axis=-1)
+        while len(self._float_jets) <= order:
+            self._float_jets.append(
+                [(np.array(rf.num.float_coeffs()[::-1] or [0.0]),
+                  np.array(rf.den.float_coeffs()[::-1]))
+                 for rf in self._derivatives(len(self._float_jets))])
+        return np.stack([np.polyval(num, ts) / np.polyval(den, ts)
+                         for num, den in self._float_jets[order]], axis=-1)
 
     def is_exactable(self) -> bool:
         return True

@@ -188,13 +188,15 @@ class ElekesCurve:
         return np.stack([self.quantity.eval_batch(X, b)
                          for b in self.base_points()], axis=-1)
 
-    def tangent_batch(self, ts: np.ndarray) -> np.ndarray:
-        """xi'(t) = (gamma'(t) . D_X(gamma(t), p_or_q)) over a float array."""
+    def tangent_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(xi(t), xi'(t)) over a float array, each shape (len(ts), 2), with
+        xi'(t) = gamma'(t) . D_X(gamma(t), p_or_q); xi is eval_batch's."""
         ts = np.asarray(ts, dtype=float)
         X = self.curve.evaluate_array(ts)
         V = self.curve.derivative_array(ts, 1)
-        return np.stack([pairings(self.quantity, X, V, b, None)[1]
-                         for b in self.base_points()], axis=-1)
+        D, T = zip(*(pairings(self.quantity, X, V, b, None)[:2]
+                     for b in self.base_points()))
+        return np.stack(D, axis=-1), np.stack(T, axis=-1)
 
 
 def eval_elekes(e: ElekesCurve, t):
@@ -219,8 +221,8 @@ def same_algebraic_curve(e1: ElekesCurve, e2: ElekesCurve,
         d2 = np.sum((dense - pt) ** 2, axis=-1)
         t = float(dense_ts[int(np.argmin(d2))])
         for _ in range(60):  # Gauss-Newton projection onto the image
-            r = e1.eval_batch(np.array([t]))[0] - pt
-            g = e1.tangent_batch(np.array([t]))[0]
+            xi, g = e1.tangent_batch(np.array([t]))
+            r, g = xi[0] - pt, g[0]
             gg = float(g @ g)
             if gg < 1e-300:
                 break
@@ -278,9 +280,9 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
 
     t, s = T.copy(), S.copy()
     for _ in range(40):
-        F = e1.eval_batch(t) - e2.eval_batch(s)
-        J1 = e1.tangent_batch(t)
-        J2 = e2.tangent_batch(s)
+        xi1, J1 = e1.tangent_batch(t)
+        xi2, J2 = e2.tangent_batch(s)
+        F = xi1 - xi2
         det = -J1[:, 0] * J2[:, 1] + J1[:, 1] * J2[:, 0]
         ok = np.abs(det) > 1e-300
         safe = np.where(ok, det, 1.0)

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from curverig import (Interval, RationalCurve, RationalFunction,
+                      SquaredEuclidean)
 from curverig.bipoly import (BiPoly, bareiss_determinant, gcd_bipoly,
                              square_free_part, sylvester_resultant)
+from curverig.elekes import ElekesCurve, _clear_denominators
 
 X = BiPoly.monomial(1, 0)
 Y = BiPoly.monomial(0, 1)
@@ -92,8 +95,9 @@ def test_sylvester_resultant_univariate_oracle():
 def test_sylvester_degenerate_cases():
     with pytest.raises(ValueError):
         sylvester_resultant([C(2)], [C(3)])
-    # constant p: Res = p^(deg q)
+    # constant p: Res = p^(deg q); constant q: Res = q^(deg p)
     assert sylvester_resultant([C(2)], [C(1), C(0), C(1)]) == C(4)
+    assert sylvester_resultant([C(1), C(0), C(1)], [C(2)]) == C(4)
 
 
 def test_gcd_bipoly():
@@ -131,3 +135,58 @@ def test_normalized_sign_and_content():
     assert n.content() == 1
     assert n.graded_leading_sign() == 1
     assert n == X * X - Y
+
+
+# -- sympy oracle -------------------------------------------------------------
+
+
+def _from_sympy(expr, x, y) -> BiPoly:
+    return BiPoly({k: int(c) for k, c in
+                   expr.as_poly(x, y).as_dict().items()}).normalized()
+
+
+def _to_sympy(p: BiPoly, x, y):
+    return sum(c * x ** i * y ** j for (i, j), c in p.terms.items())
+
+
+def _random_factor(rng, deg):
+    while True:
+        f = BiPoly({(rng.randrange(deg + 1), rng.randrange(deg + 1)):
+                    rng.randrange(-6, 7) for _ in range(3)})
+        if not f.is_constant():
+            return f
+
+
+def test_gcd_and_square_free_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    rng = random.Random(11)
+    for _ in range(30):
+        f, g, h = (_random_factor(rng, 2) for _ in range(3))
+        shared = f * C(rng.randrange(1, 13))
+        A = shared * g * g * C(rng.randrange(1, 13))   # repeated factor
+        B = shared * h * C(rng.randrange(-12, 13) or 1)
+        sA, sB = _to_sympy(A, x, y), _to_sympy(B, x, y)
+        assert gcd_bipoly(A, B) == _from_sympy(sympy.gcd(sA, sB), x, y)
+        assert square_free_part(A) == _from_sympy(sympy.sqf_part(sA), x, y)
+        assert square_free_part(A * B) == \
+            _from_sympy(sympy.sqf_part(sA * sB), x, y)
+
+
+def test_cubic_implicitization_matches_sympy_resultant():
+    sympy = pytest.importorskip("sympy")
+    x, y, t = sympy.symbols("x y t")
+    RF = RationalFunction.from_coeffs
+    cubic = RationalCurve([RF([0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2))
+    rng = random.Random(5)
+    for _ in range(3):
+        a, b = (Fraction(rng.randrange(-2 ** 33, 2 ** 33), 2 ** 32)
+                for _ in range(2))
+        e = ElekesCurve(cubic, SquaredEuclidean(), a, b)
+        polys = []
+        for var, rf in zip((x, y), e.components()):
+            num, den = _clear_denominators(rf)
+            polys.append(sum(c * t ** k for k, c in enumerate(den)) * var
+                         - sum(c * t ** k for k, c in enumerate(num)))
+        want = sympy.sqf_part(sympy.resultant(*polys, t))
+        assert e.implicit().poly == _from_sympy(want, x, y)

@@ -184,8 +184,9 @@ def test_elekes_batch_matches_scalar(sq):
     batch = e.eval_batch(ts)
     for i, t in enumerate(ts):
         assert np.allclose(batch[i], np.asarray(e.eval(float(t)), float))
-    # tangent against finite differences
-    tan = e.tangent_batch(ts)
+    # tangent against finite differences; its xi is eval_batch's, bitwise
+    xi, tan = e.tangent_batch(ts)
+    assert np.array_equal(xi, batch)
     h = 1e-6
     fd = (e.eval_batch(ts + h) - e.eval_batch(ts - h)) / (2 * h)
     assert np.allclose(tan, fd, atol=1e-6)

@@ -15,16 +15,17 @@ from .rational import Poly, RationalFunction, as_fraction, count_real_roots, is_
 from .curves import (AnalyticCurve, CurveSpec, HelixCurve, Interval,
                      RationalCurve, SimplicityReport, arc_length_reparametrize,
                      builtin_curve, check_simplicity, curve_from_json,
-                     curve_to_json, derivative_jet, evaluate, trig_ellipse)
+                     curve_to_json, derivative_jet, evaluate, is_exact_data,
+                     trig_ellipse)
 from .quantity import (GeneralPolynomial, PinnedAreaSquared, QuantitySpec,
-                       SquaredEuclidean, eval_quantity, grad_quantity, pairing,
-                       pairings, quantity_degree, quantity_from_json,
-                       quantity_is_rational, quantity_to_json)
+                       SquaredEuclidean, pairing, pairings, quantity_degree,
+                       quantity_from_json, quantity_is_rational,
+                       quantity_to_json)
 from .counting import (ArithmeticProgression, CountResult, EquallySpacedAngle,
                        Exact, ExponentFit, GeometricProgression, ParamPointSet,
                        Tolerance, UniformRandom, count_distinct_values,
                        elekes_lower_bound, fit_exponent, generate_point_set,
-                       parse_scheme)
+                       parse_param, parse_scheme)
 from .bipoly import BiPoly, square_free_part, sylvester_resultant
 from .elekes import (AdmissibilityReport, ElekesCurve, ImplicitPlanePoly,
                      IncidenceReport, IntersectionReport, admissibility_scan,

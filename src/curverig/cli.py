@@ -18,13 +18,12 @@ from typing import NamedTuple, Optional
 from . import __version__
 from .counting import (Exact, ParamPointSet, Tolerance, count_distinct_values,
                        elekes_lower_bound, fit_exponent, generate_point_set,
-                       parse_scheme)
+                       parse_param, parse_scheme)
 from .curves import HelixCurve, builtin_curve, check_simplicity, curve_from_json
 from .elekes import admissibility_scan, verify_incidence_invariant
 from .errors import CurverigError, DomainExit, SingularH
 from .motion import classify_helix, derivative_norm_profile, trace_triangle_motion
 from .quantity import quantity_from_json
-from .rational import as_fraction
 from .rigidity import Framework, infinitesimal_nullity, scan_T_degeneracy
 
 _NUMERIC_ERRORS = (DomainExit, SingularH)
@@ -70,17 +69,6 @@ def _parse_mode(text: str):
 
 def _parse_sizes(text: str) -> list:
     return [int(s) for s in text.split(",")]
-
-
-def _parse_params(text: str) -> list:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        try:
-            out.append(as_fraction(tok))
-        except (ValueError, ZeroDivisionError):
-            out.append(float(tok))
-    return out
 
 
 class Outcome(NamedTuple):
@@ -168,7 +156,8 @@ def cmd_elekes_analyze(args) -> Outcome:
     if ":" in args.points:
         pset = generate_point_set(curve, parse_scheme(args.points))
     else:
-        pset = ParamPointSet(curve, tuple(sorted(_parse_params(args.points))))
+        pset = ParamPointSet(
+            curve, tuple(sorted(map(parse_param, args.points.split(",")))))
     incidence = verify_incidence_invariant(pset, quantity)
     scan = admissibility_scan(pset, quantity, sample_pairs=args.pairs,
                               n=args.grid, tol=args.tol, seed=args.seed,
@@ -191,8 +180,7 @@ def cmd_flex(args) -> Outcome:
         else load_curve_arg(doc["curve"])
     quantity = quantity_from_json(doc["quantity"]) \
         if isinstance(doc["quantity"], dict) else load_quantity_arg(doc["quantity"])
-    params = [as_fraction(p) if isinstance(p, str) else p
-              for p in doc["params"]]
+    params = [parse_param(p) for p in doc["params"]]
     fw = Framework(len(params), tuple(tuple(e) for e in doc["edges"]),
                    tuple(params), curve, quantity)
     return Outcome(infinitesimal_nullity(fw, tol=args.tol).to_dict())

@@ -15,11 +15,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .curves import CurveSpec, HelixCurve
+from .curves import CurveSpec, HelixCurve, is_exact_data
 from .errors import (DomainError, ExactnessUnavailable, InsufficientSamples,
                      SchemeMismatch)
 from .parallel import parallel_chunked
-from .quantity import QuantitySpec, quantity_is_rational
+from .quantity import QuantitySpec
 from .rational import as_fraction, is_exact
 
 
@@ -41,9 +41,6 @@ class ParamPointSet:
 
     def __len__(self) -> int:
         return len(self.params)
-
-    def is_exact(self) -> bool:
-        return self.curve.is_exactable() and all(is_exact(t) for t in self.params)
 
     def points_array(self) -> np.ndarray:
         return self.curve.evaluate_array(np.array([float(t) for t in self.params]))
@@ -88,19 +85,11 @@ def generate_point_set(curve: CurveSpec, scheme: Scheme) -> ParamPointSet:
     if scheme.n < 2:
         raise ValueError("schemes need N >= 2 points")
     if isinstance(scheme, ArithmeticProgression):
-        start, step = scheme.start, scheme.step
-        if is_exact(start) or isinstance(start, str):
-            start = as_fraction(start)
-        if is_exact(step) or isinstance(step, str):
-            step = as_fraction(step)
+        start, step = parse_param(scheme.start), parse_param(scheme.step)
         params = [start + i * step for i in range(scheme.n)]
         label = f"arith({scheme.start},{scheme.step},{scheme.n})"
     elif isinstance(scheme, GeometricProgression):
-        start, ratio = scheme.start, scheme.ratio
-        if is_exact(start) or isinstance(start, str):
-            start = as_fraction(start)
-        if is_exact(ratio) or isinstance(ratio, str):
-            ratio = as_fraction(ratio)
+        start, ratio = parse_param(scheme.start), parse_param(scheme.ratio)
         params = [start * ratio ** i for i in range(scheme.n)]
         label = f"geom({scheme.start},{scheme.ratio},{scheme.n})"
     elif isinstance(scheme, UniformRandom):
@@ -148,9 +137,11 @@ def parse_scheme(text: str) -> Scheme:
     parts = text.split(":")
     kind = parts[0]
     if kind == "arith" and len(parts) == 4:
-        return ArithmeticProgression(_num(parts[1]), _num(parts[2]), int(parts[3]))
+        return ArithmeticProgression(parse_param(parts[1]), parse_param(parts[2]),
+                                     int(parts[3]))
     if kind == "geom" and len(parts) == 4:
-        return GeometricProgression(_num(parts[1]), _num(parts[2]), int(parts[3]))
+        return GeometricProgression(parse_param(parts[1]), parse_param(parts[2]),
+                                    int(parts[3]))
     if kind == "rand" and len(parts) == 3:
         return UniformRandom(int(parts[1]), int(parts[2]))
     if kind == "angles" and len(parts) == 2:
@@ -158,11 +149,16 @@ def parse_scheme(text: str) -> Scheme:
     raise ValueError(f"bad scheme string {text!r}")
 
 
-def _num(s: str):
-    try:
-        return as_fraction(s)
-    except (ValueError, ZeroDivisionError):
-        return float(s)
+def parse_param(v):
+    """A parameter as the exact pipelines want it: ints, Fractions and
+    strings that parse as a Fraction ("1/7", "0.25") become Fractions,
+    other strings floats; floats stay as they are."""
+    if isinstance(v, str):
+        try:
+            return as_fraction(v)
+        except (ValueError, ZeroDivisionError):
+            return float(v)
+    return as_fraction(v) if is_exact(v) else v
 
 
 # -- distinct-value counting -----------------------------------------------
@@ -222,7 +218,7 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
     n = len(pset)
     n_pairs = n * (n - 1) // 2
     if isinstance(mode, Exact):
-        if not (pset.is_exact() and quantity_is_rational(q)):
+        if not is_exact_data(pset.curve, pset.params, q):
             raise ExactnessUnavailable(
                 "Exact counting needs rational curve, params and quantity")
         pts = [pset.curve.evaluate(t) for t in pset.params]

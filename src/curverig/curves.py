@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DomainError, JetOrderError, PoleError,
                      SingularParametrization)
-from .quantity import pairings
+from .quantity import pairings, quantity_is_rational
 from .rational import (NEG_INF, POS_INF, Poly, RationalFunction, as_fraction,
                        count_real_roots, is_exact)
 
@@ -86,9 +86,9 @@ def _endpoint_from_json(v):
 class RationalCurve:
     """Curve with reduced rational-function coordinates over Q.
 
-    Denominators are certified root-free on the domain by Sturm real-root
-    counting when the coefficients are rational; float-coefficient inputs
-    are only sign-sampled (4096 points), which is not a proof.
+    Every coefficient is a Fraction (Poly converts floats exactly), and
+    every denominator is certified root-free on the domain by Sturm
+    real-root counting.
     """
 
     def __init__(self, coords: Sequence[RationalFunction], domain: Interval):
@@ -154,9 +154,6 @@ class RationalCurve:
         return np.stack([np.polyval(num, ts) / np.polyval(den, ts)
                          for num, den in self._float_jets[order]], axis=-1)
 
-    def is_exactable(self) -> bool:
-        return True
-
 
 class HelixCurve:
     """Generalized helix (a1 cos l1 t, a1 sin l1 t, ..., t*w, 0-padding)."""
@@ -216,9 +213,6 @@ class HelixCurve:
                 v[..., 2 * self.k + i] = w
         return v
 
-    def is_exactable(self) -> bool:
-        return False
-
 
 class AnalyticCurve:
     """Black-box curve: evaluator(t, order) -> [gamma(t), ..., gamma^(order)(t)].
@@ -259,11 +253,15 @@ class AnalyticCurve:
         return np.stack([self.derivative_jet(float(t), order)[order]
                          for t in ts.ravel()]).reshape(ts.shape + (self.dimension,))
 
-    def is_exactable(self) -> bool:
-        return False
-
 
 CurveSpec = RationalCurve | HelixCurve | AnalyticCurve
+
+
+def is_exact_data(curve: CurveSpec, params, quantity) -> bool:
+    """True when the exact (Fraction) pipelines apply: a rational curve,
+    int/Fraction parameters and a D with rational coefficients."""
+    return (isinstance(curve, RationalCurve) and all(is_exact(t) for t in params)
+            and quantity_is_rational(quantity))
 
 
 def evaluate(curve: CurveSpec, t):

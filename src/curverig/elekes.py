@@ -18,12 +18,11 @@ import numpy as np
 
 from .bipoly import BiPoly, square_free_part, sylvester_resultant
 from .counting import ParamPointSet
-from .curves import CurveSpec, RationalCurve
+from .curves import CurveSpec, is_exact_data
 from .errors import DegenerateParametrization
 from .parallel import parallel_chunked
-from .quantity import (QuantitySpec, pairings, quantity_degree,
-                       quantity_is_rational)
-from .rational import RationalFunction, is_exact
+from .quantity import QuantitySpec, pairings, quantity_degree
+from .rational import RationalFunction
 
 
 @dataclass(frozen=True)
@@ -138,9 +137,7 @@ class ElekesCurve:
         return (self.p_param, self.q_param)
 
     def is_exactable(self) -> bool:
-        return (isinstance(self.curve, RationalCurve)
-                and is_exact(self.p_param) and is_exact(self.q_param)
-                and quantity_is_rational(self.quantity))
+        return is_exact_data(self.curve, self.pair(), self.quantity)
 
     def components(self) -> tuple[RationalFunction, RationalFunction]:
         """Cached rational components (A(t), B(t)); exact path only."""
@@ -148,11 +145,10 @@ class ElekesCurve:
             if not self.is_exactable():
                 raise DegenerateParametrization(
                     "rational components need a rational curve and exact data")
-            coords = self.curve.coords
-            P = self.curve.evaluate(self.p_param)
-            Q = self.curve.evaluate(self.q_param)
-            A = self.quantity.compose_with_curve(coords, P)
-            B = self.quantity.compose_with_curve(coords, Q)
+            A, B = (self.quantity.eval(self.curve.coords, self.curve.evaluate(t))
+                    for t in self.pair())
+            if not all(isinstance(c, RationalFunction) for c in (A, B)):
+                raise DegenerateParametrization("D does not depend on gamma(t)")
             self._components = (A, B)
         return self._components
 
@@ -163,7 +159,7 @@ class ElekesCurve:
         return self._implicit
 
     def degree_bound(self) -> int:
-        """deg D * deg gamma when known, else a generic cap of 4."""
+        """deg D * deg gamma; deg D * 2 when gamma has no algebraic degree."""
         dg = self.curve.degree if self.curve.degree else 2
         return quantity_degree(self.quantity) * dg
 
@@ -408,7 +404,7 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
     params = pset.params
     curves = [ElekesCurve(pset.curve, q, a, b)
               for a in params for b in params if a != b]
-    exact = all(c.is_exactable() for c in curves)
+    exact = is_exact_data(pset.curve, params, q)
 
     implicit_of_class: dict = {}
     if exact:

@@ -3,16 +3,18 @@
 Three kinds are supported: the squared Euclidean distance, the squared
 pinned triangle area about a fixed apex (d = 2 only), and a free-form
 polynomial in the 2d coordinates of (x, y).  Evaluation and gradients are
-exact on rational inputs; batch variants operate on broadcast float numpy
-arrays.  `pairing` and `pairings` give the edge-gradient pairing
-gamma'(a) . D_X(gamma(a), gamma(b)) that the rest of the package builds on.
+exact on rational inputs; they also take coordinates that are rational
+functions of t, which is how the Elekes curves are built.  Batch variants
+operate on broadcast float numpy arrays.  `pairing` and `pairings` give the
+edge-gradient pairing gamma'(a) . D_X(gamma(a), gamma(b)) that the rest of
+the package builds on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,8 +30,12 @@ def _check_dim(q, x, y):
             f"expected dimension {q.dimension}, got {len(x)}")
 
 
-def _exact_pair(x, y) -> bool:
-    return all(is_exact(c) for c in x) and all(is_exact(c) for c in y)
+def _arithmetic(z):
+    """(coefficient conversion, zero) for coordinates z: exact when every
+    coordinate is an int, a Fraction or a RationalFunction, float otherwise."""
+    if all(is_exact(c) or isinstance(c, RationalFunction) for c in z):
+        return (lambda c: c), Fraction(0)
+    return float, 0.0
 
 
 @dataclass(frozen=True)
@@ -56,14 +62,6 @@ class SquaredEuclidean:
     def grad_batch(self, X, Y):
         dx = 2.0 * (X - Y)
         return dx, -dx
-
-    def compose_with_curve(self, coords: Sequence[RationalFunction], point):
-        """D(gamma(t), p) as a rational function of t for fixed rational p."""
-        acc = RationalFunction.constant(0)
-        for ci, pi in zip(coords, point):
-            diff = ci - RationalFunction.constant(as_fraction(pi))
-            acc = acc + diff * diff
-        return acc
 
 
 @dataclass(frozen=True)
@@ -112,14 +110,6 @@ class PinnedAreaSquared:
         dy = np.stack([-2 * c * (X[..., 1] - v2), 2 * c * (X[..., 0] - v1)], axis=-1)
         return dx, dy
 
-    def compose_with_curve(self, coords, point):
-        v1 = RationalFunction.constant(as_fraction(self.apex[0]))
-        v2 = RationalFunction.constant(as_fraction(self.apex[1]))
-        p1 = RationalFunction.constant(as_fraction(point[0]))
-        p2 = RationalFunction.constant(as_fraction(point[1]))
-        c = (coords[0] - v1) * (p2 - v2) - (coords[1] - v2) * (p1 - v1)
-        return c * c
-
 
 @dataclass(frozen=True)
 class GeneralPolynomial:
@@ -146,96 +136,55 @@ class GeneralPolynomial:
             self, "terms",
             tuple(sorted((e, c) for e, c in merged.items() if c != 0)))
 
+    def _monomial_sum(self, z, conv, zero, k=None):
+        """sum of conv(c) * z^e over the terms, or of its z_k-derivative;
+        z holds the 2d coordinates, scalars or arrays alike."""
+        total = zero
+        for expo, coeff in self.terms:
+            if k is None:
+                term = conv(coeff)
+            elif expo[k]:
+                term = conv(coeff) * expo[k]
+                expo = expo[:k] + (expo[k] - 1,) + expo[k + 1:]
+            else:
+                continue
+            for zi, ei in zip(z, expo):
+                if ei:
+                    term = term * zi ** ei
+            total += term
+        return total
+
     def eval(self, x, y):
         _check_dim(self, x, y)
         z = tuple(x) + tuple(y)
-        exact = _exact_pair(x, y)
-        total = Fraction(0) if exact else 0.0
-        for expo, coeff in self.terms:
-            term = coeff if exact else float(coeff)
-            for zi, ei in zip(z, expo):
-                if ei:
-                    term *= zi ** ei
-            total += term
-        return total
+        return self._monomial_sum(z, *_arithmetic(z))
 
     def grad(self, x, y):
         _check_dim(self, x, y)
-        d = len(x)
         z = tuple(x) + tuple(y)
-        exact = _exact_pair(x, y)
-        zero = Fraction(0) if exact else 0.0
-        out = [zero] * (2 * d)
-        for expo, coeff in self.terms:
-            for k in range(2 * d):
-                if expo[k] == 0:
-                    continue
-                term = (coeff if exact else float(coeff)) * expo[k]
-                for i, (zi, ei) in enumerate(zip(z, expo)):
-                    e = ei - 1 if i == k else ei
-                    if e:
-                        term *= zi ** e
-                out[k] += term
-        return tuple(out[:d]), tuple(out[d:])
+        conv, zero = _arithmetic(z)
+        g = [self._monomial_sum(z, conv, zero, k) for k in range(len(z))]
+        return tuple(g[:len(x)]), tuple(g[len(x):])
+
+    @staticmethod
+    def _columns(X, Y):
+        """The 2d coordinate arrays of broadcast (X, Y), and their shape."""
+        X, Y = np.broadcast_arrays(X, Y)
+        return [A[..., i] for A in (X, Y) for i in range(A.shape[-1])], X.shape[:-1]
 
     def eval_batch(self, X, Y):
-        Z = np.concatenate(np.broadcast_arrays(X, Y), axis=-1)
-        total = np.zeros(Z.shape[:-1])
-        for expo, coeff in self.terms:
-            term = np.full(Z.shape[:-1], float(coeff))
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * Z[..., i] ** e
-            total += term
-        return total
+        z, shape = self._columns(X, Y)
+        return self._monomial_sum(z, float, np.zeros(shape))
 
     def grad_batch(self, X, Y):
-        d = X.shape[-1]
-        Z = np.concatenate(np.broadcast_arrays(X, Y), axis=-1)
-        out = np.zeros(Z.shape[:-1] + (2 * d,))
-        for expo, coeff in self.terms:
-            for k in range(2 * d):
-                if expo[k] == 0:
-                    continue
-                term = np.full(Z.shape[:-1], float(coeff) * expo[k])
-                for i, e in enumerate(expo):
-                    e = e - 1 if i == k else e
-                    if e:
-                        term = term * Z[..., i] ** e
-                out[..., k] += term
-        return out[..., :d], out[..., d:]
-
-    def compose_with_curve(self, coords, point):
-        d = self.dimension
-        acc = RationalFunction.constant(0)
-        pvals = [as_fraction(p) for p in point]
-        for expo, coeff in self.terms:
-            c = coeff
-            for pi, ei in zip(pvals, expo[d:]):
-                if ei:
-                    c *= pi ** ei
-            term = RationalFunction.constant(c)
-            for ci, ei in zip(coords, expo[:d]):
-                for _ in range(ei):
-                    term = term * ci
-            acc = acc + term
-        return acc
-
-    def has_rational_coefficients(self) -> bool:
-        return all(isinstance(c, Fraction) for _, c in self.terms)
+        z, shape = self._columns(X, Y)
+        g = np.stack([self._monomial_sum(z, float, np.zeros(shape), k)
+                      for k in range(len(z))], axis=-1)
+        d = len(z) // 2
+        return g[..., :d], g[..., d:]
 
 
 QuantitySpec = SquaredEuclidean | PinnedAreaSquared | GeneralPolynomial
-
-
-def eval_quantity(q: QuantitySpec, x, y):
-    """Scalar value of D(x, y); exact when both points are rational."""
-    return q.eval(x, y)
-
-
-def grad_quantity(q: QuantitySpec, x, y):
-    """(D_X, D_Y) partial-derivative vectors at (x, y)."""
-    return q.grad(x, y)
 
 
 def pairing(q: QuantitySpec, x, vx, y, vy):
@@ -266,12 +215,9 @@ def quantity_degree(q: QuantitySpec) -> int:
 
 
 def quantity_is_rational(q: QuantitySpec) -> bool:
-    """True when D has rational coefficients (exact pipelines available)."""
-    if isinstance(q, SquaredEuclidean):
-        return True
-    if isinstance(q, PinnedAreaSquared):
-        return all(is_exact(v) for v in q.apex)
-    return q.has_rational_coefficients()
+    """True when D has rational coefficients.  Only a pinned-area apex can
+    be irrational: GeneralPolynomial keeps its coefficients as Fractions."""
+    return not isinstance(q, PinnedAreaSquared) or all(is_exact(v) for v in q.apex)
 
 
 def quantity_from_json(doc: dict) -> QuantitySpec:

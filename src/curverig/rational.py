@@ -199,14 +199,20 @@ class RationalFunction:
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
+    def __add__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            # gcd(num + c den, den) = gcd(num, den) = 1: still reduced
+            return RationalFunction(self.num + self.den * other, self.den,
+                                    _reduced=True)
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den, _reduced=True)
 
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+    def __sub__(self, other) -> "RationalFunction":
         return self + (-other)
 
     def __mul__(self, other) -> "RationalFunction":
@@ -215,6 +221,15 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "RationalFunction":
+        """Non-negative integer powers; num^k / den^k stays reduced."""
+        if k < 0:
+            raise ValueError("negative power of a rational function")
+        num, den = P_ONE, P_ONE
+        for _ in range(k):
+            num, den = num * self.num, den * self.den
+        return RationalFunction(num, den, _reduced=True)
 
     def derivative(self) -> "RationalFunction":
         n, d = self.num, self.den

@@ -16,11 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import CurveSpec, RationalCurve
+from .curves import CurveSpec, is_exact_data
 from .errors import SingularH
 from .parallel import parallel_chunked
-from .quantity import QuantitySpec, pairing, pairings, quantity_is_rational
-from .rational import is_exact
+from .quantity import QuantitySpec, pairing, pairings
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,7 @@ class Framework:
         object.__setattr__(self, "params", tuple(self.params))
 
     def is_exact(self) -> bool:
-        return (isinstance(self.curve, RationalCurve)
-                and all(is_exact(t) for t in self.params)
-                and quantity_is_rational(self.quantity))
+        return is_exact_data(self.curve, self.params, self.quantity)
 
 
 def triangle(curve, quantity, a, b, c) -> Framework:

@@ -7,10 +7,13 @@ separations and invariants, at the stated tolerances and runtime limits.
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
+from pathlib import Path
 
 from curverig import (ArithmeticProgression, EquallySpacedAngle, Framework,
                       HelixCurve, ParamPointSet, PinnedAreaSquared,
@@ -22,7 +25,7 @@ from curverig import (ArithmeticProgression, EquallySpacedAngle, Framework,
                       trace_framework_motion, trace_triangle_motion, triangle,
                       trig_ellipse, verify_incidence_invariant)
 from curverig.bipoly import BiPoly
-from curverig import RationalFunction
+from curverig import RationalCurve, RationalFunction
 from conftest import (make_circular_helix, make_cubic, make_parabola,
                       make_rational_circle, make_rect_hyperbola,
                       make_unit_circle)
@@ -45,40 +48,33 @@ def _report(num, name, elapsed, limit, ok, detail=""):
         f"criterion {num} runtime {elapsed:.2f}s exceeds {limit}s"
 
 
-# Cached, so that the determinism criterion reuses what criteria 1-4 and 11
-# computed when they ran first, and computes it itself when it runs alone.
-
-
-@lru_cache(maxsize=None)
-def _helix_counts(threads):
+def _helix_counts():
     helix = make_circular_helix(0.5)
     out = []
     for n in (32, 64, 128, 256, 512, 1024):
         pset = generate_point_set(helix, ArithmeticProgression(0.0, 0.3, n))
-        res = count_distinct_values(pset, SQ, Tolerance(1e-9), threads=threads)
+        res = count_distinct_values(pset, SQ, Tolerance(1e-9))
         out.append((n, res.count, tuple(res.values)))
     return out
 
 
-@lru_cache(maxsize=None)
-def _circle_counts(threads):
+def _circle_counts():
     circ = make_unit_circle()
     out = []
     for n in (6, 10, 100):
         pset = generate_point_set(circ, EquallySpacedAngle(n))
-        res = count_distinct_values(pset, SQ, Tolerance(1e-9), threads=threads)
+        res = count_distinct_values(pset, SQ, Tolerance(1e-9))
         out.append((n, res.count, tuple(res.values)))
     return out
 
 
-@lru_cache(maxsize=None)
-def _parabola_counts(threads):
+def _parabola_counts():
     par = make_parabola(0, 1)
     out = []
     for n in (64, 128, 256, 512):
         pset = generate_point_set(
             par, ArithmeticProgression(F(1, n + 1), F(1, n + 1), n))
-        res = count_distinct_values(pset, SQ, Tolerance(1e-9), threads=threads)
+        res = count_distinct_values(pset, SQ, Tolerance(1e-9))
         out.append((n, res.count))
     return out
 
@@ -94,10 +90,8 @@ _SCAN_CASES = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _scan_outputs(threads):
-    return [(name, scan_T_degeneracy(make(), q, m=12, n=256, tol=1e-9,
-                                     threads=threads).to_dict())
+def _scan_outputs():
+    return [(name, scan_T_degeneracy(make(), q, m=12, n=256, tol=1e-9).to_dict())
             for name, make, q, _ in _SCAN_CASES]
 
 
@@ -108,16 +102,14 @@ def _parabola_12_point_set():
     return ParamPointSet(par, params)
 
 
-@lru_cache(maxsize=None)
-def _admissibility_output(threads):
+def _admissibility_output():
     pset = _parabola_12_point_set()
-    return admissibility_scan(pset, SQ, sample_pairs=200, n=64, seed=1,
-                              threads=threads).to_dict()
+    return admissibility_scan(pset, SQ, sample_pairs=200, n=64, seed=1).to_dict()
 
 
 def test_criterion_01_helix_linear_growth():
     t0 = time.perf_counter()
-    counts = _helix_counts(threads=1)
+    counts = _helix_counts()
     ok = all(c <= n - 1 for n, c, _ in counts)
     fit = fit_exponent([(n, c) for n, c, _ in counts])
     ok = ok and fit.slope <= 1.05
@@ -127,7 +119,7 @@ def test_criterion_01_helix_linear_growth():
 
 def test_criterion_02_circle_degeneracy():
     t0 = time.perf_counter()
-    counts = _circle_counts(threads=1)
+    counts = _circle_counts()
     # brute-force chord-length oracle
     oracle = {n: len({round(4 * math.sin(math.pi * k / n) ** 2, 9)
                       for k in range(1, n)}) for n, _, _ in counts}
@@ -138,7 +130,7 @@ def test_criterion_02_circle_degeneracy():
 
 def test_criterion_03_parabola_exponent_gap():
     t0 = time.perf_counter()
-    counts = _parabola_counts(threads=1)
+    counts = _parabola_counts()
     fit = fit_exponent(counts)
     ok = fit.slope >= 1.25
     _report(3, "parabola exponent >= 1.25", time.perf_counter() - t0, 30.0,
@@ -147,7 +139,7 @@ def test_criterion_03_parabola_exponent_gap():
 
 def test_criterion_04_H_dichotomy():
     t0 = time.perf_counter()
-    results = _scan_outputs(threads=1)
+    results = _scan_outputs()
     ok = True
     details = []
     for (name, doc), (_, _, _, degenerate) in zip(results, _SCAN_CASES):
@@ -192,7 +184,7 @@ def test_criterion_05_infinitesimal_rigidity():
         curve = zoo[i % len(zoo)]
         lo = max(float(curve.domain.lo), -6.0)
         hi = min(float(curve.domain.hi), 6.0)
-        if curve.is_exactable():
+        if isinstance(curve, RationalCurve):
             ts = sorted(F(rng.randrange(int(lo * 64) + 1, int(hi * 64)), 64)
                         for _ in range(3))
         else:
@@ -332,7 +324,7 @@ def test_criterion_10_incidence_invariant():
 
 def test_criterion_11_elekes_intersection_bound():
     t0 = time.perf_counter()
-    doc = _admissibility_output(threads=8)
+    doc = _admissibility_output()
     pairs_same = any(len(cls) > 1 for cls in doc["duplicate_curve_classes"])
     ok = not pairs_same
     ok = ok and doc["pairs_checked"] == 200
@@ -342,14 +334,35 @@ def test_criterion_11_elekes_intersection_bound():
                 f"no same-curve pairs among {doc['pairs_checked']}")
 
 
-def test_criterion_12_determinism_across_threads():
+# Two README-shaped commands, each run in fresh interpreters whose string
+# hashing differs.  The criterion keeps its historical name: it was a
+# 1- vs 8-thread comparison, and `threads` has no effect any more.
+_DETERMINISM_COMMANDS = [
+    ["count-distances", "--curve", "parabola", "--scheme", "rand:7:48"],
+    ["elekes-analyze", "--curve", "parabola", "--points", "1/7,2/7,3/7,4/7,5/7",
+     "--pairs", "20", "--grid", "32"],
+]
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _fresh_process_report(argv, hash_seed, out):
+    """The report of `python -m curverig.cli argv`, without timing_seconds."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "curverig.cli", *argv,
+                           "--out", str(out)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    doc.pop("timing_seconds")
+    return doc
+
+
+def test_criterion_12_determinism_across_threads(tmp_path):
     t0 = time.perf_counter()
-    ok = _helix_counts(threads=8) == _helix_counts(threads=1)
-    ok = ok and _circle_counts(threads=8) == _circle_counts(threads=1)
-    ok = ok and _parabola_counts(threads=8) == _parabola_counts(threads=1)
-    ok = ok and json.dumps(_scan_outputs(threads=8), sort_keys=True) == \
-        json.dumps(_scan_outputs(threads=1), sort_keys=True)
-    ok = ok and json.dumps(_admissibility_output(threads=1), sort_keys=True) == \
-        json.dumps(_admissibility_output(threads=8), sort_keys=True)
-    _report(12, "thread-count determinism", time.perf_counter() - t0, 120.0,
-            ok, "counts, scans and admissibility identical for 1 vs 8 threads")
+    ok = all(_fresh_process_report(argv, 0, tmp_path / "a.json")
+             == _fresh_process_report(argv, 1, tmp_path / "b.json")
+             for argv in _DETERMINISM_COMMANDS)
+    _report(12, "determinism across processes", time.perf_counter() - t0,
+            120.0, ok, "count-distances and elekes-analyze reports identical "
+                       "under PYTHONHASHSEED 0 and 1, timing apart")

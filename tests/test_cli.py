@@ -146,20 +146,6 @@ def test_elekes_analyze(tmp_path, capsys):
     assert doc["result"]["admissibility"]["max_pairwise_intersections"] <= 16
 
 
-def test_output_determinism_across_threads(tmp_path, capsys):
-    outs = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"d{threads}.json"
-        code, _, _ = run_cli(["count-distances", "--curve", "parabola",
-                              "--scheme", "rand:7:48", "--mode", "tol:1e-9",
-                              "--threads", threads, "--out", str(out)], capsys)
-        assert code == 0
-        doc = strip_timing(read_json(out))
-        doc["config"].pop("threads")
-        outs.append(json.dumps(doc, sort_keys=True))
-    assert outs[0] == outs[1]
-
-
 def test_output_determinism_repeat_runs(tmp_path, capsys):
     outs = []
     for k in range(2):

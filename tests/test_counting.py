@@ -9,7 +9,7 @@ from curverig import (ArithmeticProgression, DomainError, EquallySpacedAngle,
                       InsufficientSamples, ParamPointSet, SchemeMismatch,
                       Tolerance, UniformRandom, count_distinct_values,
                       elekes_lower_bound, fit_exponent, generate_point_set,
-                      parse_scheme)
+                      is_exact_data, parse_scheme)
 from conftest import (make_circular_helix, make_line, make_parabola,
                       make_rational_circle, make_rect_hyperbola,
                       make_unit_circle)
@@ -28,14 +28,15 @@ def test_geometric_progression_on_hyperbola():
     assert pset.params == (1, 2, 4, 8)
 
 
-def test_uniform_random_reproducible():
+def test_uniform_random_reproducible(sq):
     par = make_parabola(0, 1)
     a = generate_point_set(par, UniformRandom(seed=42, n=3))
     b = generate_point_set(par, UniformRandom(seed=42, n=3))
     assert a.params == b.params
     assert len(a.params) == 3
     assert all(0 < t < 1 for t in a.params)
-    assert a.is_exact()  # bounded-denominator rationals keep exact mode
+    # bounded-denominator rationals keep exact mode
+    assert is_exact_data(a.curve, a.params, sq)
 
 
 def test_progression_leaving_domain_errors():
@@ -150,14 +151,6 @@ def test_helix_linear_growth(sq):
         pset = generate_point_set(helix, ArithmeticProgression(0.0, 0.3, n))
         res = count_distinct_values(pset, sq, Tolerance(1e-9))
         assert res.count <= n - 1
-
-
-def test_threaded_count_identical(sq):
-    par = make_parabola(0, 1)
-    pset = generate_point_set(par, UniformRandom(seed=9, n=48))
-    r1 = count_distinct_values(pset, sq, Tolerance(1e-9), threads=1)
-    r8 = count_distinct_values(pset, sq, Tolerance(1e-9), threads=8)
-    assert r1.count == r8.count and r1.values == r8.values
 
 
 # -- exponent fits ----------------------------------------------------------------

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
-                      ImplicitPlanePoly, ParamPointSet, RationalFunction,
-                      PinnedAreaSquared, admissibility_scan,
+                      GeneralPolynomial, ImplicitPlanePoly, ParamPointSet,
+                      PinnedAreaSquared, RationalFunction, SquaredEuclidean,
+                      admissibility_scan,
                       eval_elekes, implicitize_rational, intersect_elekes_pair,
                       same_algebraic_curve, verify_incidence_invariant)
 from curverig.elekes import _unrank_pair
@@ -146,15 +147,44 @@ def test_eval_elekes_trivial_triple(sq):
     assert eval_elekes(e, F(2)) == (20, 10)
 
 
-def test_elekes_components_cache_matches_direct(sq):
-    par = make_parabola(-1, 3)
-    e = ElekesCurve(par, sq, F(1, 3), F(5, 2))
+# Each D written out by hand, independently of curverig.quantity
+_V1, _V2 = F(1, 3), F(-2, 5)
+_COMPONENT_CASES = {
+    "sq_euclidean": (SquaredEuclidean(), lambda x, y:
+                     (x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2),
+    "pinned_area": (PinnedAreaSquared(apex=(_V1, _V2)), lambda x, y:
+                    ((x[0] - _V1) * (y[1] - _V2) - (x[1] - _V2) * (y[0] - _V1)) ** 2),
+    # asymmetric: x1^2 - 2 x1 y2 + 3 x2 y1^2 - 5/2 x1 x2 y2 + 7 y2
+    "poly": (GeneralPolynomial(2, (((2, 0, 0, 0), 1), ((1, 0, 0, 1), -2),
+                                   ((0, 1, 2, 0), 3), ((1, 1, 0, 1), F(-5, 2)),
+                                   ((0, 0, 0, 1), 7))), lambda x, y:
+             x[0] ** 2 - 2 * x[0] * y[1] + 3 * x[1] * y[0] ** 2
+             - F(5, 2) * x[0] * x[1] * y[1] + 7 * y[1]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COMPONENT_CASES))
+@pytest.mark.parametrize("make_curve", [make_parabola, make_rational_circle],
+                         ids=["parabola", "rational_circle"])
+def test_elekes_components_cache_matches_direct(make_curve, kind):
+    curve = make_curve()
+    q, D = _COMPONENT_CASES[kind]
+    e = ElekesCurve(curve, q, F(1, 3), F(5, 7))
     A, B = e.components()
+    assert e.components() is e.components()
+    P, Q = curve.evaluate(F(1, 3)), curve.evaluate(F(5, 7))
     rng = random.Random(8)
     for _ in range(30):
-        t = F(rng.randrange(-90, 290), 100)
-        direct = e.eval(t)
-        assert (A(t), B(t)) == direct
+        t = F(rng.randrange(1, 100), 101)
+        x = curve.evaluate(t)
+        assert (A(t), B(t)) == (D(x, P), D(x, Q))
+
+
+def test_components_need_D_to_depend_on_gamma_t():
+    q = GeneralPolynomial(2, (((0, 0, 1, 0), 1),))  # D(x, y) = y1
+    e = ElekesCurve(make_parabola(), q, F(1, 3), F(5, 7))
+    with pytest.raises(DegenerateParametrization):
+        e.components()
 
 
 def test_elekes_swap_symmetry_exact(sq):
@@ -331,12 +361,3 @@ def test_unrank_pair_matches_combinations():
     for n in range(2, 41):
         assert [_unrank_pair(k, n) for k in range(n * (n - 1) // 2)] \
             == list(combinations(range(n), 2))
-
-
-def test_admissibility_threads_deterministic(sq):
-    par = make_parabola(0, 1)
-    params = tuple(F(k, 9) for k in range(1, 7))
-    pset = ParamPointSet(par, params)
-    r1 = admissibility_scan(pset, sq, sample_pairs=20, n=32, seed=5, threads=1)
-    r8 = admissibility_scan(pset, sq, sample_pairs=20, n=32, seed=5, threads=8)
-    assert r1.to_dict() == r8.to_dict()

@@ -214,13 +214,6 @@ def test_scan_validation(sq):
         scan_T_degeneracy(make_parabola(0, 1), sq, n=32)
 
 
-def test_scan_threads_deterministic(sq):
-    par = make_parabola(0, 1)
-    r1 = scan_T_degeneracy(par, sq, m=8, n=128, threads=1)
-    r8 = scan_T_degeneracy(par, sq, m=8, n=128, threads=8)
-    assert r1.to_dict() == r8.to_dict()
-
-
 def test_degenerate_scan_implies_flexible_triangles(sq):
     # Lemma-level consistency: candidate degeneracy means every sampled
     # triangle admits an infinitesimal motion

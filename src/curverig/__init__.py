@@ -15,8 +15,7 @@ from .rational import Poly, RationalFunction, as_fraction, count_real_roots, is_
 from .curves import (AnalyticCurve, CurveSpec, HelixCurve, Interval,
                      RationalCurve, SimplicityReport, arc_length_reparametrize,
                      builtin_curve, check_simplicity, curve_from_json,
-                     curve_to_json, derivative_jet, evaluate, is_exact_data,
-                     trig_ellipse)
+                     curve_to_json, is_exact_data, trig_ellipse)
 from .quantity import (GeneralPolynomial, PinnedAreaSquared, QuantitySpec,
                        SquaredEuclidean, pairing, pairings, quantity_degree,
                        quantity_from_json, quantity_is_rational,
@@ -27,9 +26,9 @@ from .counting import (ArithmeticProgression, CountResult, EquallySpacedAngle,
                        elekes_lower_bound, fit_exponent, generate_point_set,
                        parse_param, parse_scheme)
 from .bipoly import BiPoly, square_free_part, sylvester_resultant
-from .elekes import (AdmissibilityReport, ElekesCurve, ImplicitPlanePoly,
-                     IncidenceReport, IntersectionReport, admissibility_scan,
-                     eval_elekes, implicitize_rational, intersect_elekes_pair,
+from .elekes import (AdmissibilityReport, ElekesCurve, IncidenceReport,
+                     IntersectionReport, admissibility_scan, implicit_to_dict,
+                     implicitize_rational, intersect_elekes_pair,
                      same_algebraic_curve, verify_incidence_invariant)
 from .rigidity import (DegeneracyReport, FlexibilityResult, Framework,
                        complete_framework, eval_H, flexibility_matrix,

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 
 class BiPoly:
     """Polynomial in Z[X, Y] as {(i, j): coeff} with nonzero int coeffs."""
@@ -155,12 +153,6 @@ class BiPoly:
         total = Fraction(0)
         for (i, j), c in self.terms.items():
             total += c * Fraction(x) ** i * Fraction(y) ** j
-        return total
-
-    def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        total = np.zeros(np.broadcast(X, Y).shape)
-        for (i, j), c in self.terms.items():
-            total += float(c) * X ** i * Y ** j
         return total
 
 

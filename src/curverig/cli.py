@@ -219,8 +219,7 @@ def cmd_check_simplicity(args) -> Outcome:
 
 
 def cmd_bound(args) -> Outcome:
-    value = elekes_lower_bound(args.np, args.nxi, admissibility_c=args.c,
-                               incidence_k=args.k)
+    value = elekes_lower_bound(args.np, args.nxi, incidence_k=args.k)
     return Outcome({"delta_star": value},
                    summary=f"delta_star = {value:.6g}\n")
 
@@ -387,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "incidence-implied distinct-value bound")
     p.add_argument("--np", type=int, default=None)
     p.add_argument("--nxi", type=int, default=None)
-    p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--k", type=float, default=1.0)
 
     return parser

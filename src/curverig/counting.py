@@ -7,8 +7,8 @@ convention (including it would shift every count by exactly one).
 
 from __future__ import annotations
 
+import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -185,22 +185,22 @@ _ABS_FLOOR = 1e-300  # absolute dedup floor under the relative-gap rule
 
 @dataclass
 class CountResult:
+    """The distinct values of D on a point set, sorted: a list of Fractions
+    in exact mode, a float array of run representatives in tolerance mode.
+    Reports give their count, min and max."""
+
     count: int
     n_points: int
     n_pairs: int
     mode: str
-    values: list = field(repr=False)
-    multiplicities: list = field(repr=False)
+    values: Sequence = field(repr=False)
 
-    def to_dict(self, include_values: bool = False) -> dict:
+    def to_dict(self) -> dict:
         doc = {"count": self.count, "n_points": self.n_points,
                "n_pairs": self.n_pairs, "mode": self.mode}
-        if self.values:
+        if len(self.values):
             doc["value_min"] = float(self.values[0])
             doc["value_max"] = float(self.values[-1])
-        if include_values:
-            doc["values"] = [float(v) for v in self.values]
-            doc["multiplicities"] = list(self.multiplicities)
         return doc
 
 
@@ -231,11 +231,10 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
             return vals
 
         values = parallel_chunked(worker, n, threads=threads, chunk_size=8)
-        counter = Counter(values)
-        uniq = sorted(counter)
+        # dict keeps the pair order, whose sorted runs a set would scramble
+        uniq = sorted(dict.fromkeys(values))
         return CountResult(count=len(uniq), n_points=n, n_pairs=n_pairs,
-                           mode="exact", values=uniq,
-                           multiplicities=[counter[v] for v in uniq])
+                           mode="exact", values=uniq)
 
     P = pset.points_array()
 
@@ -249,16 +248,13 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
     parts = parallel_chunked(worker, n, threads=threads, chunk_size=32)
     vals = np.sort(np.concatenate(parts)) if parts else np.array([])
     if vals.size == 0:
-        return CountResult(0, n, n_pairs, "tolerance", [], [])
+        return CountResult(0, n, n_pairs, "tolerance", vals)
     gaps = np.diff(vals)
     scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
     boundary = gaps > (mode.rel_eps * scale + _ABS_FLOOR)
-    idx = np.flatnonzero(np.concatenate([[True], boundary]))
-    reps = vals[idx].tolist()
-    mults = np.diff(np.append(idx, vals.size)).tolist()
+    reps = vals[np.concatenate([[True], boundary])]
     return CountResult(count=len(reps), n_points=n, n_pairs=n_pairs,
-                       mode=f"tolerance({mode.rel_eps:g})", values=reps,
-                       multiplicities=mults)
+                       mode=f"tolerance({mode.rel_eps:g})", values=reps)
 
 
 # -- growth-exponent fitting ------------------------------------------------
@@ -304,43 +300,24 @@ def fit_exponent(runs: Sequence) -> ExponentFit:
 
 
 def elekes_lower_bound(num_points: int, num_curves: int,
-                       admissibility_c: float = 1.0,
                        incidence_k: float = 1.0) -> float:
     """Smallest distinct-value count consistent with the incidence bound.
 
     The curve family contributes at least (NP - 2) * NXi incidences with the
     Delta x Delta product grid, while the incidence bound caps them by
     K * max(NXi^(2/3) * Delta^(4/3), NXi, Delta^2) (Delta^2 = |grid|).  The
-    crossing point is found by monotone bisection; the admissibility
-    constant is validated and recorded but enters only through K.  Returns
-    1.0 when the inequality already holds at Delta = 1.
+    cap grows with Delta and is K * NXi at Delta = 1, so the answer is 1.0
+    when K * NXi >= (NP - 2) * NXi, and otherwise, in closed form, the
+    smaller Delta at which the first or the last term reaches (NP - 2) * NXi.
     """
     if num_points < 3:
         raise ValueError("need num_points >= 3")
     if num_curves < 1:
         raise ValueError("need num_curves >= 1")
-    if admissibility_c < 1:
-        raise ValueError("admissibility constant must be >= 1")
     if not incidence_k > 0:
         raise ValueError("incidence constant must be > 0")
     lhs = (num_points - 2) * float(num_curves)
-
-    def rhs(delta: float) -> float:
-        return incidence_k * max(float(num_curves) ** (2 / 3) * delta ** (4 / 3),
-                                 float(num_curves), delta * delta)
-
-    if rhs(1.0) >= lhs:
+    if incidence_k * num_curves >= lhs:
         return 1.0
-    hi = 2.0
-    while rhs(hi) < lhs:
-        hi *= 2.0
-    lo = hi / 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if rhs(mid) >= lhs:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return hi
+    return min((lhs / (incidence_k * float(num_curves) ** (2 / 3))) ** 0.75,
+               math.sqrt(lhs / incidence_k))

@@ -264,16 +264,6 @@ def is_exact_data(curve: CurveSpec, params, quantity) -> bool:
             and quantity_is_rational(quantity))
 
 
-def evaluate(curve: CurveSpec, t):
-    """Ambient point gamma(t); exact on RationalCurve with rational t."""
-    return curve.evaluate(t)
-
-
-def derivative_jet(curve: CurveSpec, t, order: int):
-    """Sequence [gamma(t), gamma'(t), ..., gamma^(order)(t)]."""
-    return curve.derivative_jet(t, order)
-
-
 # -- arc-length reparametrization ----------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -427,7 +417,7 @@ class SimplicityReport:
 
 
 def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
-                     tol: float = 1e-9, base_pairs: int = 5) -> SimplicityReport:
+                     tol: float = 1e-9) -> SimplicityReport:
     """Sampled verification of the five simple-pair conditions.
 
     1. gamma injective with nonvanishing gamma' on the grid;
@@ -504,7 +494,7 @@ def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
     ok = True
     witness = None
     detail = ""
-    for fa, fb in fracs[:base_pairs]:
+    for fa, fb in fracs:
         ia, ib = int(fa * (n - 1)), int(fb * (n - 1))
         if ia == ib:
             continue

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -22,51 +21,7 @@ from .curves import CurveSpec, is_exact_data
 from .errors import DegenerateParametrization
 from .parallel import parallel_chunked
 from .quantity import QuantitySpec, pairings, quantity_degree
-from .rational import RationalFunction
-
-
-@dataclass(frozen=True)
-class ImplicitPlanePoly:
-    """Square-free implicit polynomial G(X, Y), content-normalized."""
-
-    poly: BiPoly
-
-    def __post_init__(self):
-        if self.poly.is_zero():
-            raise ValueError("implicit polynomial must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return self.poly.total_degree()
-
-    @property
-    def degree_x(self) -> int:
-        return self.poly.degree_x()
-
-    @property
-    def degree_y(self) -> int:
-        return self.poly.degree_y()
-
-    def eval_exact(self, x, y) -> Fraction:
-        return self.poly.eval_exact(x, y)
-
-    def eval_batch(self, X, Y):
-        return self.poly.eval_batch(np.asarray(X, float), np.asarray(Y, float))
-
-    def to_dict(self) -> dict:
-        return {"degree": self.degree,
-                "coeffs": [[i, j, str(Fraction(c))]
-                           for (i, j), c in sorted(self.poly.terms.items())]}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ImplicitPlanePoly":
-        terms = {}
-        for i, j, c in doc["coeffs"]:
-            f = Fraction(c)
-            if f.denominator != 1:
-                raise ValueError("implicit coefficients must be integers")
-            terms[(int(i), int(j))] = int(f)
-        return cls(BiPoly(terms))
+from .rational import RationalFunction, is_exact
 
 
 def _clear_denominators(rf: RationalFunction) -> tuple[list[int], list[int]]:
@@ -80,12 +35,12 @@ def _clear_denominators(rf: RationalFunction) -> tuple[list[int], list[int]]:
     return num, den
 
 
-def implicitize_rational(x: RationalFunction, y: RationalFunction) -> ImplicitPlanePoly:
+def implicitize_rational(x: RationalFunction, y: RationalFunction) -> BiPoly:
     """G(X, Y) = Res_t(g1(t) X - f1(t), g2(t) Y - f2(t)), square-free part.
 
     Computed by fraction-free Bareiss elimination of the Sylvester matrix
-    over big integers after clearing denominators.  Raises
-    DegenerateParametrization when the resultant vanishes identically.
+    over big integers after clearing denominators, and normalized.  Raises
+    DegenerateParametrization when the resultant is zero or constant.
     """
     if x.is_constant() and y.is_constant():
         raise DegenerateParametrization("both coordinates are constant")
@@ -110,7 +65,14 @@ def implicitize_rational(x: RationalFunction, y: RationalFunction) -> ImplicitPl
     G = square_free_part(res)
     if G.is_constant():
         raise DegenerateParametrization("resultant has no curve factor")
-    return ImplicitPlanePoly(G.normalized())
+    return G
+
+
+def implicit_to_dict(G: BiPoly) -> dict:
+    """Report form of an implicit polynomial: its total degree and its
+    integer coefficients as [i, j, "c"] rows, sorted by (i, j)."""
+    return {"degree": G.total_degree(),
+            "coeffs": [[i, j, str(c)] for (i, j), c in sorted(G.terms.items())]}
 
 
 class ElekesCurve:
@@ -128,7 +90,7 @@ class ElekesCurve:
         self.q_param = q_param
         self._components: Optional[tuple] = None
         self._base_points: Optional[tuple] = None
-        self._implicit: Optional[ImplicitPlanePoly] = None
+        self._implicit: Optional[BiPoly] = None
 
     def __repr__(self):
         return f"ElekesCurve(p={self.p_param}, q={self.q_param})"
@@ -152,7 +114,7 @@ class ElekesCurve:
             self._components = (A, B)
         return self._components
 
-    def implicit(self) -> ImplicitPlanePoly:
+    def implicit(self) -> BiPoly:
         if self._implicit is None:
             A, B = self.components()
             self._implicit = implicitize_rational(A, B)
@@ -164,7 +126,11 @@ class ElekesCurve:
         return quantity_degree(self.quantity) * dg
 
     def eval(self, t):
-        """xi(t) as a 2-tuple; exact on rational data."""
+        """xi(t) as a 2-tuple: the cached components (A(t), B(t)) on exact
+        data with an exact t, else D at gamma(t) and the two base points."""
+        if is_exact(t) and self.is_exactable():
+            self.curve.domain.require(t)
+            return tuple(c(t) for c in self.components())
         x = self.curve.evaluate(t)
         p = self.curve.evaluate(self.p_param)
         q = self.curve.evaluate(self.q_param)
@@ -195,17 +161,12 @@ class ElekesCurve:
         return np.stack(D, axis=-1), np.stack(T, axis=-1)
 
 
-def eval_elekes(e: ElekesCurve, t):
-    """xi_pq(t) = (D(gamma(t), p), D(gamma(t), q))."""
-    return e.eval(t)
-
-
 def same_algebraic_curve(e1: ElekesCurve, e2: ElekesCurve,
                          tol: float = 1e-9) -> tuple[bool, str]:
     """Dichotomy test: exact square-free implicit comparison when both
     sides are rational, else a flagged floating value-agreement fingerprint."""
     if e1.is_exactable() and e2.is_exactable():
-        return e1.implicit().poly == e2.implicit().poly, "exact"
+        return e1.implicit() == e2.implicit(), "exact"
     m = 2 * max(e1.degree_bound(), e2.degree_bound()) + 1
     probes = e2.eval_batch(e2.curve.domain.uniform_grid(m))
     dense_ts = e1.curve.domain.uniform_grid(4096)
@@ -241,14 +202,6 @@ class IntersectionReport:
     @property
     def count(self) -> int:
         return len(self.points)
-
-    def to_dict(self) -> dict:
-        return {"count": self.count,
-                "points": [[float(x), float(y)] for x, y in self.points],
-                "same_algebraic_curve": self.same_algebraic_curve,
-                "detection_method": self.detection_method,
-                "n_seeds": self.n_seeds, "n_converged": self.n_converged,
-                "n_unconverged": self.n_unconverged}
 
 
 def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
@@ -331,8 +284,11 @@ class IncidenceReport:
 
 def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec) -> IncidenceReport:
     """Check xi_pq(r) = (D(r, p), D(r, q)) for every ordered pair and every
-    third point r; exact equality on rational data.  Also counts the
-    distinct product points each Elekes curve is incident to."""
+    third point r, and count the distinct product points on each Elekes
+    curve.  On exact data xi_pq(r) comes from its symbolic components, so a
+    wrong component fails; on other data (helix, float parameters) both
+    sides evaluate D at the same points, and the check compares D with
+    itself."""
     params = pset.params
     n = len(params)
     if n < 3:
@@ -379,7 +335,7 @@ class AdmissibilityReport:
                 "duplicate_curve_classes":
                     [[list(map(repr, p)) for p in cls]
                      for cls in self.duplicate_curve_classes],
-                "class_implicits": [g.to_dict() for g in self.class_implicits],
+                "class_implicits": [implicit_to_dict(g) for g in self.class_implicits],
                 "n_curves": self.n_curves, "n_classes": self.n_classes,
                 "detection_method": self.detection_method}
 
@@ -406,16 +362,12 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
               for a in params for b in params if a != b]
     exact = is_exact_data(pset.curve, params, q)
 
-    implicit_of_class: dict = {}
     if exact:
-        by_key: dict = {}
+        by_implicit: dict = {}
         for c in curves:
-            key = frozenset(c.implicit().poly.terms.items())
-            by_key.setdefault(key, []).append(c.pair())
-            implicit_of_class[key] = c.implicit()
-        classes = list(by_key.values())
-        dup_implicits = [implicit_of_class[k] for k, cls in by_key.items()
-                         if len(cls) > 1]
+            by_implicit.setdefault(c.implicit(), []).append(c.pair())
+        classes = list(by_implicit.values())
+        dup_implicits = [G for G, cls in by_implicit.items() if len(cls) > 1]
         method = "exact"
     else:
         classes = [[c.pair()] for c in curves]  # refined below from samples

@@ -86,6 +86,7 @@ def _bfs_tree(fw: Framework, driver: int):
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 60
+_MAX_HALVINGS = 10  # step halvings before a trace aborts
 
 
 class _EdgeSolver:
@@ -122,14 +123,13 @@ class _EdgeSolver:
 
 
 def trace_framework_motion(fw: Framework, driver: int = 0,
-                           delta: float = 0.005, steps: int = 100,
-                           max_halvings: int = 10) -> MotionTrace:
+                           delta: float = 0.005, steps: int = 100) -> MotionTrace:
     """Propagate one vertex's motion through the framework.
 
     Per step the driver advances by delta, each remaining vertex is Newton
     solved on its BFS defining edge seeded at its previous position, and the
     drift of every non-defining edge against its initial value is recorded.
-    Newton failures trigger step halving (up to max_halvings), after which
+    Newton failures trigger step halving (up to _MAX_HALVINGS), after which
     the trace aborts and is returned partially with aborted=True.  The
     driver leaving the domain raises DomainExit.
     """
@@ -186,7 +186,7 @@ def trace_framework_motion(fw: Framework, driver: int = 0,
                 failures += 1
                 halvings += 1
                 h = h / 2
-                if halvings > max_halvings:
+                if halvings > _MAX_HALVINGS:
                     aborted, reason, stepped = True, "newton divergence", False
                     break
                 continue
@@ -251,8 +251,7 @@ _HELIX_VARIATION_TOL = 1e-4
 
 
 def derivative_norm_profile(curve: CurveSpec, max_order: int = 3,
-                            samples: int = 24,
-                            arc_grid: int = 64) -> DerivativeNormProfile:
+                            samples: int = 24) -> DerivativeNormProfile:
     """Norms of sigma^(k) on the arc-length curve, from its exact jets.
 
     Order 1 is the unit-speed check and must come out 1.  The
@@ -262,7 +261,7 @@ def derivative_norm_profile(curve: CurveSpec, max_order: int = 3,
     """
     if not 1 <= max_order <= 5:
         raise ValueError("max_order must be in 1..5")
-    sigma = arc_length_reparametrize(curve, n=max(16, arc_grid))
+    sigma = arc_length_reparametrize(curve)
     L = sigma.total_length
     margin = 0.08 * L
     ss = np.linspace(margin, L - margin, samples)

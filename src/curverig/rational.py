@@ -177,10 +177,6 @@ class RationalFunction:
     def from_coeffs(cls, num: Sequence[Scalar], den: Sequence[Scalar] = (1,)) -> "RationalFunction":
         return cls(Poly(num), Poly(den))
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "RationalFunction":
-        return cls(Poly([c]), P_ONE, _reduced=True)
-
     @property
     def degree(self) -> int:
         """max(deg num, deg den): the paper-facing degree of a coordinate."""

@@ -274,11 +274,11 @@ def test_criterion_08_algebraic_helix_classification():
 
 def test_criterion_09_implicitization():
     t0 = time.perf_counter()
-    ok = implicitize_rational(RF([0, 1]), RF([0, 0, 1])).poly == X * X - Y
+    ok = implicitize_rational(RF([0, 1]), RF([0, 0, 1])) == X * X - Y
     ok = ok and implicitize_rational(
-        RF([1, 0, -1], [1, 0, 1]), RF([0, 2], [1, 0, 1])).poly == \
+        RF([1, 0, -1], [1, 0, 1]), RF([0, 2], [1, 0, 1])) == \
         X * X + Y * Y - ONE
-    ok = ok and implicitize_rational(RF([0, 1]), RF([1], [0, 1])).poly == \
+    ok = ok and implicitize_rational(RF([0, 1]), RF([1], [0, 1])) == \
         X * Y - ONE
     rng = random.Random(99)
     built = 0

@@ -189,4 +189,4 @@ def test_cubic_implicitization_matches_sympy_resultant():
             polys.append(sum(c * t ** k for k, c in enumerate(den)) * var
                          - sum(c * t ** k for k, c in enumerate(num)))
         want = sympy.sqf_part(sympy.resultant(*polys, t))
-        assert e.implicit().poly == _from_sympy(want, x, y)
+        assert e.implicit() == _from_sympy(want, x, y)

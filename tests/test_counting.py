@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from curverig import (ArithmeticProgression, DomainError, EquallySpacedAngle,
@@ -71,6 +72,16 @@ def test_line_integer_points_count(sq):
     res = count_distinct_values(pset, sq, Exact())
     assert res.count == 9  # |x - y| in 1..9
     assert res.values == [k * k for k in range(1, 10)]
+
+
+def test_tolerance_result_values(sq):
+    pset = generate_point_set(make_parabola(0, 1), UniformRandom(seed=5, n=40))
+    res = count_distinct_values(pset, sq, Tolerance(1e-9))
+    assert res.count == len(res.values) == 40 * 39 // 2
+    assert np.all(np.diff(res.values) > 0)
+    doc = res.to_dict()
+    assert doc["value_min"] == res.values[0]
+    assert doc["value_max"] == res.values[-1]
 
 
 def test_circle_equally_spaced_counts(sq):
@@ -185,13 +196,24 @@ def test_fit_exponent_accepts_point_sets(sq):
 # -- incidence-implied bound -------------------------------------------------------
 
 
-def test_elekes_lower_bound_reference_value():
-    # oracle: min of the two regime solutions of the incidence inequality
-    got = elekes_lower_bound(100, 10 ** 4, incidence_k=1.0)
-    regime_a = (98 * 10 ** 4 / (10 ** 4) ** (2 / 3)) ** 0.75
-    regime_b = math.sqrt(98 * 10 ** 4)
-    assert got == pytest.approx(min(regime_a, regime_b), rel=1e-9)
-    assert abs(got - 316) <= 0.05 * 316
+@pytest.mark.parametrize("np_, nxi, k", [
+    (100, 10 ** 4, 1.0),    # README example: regime a, about 311
+    (100, 10, 1.0),         # regime b: Delta^2 reaches first
+    (10 ** 6, 10 ** 9, 3.0),
+    (50, 7, 2.5),
+    (12, 100, 10.0),        # K * NXi >= (NP - 2) * NXi: the 1.0 branch
+], ids=["readme", "square_term", "large", "small", "at_one"])
+def test_elekes_lower_bound_reference_value(np_, nxi, k):
+    # oracle: 1.0 when the cap at Delta = 1 already holds, else the min of
+    # the two regime solutions of the incidence inequality
+    lhs = (np_ - 2) * nxi
+    regime_a = (lhs / (k * nxi ** (2 / 3))) ** 0.75
+    regime_b = math.sqrt(lhs / k)
+    want = 1.0 if k * nxi >= lhs else min(regime_a, regime_b)
+    got = elekes_lower_bound(np_, nxi, incidence_k=k)
+    assert got == pytest.approx(want, rel=1e-12)
+    if np_ == 100 and nxi == 10 ** 4:
+        assert abs(got - 316) <= 0.05 * 316
 
 
 def test_elekes_lower_bound_degenerate_cases():
@@ -204,8 +226,6 @@ def test_elekes_lower_bound_validation():
         elekes_lower_bound(2, 10)
     with pytest.raises(ValueError):
         elekes_lower_bound(10, 0)
-    with pytest.raises(ValueError):
-        elekes_lower_bound(10, 10, admissibility_c=0.5)
     with pytest.raises(ValueError):
         elekes_lower_bound(10, 10, incidence_k=0.0)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from curverig import (DomainError, HelixCurve, Interval, PoleError,
                       RationalCurve, RationalFunction, SquaredEuclidean,
                       arc_length_reparametrize, builtin_curve, check_simplicity,
-                      curve_from_json, curve_to_json, derivative_jet, evaluate,
+                      curve_from_json, curve_to_json,
                       PinnedAreaSquared, SingularParametrization)
 from conftest import (make_circular_helix, make_line, make_parabola,
                       make_rational_circle, make_unit_circle)
@@ -21,29 +21,29 @@ RF = RationalFunction.from_coeffs
 
 def test_evaluate_trivial_examples():
     par = make_parabola(-10, 10)
-    assert evaluate(par, F(3)) == (3, 9)
+    assert par.evaluate(F(3)) == (3, 9)
     helix = HelixCurve([1.0], [1.0], [1.0], 3)
-    assert np.allclose(evaluate(helix, 0.0), [1, 0, 0])
+    assert np.allclose(helix.evaluate(0.0), [1, 0, 0])
     circ = make_rational_circle()
-    assert evaluate(circ, F(1)) == (0, 1)
+    assert circ.evaluate(F(1)) == (0, 1)
 
 
 def test_jet_trivial_examples():
     par = make_parabola(-10, 10)
-    assert derivative_jet(par, F(1), 2) == [(1, 1), (1, 2), (0, 2)]
+    assert par.derivative_jet(F(1), 2) == [(1, 1), (1, 2), (0, 2)]
     circ = make_unit_circle()
-    jet = derivative_jet(circ, 0.0, 1)
+    jet = circ.derivative_jet(0.0, 1)
     assert np.allclose(jet[0], [1, 0]) and np.allclose(jet[1], [0, 1])
     hyp = RationalCurve([RF([0, 1]), RF([1], [0, 1])], Interval(1, 10))
-    assert derivative_jet(hyp, F(2), 1) == [(2, F(1, 2)), (1, F(-1, 4))]
+    assert hyp.derivative_jet(F(2), 1) == [(2, F(1, 2)), (1, F(-1, 4))]
 
 
 def test_domain_errors():
     par = make_parabola(0, 1)
     with pytest.raises(DomainError):
-        evaluate(par, F(0))     # open interval excludes endpoints
+        par.evaluate(F(0))     # open interval excludes endpoints
     with pytest.raises(DomainError):
-        evaluate(par, F(2))
+        par.evaluate(F(2))
 
 
 def test_denominator_pole_rejected_at_construction():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
-                      GeneralPolynomial, ImplicitPlanePoly, ParamPointSet,
-                      PinnedAreaSquared, RationalFunction, SquaredEuclidean,
-                      admissibility_scan,
-                      eval_elekes, implicitize_rational, intersect_elekes_pair,
-                      same_algebraic_curve, verify_incidence_invariant)
+                      GeneralPolynomial, ParamPointSet, PinnedAreaSquared,
+                      RationalFunction, SquaredEuclidean, admissibility_scan,
+                      implicit_to_dict, implicitize_rational,
+                      intersect_elekes_pair, same_algebraic_curve,
+                      verify_incidence_invariant)
 from curverig.elekes import _unrank_pair
 from conftest import (make_parabola, make_rational_circle, make_rect_hyperbola,
                       make_unit_circle, rational_rotation_circle_params)
@@ -29,13 +29,13 @@ ONE = BiPoly.const(1)
 def test_implicitize_parabola_hand_oracle():
     # 3x3 Sylvester determinant by hand: X^2 - Y up to normalization
     G = implicitize_rational(RF([0, 1]), RF([0, 0, 1]))
-    assert G.poly == X * X - Y
+    assert G == X * X - Y
 
 
 def test_implicitize_hyperbola_hand_oracle():
     # 2x2 resultant by hand: XY - 1 up to normalization
     G = implicitize_rational(RF([0, 1]), RF([1], [0, 1]))
-    assert G.poly == X * Y - ONE
+    assert G == X * Y - ONE
 
 
 def _exact_nullspace(rows):
@@ -82,8 +82,8 @@ def test_implicitize_circle_sampling_oracle():
     lead = v[3]
     oracle = BiPoly({m: int(c / lead) for m, c in zip(monos, v) if c != 0})
     G = implicitize_rational(x, y)
-    assert G.poly == oracle.normalized()
-    assert G.poly == X * X + Y * Y - ONE
+    assert G == oracle.normalized()
+    assert G == X * X + Y * Y - ONE
 
 
 def test_implicitize_soundness_random_rational_curves():
@@ -112,7 +112,7 @@ def test_implicitize_soundness_random_rational_curves():
             continue
         built += 1
         m = max(x.degree, y.degree)
-        assert G.degree_x <= m and G.degree_y <= m
+        assert G.degree_x() <= m and G.degree_y() <= m
         checked = 0
         k = 0
         while checked < 200:
@@ -131,20 +131,21 @@ def test_implicitize_rejects_double_constant():
 
 
 def test_implicit_poly_serialization_roundtrip():
+    # the rational circle: X^2 + Y^2 - 1, rows sorted by (i, j)
     G = implicitize_rational(RF([1, 0, -1], [1, 0, 1]), RF([0, 2], [1, 0, 1]))
-    G2 = ImplicitPlanePoly.from_dict(G.to_dict())
-    assert G2.poly == G.poly and G2.degree == G.degree
+    assert implicit_to_dict(G) == {
+        "degree": 2, "coeffs": [[0, 0, "-1"], [0, 2, "1"], [2, 0, "1"]]}
 
 
 # -- Elekes curve evaluation -----------------------------------------------------
 
 
-def test_eval_elekes_trivial_triple(sq):
+def test_elekes_eval_trivial_triple(sq):
     par = make_parabola(-1, 3)
     e = ElekesCurve(par, sq, F(0), F(1))
-    assert eval_elekes(e, F(0)) == (0, 2)
-    assert eval_elekes(e, F(1)) == (2, 0)
-    assert eval_elekes(e, F(2)) == (20, 10)
+    assert e.eval(F(0)) == (0, 2)
+    assert e.eval(F(1)) == (2, 0)
+    assert e.eval(F(2)) == (20, 10)
 
 
 # Each D written out by hand, independently of curverig.quantity
@@ -193,8 +194,8 @@ def test_elekes_swap_symmetry_exact(sq):
     es = ElekesCurve(par, sq, F(1), F(0))
     for k in range(-3, 10):
         t = F(k, 4)
-        a, b = eval_elekes(e, t)
-        assert eval_elekes(es, t) == (b, a)
+        a, b = e.eval(t)
+        assert es.eval(t) == (b, a)
 
 
 def test_elekes_first_coordinate_zero_locus(sq):
@@ -266,11 +267,11 @@ def test_circle_swapped_pair_is_same_algebraic_curve(sq):
     ts = rational_rotation_circle_params(4)
     e1 = ElekesCurve(circ, sq, ts[0], ts[1])
     e2 = ElekesCurve(circ, sq, ts[1], ts[0])
-    assert e1.implicit().poly == e2.implicit().poly
+    assert e1.implicit() == e2.implicit()
     par = make_parabola(0, 1)
     p1 = ElekesCurve(par, sq, F(1, 7), F(5, 7))
     p2 = ElekesCurve(par, sq, F(5, 7), F(1, 7))
-    assert p1.implicit().poly != p2.implicit().poly
+    assert p1.implicit() != p2.implicit()
 
 
 def test_same_curve_detection_fingerprint_on_trig_circle(sq):
@@ -321,6 +322,23 @@ def test_incidence_invariant_three_points_circle(sq):
     rep = verify_incidence_invariant(pset, sq)
     assert rep.failures == []
     assert rep.min_incident == rep.max_incident == 1  # |P| - 2
+
+
+@pytest.mark.parametrize("make_curve", [make_parabola, make_rational_circle],
+                         ids=["parabola", "rational_circle"])
+def test_incidence_invariant_catches_wrong_component(sq, make_curve, monkeypatch):
+    # xi_pq comes from the symbolic components, D(r, p) from the points:
+    # shifting A by 1 must fail every one of the 5 * 4 * 3 checks
+    components = ElekesCurve.components
+
+    def shifted(self):
+        A, B = components(self)
+        return A + 1, B
+
+    monkeypatch.setattr(ElekesCurve, "components", shifted)
+    pset = ParamPointSet(make_curve(), tuple(F(k, 7) for k in range(1, 6)))
+    rep = verify_incidence_invariant(pset, sq)
+    assert rep.checked == len(rep.failures) == 60
 
 
 # -- admissibility -------------------------------------------------------------------

@@ -27,8 +27,8 @@ from .counting import (ArithmeticProgression, CountResult, EquallySpacedAngle,
                        parse_param, parse_scheme)
 from .bipoly import BiPoly, square_free_part, sylvester_resultant
 from .elekes import (AdmissibilityReport, ElekesCurve, IncidenceReport,
-                     IntersectionReport, admissibility_scan, implicit_to_dict,
-                     implicitize_rational, intersect_elekes_pair,
+                     IntersectionReport, admissibility_scan, elekes_family,
+                     implicit_to_dict, implicitize_rational, intersect_elekes_pair,
                      same_algebraic_curve, verify_incidence_invariant)
 from .rigidity import (DegeneracyReport, FlexibilityResult, Framework,
                        complete_framework, eval_H, flexibility_matrix,

@@ -20,7 +20,8 @@ from .counting import (Exact, ParamPointSet, Tolerance, count_distinct_values,
                        elekes_lower_bound, fit_exponent, generate_point_set,
                        parse_param, parse_scheme)
 from .curves import HelixCurve, builtin_curve, check_simplicity, curve_from_json
-from .elekes import admissibility_scan, verify_incidence_invariant
+from .elekes import (admissibility_scan, elekes_family,
+                     verify_incidence_invariant)
 from .errors import CurverigError, DomainExit, SingularH
 from .motion import classify_helix, derivative_norm_profile, trace_triangle_motion
 from .quantity import quantity_from_json
@@ -158,10 +159,11 @@ def cmd_elekes_analyze(args) -> Outcome:
     else:
         pset = ParamPointSet(
             curve, tuple(sorted(map(parse_param, args.points.split(",")))))
-    incidence = verify_incidence_invariant(pset, quantity)
+    curves = elekes_family(pset, quantity)
+    incidence = verify_incidence_invariant(pset, quantity, curves)
     scan = admissibility_scan(pset, quantity, sample_pairs=args.pairs,
                               n=args.grid, tol=args.tol, seed=args.seed,
-                              threads=args.threads)
+                              threads=args.threads, curves=curves)
     return Outcome({"incidence": incidence.to_dict(),
                     "admissibility": scan.to_dict()})
 

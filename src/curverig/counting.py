@@ -11,15 +11,16 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence, Union
 
 import numpy as np
 
 from .curves import CurveSpec, HelixCurve, is_exact_data
-from .errors import (DomainError, ExactnessUnavailable, InsufficientSamples,
-                     SchemeMismatch)
+from .errors import (DimensionMismatch, DomainError, ExactnessUnavailable,
+                     InsufficientSamples, SchemeMismatch)
 from .parallel import parallel_chunked
-from .quantity import QuantitySpec
+from .quantity import GeneralPolynomial, QuantitySpec, SquaredEuclidean
 from .rational import as_fraction, is_exact
 
 
@@ -204,14 +205,96 @@ class CountResult:
         return doc
 
 
+def _integer_points(pts, origin) -> list:
+    """Each point p - origin once as (X, d): integer numerators X over the
+    point's own denominator d, the lcm of its coordinates' denominators."""
+    out = []
+    for p in pts:
+        c = [x - o for x, o in zip(p, origin)]
+        d = math.lcm(*(x.denominator for x in c))
+        out.append((tuple(x.numerator * (d // x.denominator) for x in c), d))
+    return out
+
+
+def _scaled_pairs(ipts):
+    """(X, Y, a, b, m) for every pair i < j of integer points (X, di),
+    (Y, dj): m = lcm(di, dj), a = m / di and b = m / dj, so that aX and bY
+    are the two points scaled by m."""
+    for i, (X, di) in enumerate(ipts):
+        for Y, dj in ipts[i + 1:]:
+            g = math.gcd(di, dj)
+            a, b = dj // g, di // g
+            yield X, Y, a, b, di * a
+
+
+def _sq_euclidean_scaled(X, Y, a, b) -> int:
+    """m^2 * SquaredEuclidean at the points X/di, Y/dj."""
+    s = 0
+    for x, y in zip(X, Y):
+        e = a * x - b * y
+        s += e * e
+    return s
+
+
+def _pinned_area_scaled(X, Y, a, b) -> int:
+    """m^4 * PinnedAreaSquared at X/di, Y/dj, both already taken about
+    the apex."""
+    e = a * b * (X[0] * Y[1] - X[1] * Y[0])
+    return e * e
+
+
+def _exact_pair_values(pts, q: QuantitySpec) -> set:
+    """Every value D(p_i, p_j), i < j, once."""
+    if isinstance(q, GeneralPolynomial):  # not homogeneous: Fraction eval
+        return {q.eval(x, y) for i, x in enumerate(pts) for y in pts[i + 1:]}
+    if isinstance(q, SquaredEuclidean):
+        kernel, k, origin = _sq_euclidean_scaled, 2, repeat(0)
+    else:
+        kernel, k, origin = _pinned_area_scaled, 4, q.apex
+    return {Fraction(kernel(X, Y, a, b), m ** k)
+            for X, Y, a, b, m in _scaled_pairs(_integer_points(pts, origin))}
+
+
+def _to_float(v: Fraction) -> float:
+    # float(v), without the numbers.Rational method call: int / int true
+    # division is correctly rounded, so the map is monotone
+    return v.numerator / v.denominator
+
+
+def _sorted_exact(values: list) -> list:
+    """values sorted exactly: by float, then each run of equal floats by
+    Fraction comparison, so few Fractions are ever compared.  The floats
+    sit in one array, not in float objects: a lower memory peak."""
+    try:
+        f = np.fromiter(map(_to_float, values), dtype=float, count=len(values))
+    except OverflowError:  # a value beyond the float range
+        return sorted(values)
+    order = np.argsort(f)
+    out = [values[i] for i in order]
+    f = f[order]
+    starts = np.flatnonzero(np.r_[True, f[1:] != f[:-1]])
+    ends = np.r_[starts[1:], len(f)]
+    ties = ends - starts > 1
+    for a, b in zip(starts[ties], ends[ties]):
+        out[a:b] = sorted(out[a:b])
+    return out
+
+
 def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
                           mode: CountMode = Tolerance(1e-9),
                           threads: int = 1) -> CountResult:
     """|{D(p, r) : p != r in P}| with exact or tolerance deduplication.
 
     Exact mode needs a rational curve, rational parameters and a
-    rational-coefficient quantity; values are deduplicated by exact
-    equality.  Tolerance mode sorts all pair values and merges runs whose
+    rational-coefficient quantity.  Each point is written once as integer
+    numerators over its own denominator (about the apex, for the pinned
+    area).  For SquaredEuclidean and PinnedAreaSquared, which are
+    homogeneous of degree k = 2 and 4, a pair is scaled to the lcm m of
+    its two denominators, D is evaluated on the integer vectors, and the
+    value is the Fraction (m^k D) / m^k; GeneralPolynomial evaluates D on
+    the Fraction points.  Values are deduplicated by exact equality in a
+    set, and sorted by float with exact order inside runs of equal
+    floats.  Tolerance mode sorts all pair values and merges runs whose
     relative gap is below rel_eps (scale-free; adversarial near-collisions
     can over- or under-merge).
     """
@@ -221,18 +304,13 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
         if not is_exact_data(pset.curve, pset.params, q):
             raise ExactnessUnavailable(
                 "Exact counting needs rational curve, params and quantity")
-        pts = [pset.curve.evaluate(t) for t in pset.params]
-
-        def worker(a, b):
-            vals = []
-            for i in range(a, b):
-                for j in range(i + 1, n):
-                    vals.append(q.eval(pts[i], pts[j]))
-            return vals
-
-        values = parallel_chunked(worker, n, threads=threads, chunk_size=8)
-        # dict keeps the pair order, whose sorted runs a set would scramble
-        uniq = sorted(dict.fromkeys(values))
+        if q.dimension not in (None, pset.curve.dimension):
+            raise DimensionMismatch(
+                f"expected dimension {q.dimension}, got {pset.curve.dimension}")
+        seen = _exact_pair_values([pset.curve.evaluate(t) for t in pset.params], q)
+        values = list(seen)
+        del seen  # before the sort: a lower memory peak
+        uniq = _sorted_exact(values)
         return CountResult(count=len(uniq), n_points=n, n_pairs=n_pairs,
                            mode="exact", values=uniq)
 

@@ -282,13 +282,24 @@ class IncidenceReport:
                 "max_incident": self.max_incident}
 
 
-def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec) -> IncidenceReport:
+def elekes_family(pset: ParamPointSet, q: QuantitySpec) -> list:
+    """The Elekes curve of every ordered pair (a, b) of distinct parameters,
+    a-major in parameter order.  Each curve caches its components and
+    implicit equation, so the incidence check and the admissibility scan
+    of one point set share one list."""
+    params = pset.params
+    return [ElekesCurve(pset.curve, q, a, b)
+            for a in params for b in params if a != b]
+
+
+def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec,
+                               curves: Optional[list] = None) -> IncidenceReport:
     """Check xi_pq(r) = (D(r, p), D(r, q)) for every ordered pair and every
     third point r, and count the distinct product points on each Elekes
     curve.  On exact data xi_pq(r) comes from its symbolic components, so a
     wrong component fails; on other data (helix, float parameters) both
     sides evaluate D at the same points, and the check compares D with
-    itself."""
+    itself.  `curves` is elekes_family(pset, q), built here when omitted."""
     params = pset.params
     n = len(params)
     if n < 3:
@@ -296,11 +307,12 @@ def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec) -> Incidenc
     curve, checked, failures = pset.curve, 0, []
     incident = {}
     points = {t: curve.evaluate(t) for t in params}
+    family = iter(elekes_family(pset, q) if curves is None else curves)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            e = ElekesCurve(curve, q, params[i], params[j])
+            e = next(family)
             hits = set()
             for r in range(n):
                 if r == i or r == j:
@@ -349,18 +361,19 @@ def _unrank_pair(k: int, n: int) -> tuple[int, int]:
 
 def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
                        n: int = 64, tol: float = 1e-5, seed: int = 0,
-                       threads: int = 1) -> AdmissibilityReport:
+                       threads: int = 1,
+                       curves: Optional[list] = None) -> AdmissibilityReport:
     """Empirical admissibility of the Elekes family of a point set.
 
     Groups curves sharing one algebraic curve (exact implicit equality when
     available, else a flagged fingerprint over the sampled pairs), then runs
     the numeric intersector over `sample_pairs` sampled unordered pairs of
-    curves from distinct classes and histograms the counts.
+    curves from distinct classes and histograms the counts.  `curves` is
+    elekes_family(pset, q), built here when omitted.
     """
-    params = pset.params
-    curves = [ElekesCurve(pset.curve, q, a, b)
-              for a in params for b in params if a != b]
-    exact = is_exact_data(pset.curve, params, q)
+    if curves is None:
+        curves = elekes_family(pset, q)
+    exact = is_exact_data(pset.curve, pset.params, q)
 
     if exact:
         by_implicit: dict = {}

@@ -130,9 +130,14 @@ class Poly:
 
     def __call__(self, t: Scalar):
         """Horner evaluation; exact when t is int/Fraction."""
-        acc = Fraction(0) if is_exact(t) else 0.0
+        if is_exact(t):
+            acc = Fraction(0)
+            for c in reversed(self.coeffs):
+                acc = acc * t + c
+            return acc
+        acc = 0.0
         for c in reversed(self.coeffs):
-            acc = acc * t + (c if is_exact(t) else float(c))
+            acc = acc * t + float(c)
         return acc
 
     def float_coeffs(self) -> list[float]:

@@ -15,8 +15,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from curverig import (ArithmeticProgression, EquallySpacedAngle, Framework,
-                      HelixCurve, ParamPointSet, PinnedAreaSquared,
+from curverig import (ArithmeticProgression, EquallySpacedAngle, Exact,
+                      Framework, HelixCurve, ParamPointSet, PinnedAreaSquared,
                       SquaredEuclidean, Tolerance, UniformRandom,
                       admissibility_scan, classify_helix, complete_framework,
                       count_distinct_values, derivative_norm_profile, eval_H,
@@ -366,3 +366,14 @@ def test_criterion_12_determinism_across_threads(tmp_path):
     _report(12, "determinism across processes", time.perf_counter() - t0,
             120.0, ok, "count-distances and elekes-analyze reports identical "
                        "under PYTHONHASHSEED 0 and 1, timing apart")
+
+
+def test_criterion_13_exact_count_speed():
+    # the ROADMAP baseline instance: every one of the 130,816 pair values
+    # on parabola rand:7:512 is distinct
+    pset = generate_point_set(make_parabola(0, 1), UniformRandom(seed=7, n=512))
+    t0 = time.perf_counter()
+    res = count_distinct_values(pset, SQ, Exact())
+    ok = res.count == res.n_pairs == 130816
+    _report(13, "exact count on parabola rand:7:512",
+            time.perf_counter() - t0, 4.0, ok, f"count={res.count}")

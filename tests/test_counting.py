@@ -1,16 +1,20 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from curverig import (ArithmeticProgression, DomainError, EquallySpacedAngle,
-                      Exact, ExactnessUnavailable, GeometricProgression,
-                      InsufficientSamples, ParamPointSet, SchemeMismatch,
-                      Tolerance, UniformRandom, count_distinct_values,
+from curverig import (ArithmeticProgression, DimensionMismatch, DomainError,
+                      EquallySpacedAngle, Exact, ExactnessUnavailable,
+                      GeneralPolynomial, GeometricProgression,
+                      InsufficientSamples, ParamPointSet, PinnedAreaSquared,
+                      SchemeMismatch, SquaredEuclidean, Tolerance,
+                      UniformRandom, count_distinct_values,
                       elekes_lower_bound, fit_exponent, generate_point_set,
                       is_exact_data, parse_scheme)
+from curverig.counting import _scaled_pairs
 from conftest import (make_circular_helix, make_line, make_parabola,
                       make_rational_circle, make_rect_hyperbola,
                       make_unit_circle)
@@ -72,6 +76,79 @@ def test_line_integer_points_count(sq):
     res = count_distinct_values(pset, sq, Exact())
     assert res.count == 9  # |x - y| in 1..9
     assert res.values == [k * k for k in range(1, 10)]
+
+
+_ORACLE_QUANTITIES = {
+    "sq_euclidean": SquaredEuclidean(),
+    "pinned_origin": PinnedAreaSquared(apex=(0, 0)),
+    "pinned_offset": PinnedAreaSquared(apex=(F(1, 3), F(-2, 5))),
+    # x1*y1 + x2^2/2 - 3*y2 + 1/7: not homogeneous, not symmetric
+    "poly": GeneralPolynomial(2, (((1, 0, 1, 0), 1), ((0, 2, 0, 0), F(1, 2)),
+                                  ((0, 0, 0, 1), -3), ((0, 0, 0, 0), F(1, 7)))),
+}
+_ORACLE_SETS = {
+    "parabola": (make_parabola(0, 1), UniformRandom(seed=21, n=20)),
+    "rational_circle": (make_rational_circle(), UniformRandom(seed=22, n=16)),
+    "rect_hyperbola": (make_rect_hyperbola(), UniformRandom(seed=23, n=16)),
+    # many collisions: D depends on the parameter difference only
+    "line": (make_line(), ArithmeticProgression(F(-40, 7), F(1, 7), 24)),
+}
+
+
+@pytest.mark.parametrize("qname", sorted(_ORACLE_QUANTITIES))
+@pytest.mark.parametrize("sname", sorted(_ORACLE_SETS))
+def test_exact_count_matches_brute_force(sname, qname):
+    curve, scheme = _ORACLE_SETS[sname]
+    q = _ORACLE_QUANTITIES[qname]
+    pset = generate_point_set(curve, scheme)
+    pts = [curve.evaluate(t) for t in pset.params]
+    oracle = sorted(set(q.eval(x, y) for x, y in combinations(pts, 2)))
+    res = count_distinct_values(pset, q, Exact())
+    assert res.count == len(oracle)
+    assert res.values == oracle
+
+
+def test_exact_values_ordered_within_float_ties(sq):
+    # 1 and (1 + 2^-60)^2 = 1 + 2^-59 + 2^-120 round to the same float, so
+    # only the exact order inside runs of equal floats sorts them
+    eps = F(1, 2 ** 60)
+    pset = ParamPointSet(make_line(), (F(0), 1 + eps, 2 + eps))
+    want = [F(1), (1 + eps) ** 2, (2 + eps) ** 2]
+    assert float(want[0]) == float(want[1])
+    res = count_distinct_values(pset, sq, Exact())
+    assert res.count == 3
+    assert res.values == want
+    # a run of nine distinct values that all round to 1.0: 1 and
+    # (1 + k eps)^2, k = 1..8, so no fixed pick of order passes by luck
+    params = (F(0), F(1)) + tuple(1 + k * eps for k in range(1, 9))
+    pts = [(t, 0) for t in params]
+    oracle = sorted({sq.eval(x, y) for x, y in combinations(pts, 2)})
+    assert sum(float(v) == 1.0 for v in oracle) == 9
+    res = count_distinct_values(ParamPointSet(make_line(), params), sq, Exact())
+    assert res.values == oracle
+
+
+def test_exact_values_beyond_float_range():
+    # x1^120 + y1^120 at 997..999 exceeds 1e308: ordered without floats
+    q = GeneralPolynomial(2, (((120, 0, 0, 0), 1), ((0, 0, 120, 0), 1)))
+    pset = ParamPointSet(make_line(), (997, 998, 999))
+    res = count_distinct_values(pset, q, Exact())
+    want = sorted(a ** 120 + b ** 120 for a, b in combinations(pset.params, 2))
+    assert res.count == 3
+    assert res.values == want
+
+
+def test_pairs_scaled_to_lcm_of_denominators():
+    # denominators 6 and 10 meet at m = lcm = 30, not at the product 60
+    ((X, Y, a, b, m),) = _scaled_pairs([((1, 5), 6), ((3, 7), 10)])
+    assert (a, b, m) == (5, 3, 30)
+    assert (X, Y) == ((1, 5), (3, 7))
+
+
+def test_exact_count_checks_dimension():
+    pset = generate_point_set(make_parabola(0, 1), UniformRandom(seed=3, n=4))
+    with pytest.raises(DimensionMismatch):
+        count_distinct_values(pset, SquaredEuclidean(dimension=3), Exact())
 
 
 def test_tolerance_result_values(sq):

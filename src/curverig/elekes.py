@@ -204,14 +204,33 @@ class IntersectionReport:
         return len(self.points)
 
 
+def _merge_points(pts: np.ndarray, radius: float) -> list:
+    """Greedy merge of image points, shape (m, 2), in lexicographic (x, y)
+    order: a point is kept iff no earlier kept point lies within `radius`
+    of it.  Returns the kept points as (x, y) float tuples."""
+    rest = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    kept = []
+    while len(rest):
+        a, b = rest[0]
+        kept.append((float(a), float(b)))
+        rest = rest[1:]
+        rest = rest[(rest[:, 0] - a) ** 2 + (rest[:, 1] - b) ** 2 > radius ** 2]
+    return kept
+
+
 def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
                           tol: float = 1e-5) -> IntersectionReport:
     """Solve xi1(t) = xi2(s) from an n x n seed grid with Newton refinement.
 
-    Only machine-converged solutions are kept and image points within
-    tol * scale are merged, so tangential intersections collapse to one
-    point; the reported count is a lower-bound estimate of the true number
-    of intersections.  same_algebraic_curve short-circuits the search.
+    Each seed takes at most 40 Newton steps and leaves the iteration once
+    its t and s come back bitwise unchanged: the step is a pure function of
+    (t, s), so a seed at a fixed point never moves again.  Only
+    machine-converged solutions are kept.  Their image points are merged
+    greedily in lexicographic order (a point is dropped when an earlier
+    kept point lies within tol * scale), so tangential intersections
+    collapse to one point; the reported count is a lower-bound estimate of
+    the true number of intersections.  same_algebraic_curve short-circuits
+    the search.
     """
     if e1.pair() == e2.pair() and e1.curve is e2.curve:
         raise ValueError("intersection needs two distinct Elekes curves")
@@ -221,16 +240,18 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
 
     t0 = e1.curve.domain.uniform_grid(n)
     s0 = e2.curve.domain.uniform_grid(n)
-    T, S = [a.ravel() for a in np.meshgrid(t0, s0)]
+    t, s = [a.ravel() for a in np.meshgrid(t0, s0)]
     lo1, hi1 = float(e1.curve.domain.lo), float(e1.curve.domain.hi)
     lo2, hi2 = float(e2.curve.domain.lo), float(e2.curve.domain.hi)
     scale = max(1.0, float(np.max(np.abs(e1.eval_batch(t0)))),
                 float(np.max(np.abs(e2.eval_batch(s0)))))
+    max_step = 0.1 * max(hi1 - lo1, hi2 - lo2)
 
-    t, s = T.copy(), S.copy()
+    active = np.arange(len(t))  # seeds that still move
     for _ in range(40):
-        xi1, J1 = e1.tangent_batch(t)
-        xi2, J2 = e2.tangent_batch(s)
+        ta, sa = t[active], s[active]
+        xi1, J1 = e1.tangent_batch(ta)
+        xi2, J2 = e2.tangent_batch(sa)
         F = xi1 - xi2
         det = -J1[:, 0] * J2[:, 1] + J1[:, 1] * J2[:, 0]
         ok = np.abs(det) > 1e-300
@@ -238,10 +259,15 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
         dt = np.where(ok, (-J2[:, 1] * F[:, 0] + J2[:, 0] * F[:, 1]) / safe, 0.0)
         ds = np.where(ok, (-J1[:, 1] * F[:, 0] + J1[:, 0] * F[:, 1]) / safe, 0.0)
         step = np.maximum(np.abs(dt), np.abs(ds))
-        clip = np.minimum(1.0, 0.1 * max(hi1 - lo1, hi2 - lo2)
-                          / np.maximum(step, 1e-300))
-        t = np.clip(t - clip * dt, lo1, hi1)
-        s = np.clip(s - clip * ds, lo2, hi2)
+        clip = np.minimum(1.0, max_step / np.maximum(step, 1e-300))
+        tn = np.clip(ta - clip * dt, lo1, hi1)
+        sn = np.clip(sa - clip * ds, lo2, hi2)
+        t[active], s[active] = tn, sn
+        # bitwise comparison: -0.0 and 0.0 differ, a NaN equals itself
+        active = active[(tn.view(np.int64) != ta.view(np.int64))
+                        | (sn.view(np.int64) != sa.view(np.int64))]
+        if not len(active):
+            break
 
     F = e1.eval_batch(t) - e2.eval_batch(s)
     resid = np.linalg.norm(F, axis=-1)
@@ -250,15 +276,12 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
     n_conv = int(np.count_nonzero(good))
 
     pts = e1.eval_batch(t[good])
-    dedup: list = []
     img_tol = max(tol * scale, 1e-12 * scale)
-    for x, y in sorted(map(tuple, pts)):
-        if all((x - a) ** 2 + (y - b) ** 2 > img_tol ** 2 for a, b in dedup):
-            dedup.append((float(x), float(y)))
-    return IntersectionReport(points=dedup, same_algebraic_curve=False,
-                              detection_method=method, n_seeds=len(T),
+    return IntersectionReport(points=_merge_points(pts, img_tol),
+                              same_algebraic_curve=False,
+                              detection_method=method, n_seeds=len(t),
                               n_converged=n_conv,
-                              n_unconverged=len(T) - n_conv)
+                              n_unconverged=len(t) - n_conv)
 
 
 @dataclass

@@ -11,9 +11,12 @@ from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
                       implicit_to_dict, implicitize_rational,
                       intersect_elekes_pair, same_algebraic_curve,
                       verify_incidence_invariant)
-from curverig.elekes import _unrank_pair
-from conftest import (make_parabola, make_rational_circle, make_rect_hyperbola,
-                      make_unit_circle, rational_rotation_circle_params)
+from curverig.curves import Interval, RationalCurve
+from curverig.elekes import (IntersectionReport, _merge_points, _unrank_pair,
+                             elekes_family)
+from conftest import (make_circular_helix, make_parabola, make_rational_circle,
+                      make_rect_hyperbola, make_unit_circle,
+                      rational_rotation_circle_params)
 
 F = Fraction
 RF = RationalFunction.from_coeffs
@@ -293,6 +296,125 @@ def test_generic_parabola_pair_respects_bezout(sq):
     rep = intersect_elekes_pair(e1, e2, n=64)
     assert not rep.same_algebraic_curve
     assert rep.count <= (2 * 2) ** 2
+
+
+# -- the intersector against its previous, unpruned form ------------------------
+
+
+def _merge_reference(pts, radius):
+    """The image-point merge as the intersector wrote it before
+    _merge_points: a Python loop over the sorted tuples."""
+    dedup = []
+    for x, y in sorted(map(tuple, pts)):
+        if all((x - a) ** 2 + (y - b) ** 2 > radius ** 2 for a, b in dedup):
+            dedup.append((float(x), float(y)))
+    return dedup
+
+
+def test_merge_points_matches_reference_on_clustered_clouds():
+    rng = np.random.default_rng(10)
+    for k in range(200):
+        centres = rng.uniform(-5, 5, size=(rng.integers(1, 6), 2))
+        pts = centres[rng.integers(0, len(centres), size=rng.integers(1, 40))]
+        if k % 2:
+            # small integer lattice: exact ties in x and distances of exactly
+            # the radius
+            pts, radius = np.round(pts / 2), 2.0
+        else:
+            radius = 0.3
+            pts = pts + rng.normal(scale=radius, size=pts.shape)
+        assert _merge_points(pts, radius) == _merge_reference(pts, radius)
+
+
+def test_merge_points_small_cases():
+    a, b, c = (0.0, 0.0), (0.6, 0.0), (1.2, 0.0)
+    # greedy, not transitive: b falls to a, and c stays since a is 1.2 away
+    assert _merge_points(np.array([c, b, a]), 1.0) == [a, c]
+    dup = np.array([(1.0, 2.0), (3.0, -1.0), (1.0, 2.0), (3.0, -1.0)])
+    assert _merge_points(dup, 1e-9) == [(1.0, 2.0), (3.0, -1.0)]
+    # ties in x: ordered by y; a point exactly `radius` away merges
+    ties = np.array([(0.0, 2.0), (0.0, 0.0), (0.0, 1.0), (0.0, 3.5)])
+    assert _merge_points(ties, 1.0) == [(0.0, 0.0), (0.0, 2.0), (0.0, 3.5)]
+    assert _merge_points(np.empty((0, 2)), 1.0) == []
+    for pts in (np.array([c, b, a]), dup, ties):
+        assert _merge_points(pts, 1.0) == _merge_reference(pts, 1.0)
+
+
+def _intersect_reference(e1, e2, n=64, tol=1e-5):
+    """intersect_elekes_pair before the active set: every seed takes all 40
+    Newton steps."""
+    same, method = same_algebraic_curve(e1, e2)
+    if same:
+        return IntersectionReport([], True, method)
+    t0 = e1.curve.domain.uniform_grid(n)
+    s0 = e2.curve.domain.uniform_grid(n)
+    T, S = [a.ravel() for a in np.meshgrid(t0, s0)]
+    lo1, hi1 = float(e1.curve.domain.lo), float(e1.curve.domain.hi)
+    lo2, hi2 = float(e2.curve.domain.lo), float(e2.curve.domain.hi)
+    scale = max(1.0, float(np.max(np.abs(e1.eval_batch(t0)))),
+                float(np.max(np.abs(e2.eval_batch(s0)))))
+    t, s = T.copy(), S.copy()
+    for _ in range(40):
+        xi1, J1 = e1.tangent_batch(t)
+        xi2, J2 = e2.tangent_batch(s)
+        F = xi1 - xi2
+        det = -J1[:, 0] * J2[:, 1] + J1[:, 1] * J2[:, 0]
+        ok = np.abs(det) > 1e-300
+        safe = np.where(ok, det, 1.0)
+        dt = np.where(ok, (-J2[:, 1] * F[:, 0] + J2[:, 0] * F[:, 1]) / safe, 0.0)
+        ds = np.where(ok, (-J1[:, 1] * F[:, 0] + J1[:, 0] * F[:, 1]) / safe, 0.0)
+        step = np.maximum(np.abs(dt), np.abs(ds))
+        clip = np.minimum(1.0, 0.1 * max(hi1 - lo1, hi2 - lo2)
+                          / np.maximum(step, 1e-300))
+        t = np.clip(t - clip * dt, lo1, hi1)
+        s = np.clip(s - clip * ds, lo2, hi2)
+    F = e1.eval_batch(t) - e2.eval_batch(s)
+    resid = np.linalg.norm(F, axis=-1)
+    inside = ((t > lo1) & (t < hi1) & (s > lo2) & (s < hi2))
+    good = inside & (resid <= 1e-12 * scale)
+    n_conv = int(np.count_nonzero(good))
+    pts = e1.eval_batch(t[good])
+    img_tol = max(tol * scale, 1e-12 * scale)
+    return IntersectionReport(_merge_reference(pts, img_tol), False, method,
+                              len(T), n_conv, len(T) - n_conv)
+
+
+def _cubic():
+    """(t, t^3 - t) on (-2, 2)."""
+    return RationalCurve([RF([0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2))
+
+
+@pytest.mark.parametrize("make_curve, params, n_pairs", [
+    (make_parabola, [F(1, 7), F(2, 7), F(3, 7), F(4, 7), F(5, 7)], 6),
+    (make_rational_circle, [F(-24, 7), F(-41, 38), 0, F(1, 2), F(11, 2)], 4),
+    (_cubic, [F(-3, 2), F(-1, 3), F(2, 5), F(7, 4)], 3),
+    (lambda: make_circular_helix(0.5), [-613.25, -17.5, 2.0, 401.75], 2),
+], ids=["parabola", "rational_circle", "cubic", "helix"])
+def test_active_set_newton_matches_full_iteration(sq, make_curve, params,
+                                                  n_pairs, monkeypatch):
+    curves = elekes_family(ParamPointSet(make_curve(), tuple(params)), sq)
+    rng = random.Random(5)
+    pairs = rng.sample(list(combinations(curves, 2)), n_pairs)
+    expected = [_intersect_reference(e1, e2) for e1, e2 in pairs]
+
+    evaluated = []
+    tangent_batch = ElekesCurve.tangent_batch
+
+    def counting(self, ts):
+        evaluated.append(len(ts))
+        return tangent_batch(self, ts)
+
+    monkeypatch.setattr(ElekesCurve, "tangent_batch", counting)
+    got = [intersect_elekes_pair(e1, e2) for e1, e2 in pairs]
+    assert any(rep.count for rep in expected)
+    for rep, ref in zip(got, expected):
+        assert rep.points == ref.points
+        assert (rep.n_converged, rep.n_unconverged) == \
+            (ref.n_converged, ref.n_unconverged)
+    if make_curve is make_parabola:
+        # the full iteration evaluates 40 x n_seeds seeds on each curve
+        n_seeds = sum(2 * rep.n_seeds for rep in got)
+        assert sum(evaluated) < 0.6 * 40 * n_seeds
 
 
 # -- incidence invariant ------------------------------------------------------------

@@ -89,6 +89,15 @@ class RationalCurve:
     Every coefficient is a Fraction (Poly converts floats exactly), and
     every denominator is certified root-free on the domain by Sturm
     real-root counting.
+
+    Float evaluation goes through a cached jet matrix per range of
+    derivative orders, e.g. gamma and gamma' together: one row per distinct
+    numerator and denominator of the coordinates, highest degree first and
+    zero-padded on the left to one length.  One Horner loop runs over all
+    rows at once (start from zeros, then acc *= t; acc += c), and a row
+    joins the loop at its leading coefficient, so each row sees exactly
+    the operations of np.polyval and the values are bitwise those of
+    per-coordinate polyval.
     """
 
     def __init__(self, coords: Sequence[RationalFunction], domain: Interval):
@@ -101,7 +110,7 @@ class RationalCurve:
             self._certify_denominator(rf.den, domain)
         self.degree = max(rf.degree for rf in self.coords)
         self._jets = [list(self.coords)]  # order -> coordinate derivatives
-        self._float_jets: list = []  # order -> [(num, den)] polyval arrays
+        self._jet_matrices: dict = {}  # (lowest, order) -> _jet_matrix
 
     @staticmethod
     def _certify_denominator(den: Poly, domain: Interval):
@@ -144,15 +153,52 @@ class RationalCurve:
         return self.derivative_array(ts, 0)
 
     def derivative_array(self, ts: np.ndarray, order: int) -> np.ndarray:
-        """Vectorized order-th derivative values, shape (len(ts), d)."""
+        """Vectorized order-th derivative values, shape ts.shape + (d,).
+        C-contiguous, as callers expect: numpy sums three or more
+        coordinates in an order that depends on the memory layout."""
+        return np.ascontiguousarray(self.jet_array(ts, order, order)[0])
+
+    def jet_array(self, ts: np.ndarray, order: int, lowest: int = 0) -> np.ndarray:
+        """[gamma^(lowest), ..., gamma^(order)] over a float array, shape
+        (order - lowest + 1,) + ts.shape + (d,), from one Horner loop over
+        the cached jet matrix of those orders.  The array is laid out
+        coordinate-major, as the loop leaves it: each coordinate is
+        contiguous over ts."""
         ts = np.asarray(ts, dtype=float)
-        while len(self._float_jets) <= order:
-            self._float_jets.append(
-                [(np.array(rf.num.float_coeffs()[::-1] or [0.0]),
-                  np.array(rf.den.float_coeffs()[::-1]))
-                 for rf in self._derivatives(len(self._float_jets))])
-        return np.stack([np.polyval(num, ts) / np.polyval(den, ts)
-                         for num, den in self._float_jets[order]], axis=-1)
+        key = (lowest, order)
+        if key not in self._jet_matrices:
+            self._jet_matrices[key] = self._jet_matrix(*key)
+        columns, num, den = self._jet_matrices[key]
+        flat = ts.ravel()
+        acc = np.zeros((len(columns[-1]), flat.size))
+        for c in columns:
+            a = acc[:len(c)]
+            a *= flat
+            a += c
+        k, d = order - lowest + 1, self.dimension
+        out = (acc[num] / acc[den]).reshape((k, d) + ts.shape)
+        return out.transpose((0,) + tuple(range(2, ts.ndim + 2)) + (1,))
+
+    def _jet_matrix(self, lowest: int, order: int) -> tuple:
+        """(columns, num, den) for jet_array.  The rows of the jet matrix
+        are the distinct numerators and denominators of the coordinates of
+        gamma^(lowest), ..., gamma^(order), highest degree first, longest
+        row first and zero-padded on the left.  columns[j] is column j cut
+        to the rows whose Horner loop has started there (the others hold
+        their initial zeros), shaped to broadcast along a batch; num[i] and
+        den[i] are the rows of the i-th derivative coordinate."""
+        polys = [tuple(p.float_coeffs()[::-1] or [0.0])
+                 for k in range(lowest, order + 1)
+                 for rf in self._derivatives(k) for p in (rf.num, rf.den)]
+        rows = sorted(dict.fromkeys(polys), key=len, reverse=True)
+        width = len(rows[0])
+        M = np.zeros((width, len(rows), 1))
+        for i, r in enumerate(rows):
+            M[width - len(r):, i, 0] = r
+        columns = [M[j, :sum(len(r) >= width - j for r in rows)]
+                   for j in range(width)]
+        index = [rows.index(p) for p in polys]
+        return columns, np.array(index[0::2]), np.array(index[1::2])
 
 
 class HelixCurve:

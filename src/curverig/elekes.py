@@ -4,6 +4,9 @@ For rational base curves with rational data the two components are cached
 as univariate rational functions and the curve is implicitized exactly as
 a Sylvester resultant; intersection counting is numerical (grid seeds plus
 Newton refinement) and reports a lower-bound estimate of the true count.
+A Newton seed leaves the loop as soon as its iterates repeat bitwise with
+a period of at most 4, taking the value the full 40 steps would end on, so
+the exit saves evaluations without changing any result.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .bipoly import BiPoly, square_free_part, sylvester_resultant
 from .counting import ParamPointSet
-from .curves import CurveSpec, is_exact_data
+from .curves import CurveSpec, RationalCurve, is_exact_data
 from .errors import DegenerateParametrization
 from .parallel import parallel_chunked
 from .quantity import QuantitySpec, pairings, quantity_degree
@@ -89,7 +92,7 @@ class ElekesCurve:
         self.p_param = p_param
         self.q_param = q_param
         self._components: Optional[tuple] = None
-        self._base_points: Optional[tuple] = None
+        self._base_points: Optional[np.ndarray] = None
         self._implicit: Optional[BiPoly] = None
 
     def __repr__(self):
@@ -136,29 +139,36 @@ class ElekesCurve:
         q = self.curve.evaluate(self.q_param)
         return (self.quantity.eval(x, p), self.quantity.eval(x, q))
 
-    def base_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """gamma(p) and gamma(q), evaluated once and rounded to float."""
+    def base_points(self) -> np.ndarray:
+        """gamma(p) and gamma(q), evaluated once, rounded to float and
+        stacked as a (2, 1, d) array that broadcasts against a batch."""
         if self._base_points is None:
-            self._base_points = tuple(
-                np.array([float(c) for c in self.curve.evaluate(t)])
-                for t in (self.p_param, self.q_param))
+            self._base_points = np.array(
+                [[[float(c) for c in self.curve.evaluate(t)]] for t in self.pair()])
         return self._base_points
 
     def eval_batch(self, ts: np.ndarray) -> np.ndarray:
         """xi over a float parameter array, shape (len(ts), 2)."""
         X = self.curve.evaluate_array(np.asarray(ts, dtype=float))
-        return np.stack([self.quantity.eval_batch(X, b)
-                         for b in self.base_points()], axis=-1)
+        return self.quantity.eval_batch(X, self.base_points()).T
 
     def tangent_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(xi(t), xi'(t)) over a float array, each shape (len(ts), 2), with
         xi'(t) = gamma'(t) . D_X(gamma(t), p_or_q); xi is eval_batch's."""
         ts = np.asarray(ts, dtype=float)
-        X = self.curve.evaluate_array(ts)
-        V = self.curve.derivative_array(ts, 1)
-        D, T = zip(*(pairings(self.quantity, X, V, b, None)[:2]
-                     for b in self.base_points()))
-        return np.stack(D, axis=-1), np.stack(T, axis=-1)
+        if isinstance(self.curve, RationalCurve):  # one Horner loop for both
+            X, V = self.curve.jet_array(ts, 1)
+            # pairings runs several times faster on jet_array's
+            # coordinate-major layout.  A reduction over two coordinates is
+            # one addition, the same bits in any memory order; a sum of
+            # three or more terms rounds in memory order, so it takes the C
+            # order that derivative_array gives.
+            if X.shape[-1] > 2:
+                X, V = np.ascontiguousarray(X), np.ascontiguousarray(V)
+        else:
+            X, V = self.curve.evaluate_array(ts), self.curve.derivative_array(ts, 1)
+        D, T, _ = pairings(self.quantity, X, V, self.base_points(), None)
+        return D.T, T.T
 
 
 def same_algebraic_curve(e1: ElekesCurve, e2: ElekesCurve,
@@ -218,38 +228,34 @@ def _merge_points(pts: np.ndarray, radius: float) -> list:
     return kept
 
 
-def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
-                          tol: float = 1e-5) -> IntersectionReport:
-    """Solve xi1(t) = xi2(s) from an n x n seed grid with Newton refinement.
+_NEWTON_STEPS = 40
+_MAX_PERIOD = 4  # longest cycle of iterates the Newton exit detects
 
-    Each seed takes at most 40 Newton steps and leaves the iteration once
-    its t and s come back bitwise unchanged: the step is a pure function of
-    (t, s), so a seed at a fixed point never moves again.  Only
-    machine-converged solutions are kept.  Their image points are merged
-    greedily in lexicographic order (a point is dropped when an earlier
-    kept point lies within tol * scale), so tangential intersections
-    collapse to one point; the reported count is a lower-bound estimate of
-    the true number of intersections.  same_algebraic_curve short-circuits
-    the search.
+
+def _newton(e1: ElekesCurve, e2: ElekesCurve, t: np.ndarray,
+            s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, s) after _NEWTON_STEPS damped Newton steps on xi1(t) = xi2(s)
+    from every seed (t[i], s[i]), each step clipped to a tenth of the wider
+    domain and each iterate to the closed domains.
+
+    The step is a pure function of (t, s), so once a seed's iterate k
+    equals its iterate k - p bitwise, for some p <= _MAX_PERIOD, the seed
+    is periodic from k - p on and the full loop would end on its iterate
+    k - p + (_NEWTON_STEPS - k + p) mod p.  The seed takes that value from
+    a ring of its last _MAX_PERIOD + 1 iterates and leaves the loop, so
+    only seeds still moving are evaluated; p = 1 is a fixed point.
     """
-    if e1.pair() == e2.pair() and e1.curve is e2.curve:
-        raise ValueError("intersection needs two distinct Elekes curves")
-    same, method = same_algebraic_curve(e1, e2)
-    if same:
-        return IntersectionReport([], True, method)
-
-    t0 = e1.curve.domain.uniform_grid(n)
-    s0 = e2.curve.domain.uniform_grid(n)
-    t, s = [a.ravel() for a in np.meshgrid(t0, s0)]
     lo1, hi1 = float(e1.curve.domain.lo), float(e1.curve.domain.hi)
     lo2, hi2 = float(e2.curve.domain.lo), float(e2.curve.domain.hi)
-    scale = max(1.0, float(np.max(np.abs(e1.eval_batch(t0)))),
-                float(np.max(np.abs(e2.eval_batch(s0)))))
     max_step = 0.1 * max(hi1 - lo1, hi2 - lo2)
-
+    ring_len = _MAX_PERIOD + 1
+    ring_t = np.empty((ring_len, len(t)))  # row k % ring_len: iterate k
+    ring_s = np.empty((ring_len, len(s)))
+    ring_t[0], ring_s[0] = t, s
+    t, s = np.empty_like(t), np.empty_like(s)  # written as seeds leave
     active = np.arange(len(t))  # seeds that still move
-    for _ in range(40):
-        ta, sa = t[active], s[active]
+    for k in range(1, _NEWTON_STEPS + 1):
+        ta, sa = ring_t[(k - 1) % ring_len], ring_s[(k - 1) % ring_len]
         xi1, J1 = e1.tangent_batch(ta)
         xi2, J2 = e2.tangent_batch(sa)
         F = xi1 - xi2
@@ -260,24 +266,69 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
         ds = np.where(ok, (-J1[:, 1] * F[:, 0] + J1[:, 0] * F[:, 1]) / safe, 0.0)
         step = np.maximum(np.abs(dt), np.abs(ds))
         clip = np.minimum(1.0, max_step / np.maximum(step, 1e-300))
-        tn = np.clip(ta - clip * dt, lo1, hi1)
-        sn = np.clip(sa - clip * ds, lo2, hi2)
-        t[active], s[active] = tn, sn
+        now = k % ring_len
+        np.clip(ta - clip * dt, lo1, hi1, out=ring_t[now])
+        np.clip(sa - clip * ds, lo2, hi2, out=ring_s[now])
         # bitwise comparison: -0.0 and 0.0 differ, a NaN equals itself
-        active = active[(tn.view(np.int64) != ta.view(np.int64))
-                        | (sn.view(np.int64) != sa.view(np.int64))]
-        if not len(active):
-            break
+        bits_t, bits_s = ring_t.view(np.int64), ring_s.view(np.int64)
+        same_t = bits_t == bits_t[now]  # row (k - p) % ring_len: lag p
+        seen = same_t.any(axis=1)
+        left = np.zeros(len(active), dtype=bool)
+        for p in range(1, min(_MAX_PERIOD, k) + 1):
+            back = (k - p) % ring_len
+            if not seen[back]:
+                continue
+            hit = np.flatnonzero(same_t[back])
+            hit = hit[bits_s[now, hit] == bits_s[back, hit]]
+            last = (k - p + (_NEWTON_STEPS - k + p) % p) % ring_len
+            t[active[hit]], s[active[hit]] = ring_t[last, hit], ring_s[last, hit]
+            left[hit] = True
+        if left.any():
+            keep = np.flatnonzero(~left)
+            if not len(keep):
+                return t, s
+            active = active[keep]
+            ring_t, ring_s = ring_t.take(keep, axis=1), ring_s.take(keep, axis=1)
+    last = _NEWTON_STEPS % ring_len
+    t[active], s[active] = ring_t[last], ring_s[last]
+    return t, s
 
-    F = e1.eval_batch(t) - e2.eval_batch(s)
-    resid = np.linalg.norm(F, axis=-1)
+
+def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
+                          tol: float = 1e-5) -> IntersectionReport:
+    """Solve xi1(t) = xi2(s) from an n x n seed grid with Newton refinement.
+
+    Each seed takes at most 40 Newton steps.  It leaves the loop once its
+    iterates repeat bitwise with a period of at most 4, taking the (t, s)
+    the full 40 steps would end on (see _newton).  Only machine-converged
+    solutions are kept.  Their image points are merged greedily in
+    lexicographic order (a point is dropped when an earlier kept point lies
+    within tol * scale), so tangential intersections collapse to one point;
+    the reported count is a lower-bound estimate of the true number of
+    intersections.  same_algebraic_curve short-circuits the search.
+    """
+    if e1.pair() == e2.pair() and e1.curve is e2.curve:
+        raise ValueError("intersection needs two distinct Elekes curves")
+    same, method = same_algebraic_curve(e1, e2)
+    if same:
+        return IntersectionReport([], True, method)
+
+    t0 = e1.curve.domain.uniform_grid(n)
+    s0 = e2.curve.domain.uniform_grid(n)
+    t, s = _newton(e1, e2, *[a.ravel() for a in np.meshgrid(t0, s0)])
+    lo1, hi1 = float(e1.curve.domain.lo), float(e1.curve.domain.hi)
+    lo2, hi2 = float(e2.curve.domain.lo), float(e2.curve.domain.hi)
+    scale = max(1.0, float(np.max(np.abs(e1.eval_batch(t0)))),
+                float(np.max(np.abs(e2.eval_batch(s0)))))
+
+    xi1 = e1.eval_batch(t)
+    resid = np.linalg.norm(xi1 - e2.eval_batch(s), axis=-1)
     inside = ((t > lo1) & (t < hi1) & (s > lo2) & (s < hi2))
     good = inside & (resid <= 1e-12 * scale)
     n_conv = int(np.count_nonzero(good))
 
-    pts = e1.eval_batch(t[good])
     img_tol = max(tol * scale, 1e-12 * scale)
-    return IntersectionReport(points=_merge_points(pts, img_tol),
+    return IntersectionReport(points=_merge_points(xi1[good], img_tol),
                               same_algebraic_curve=False,
                               detection_method=method, n_seeds=len(t),
                               n_converged=n_conv,

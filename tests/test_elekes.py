@@ -11,9 +11,10 @@ from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
                       implicit_to_dict, implicitize_rational,
                       intersect_elekes_pair, same_algebraic_curve,
                       verify_incidence_invariant)
-from curverig.curves import Interval, RationalCurve
-from curverig.elekes import (IntersectionReport, _merge_points, _unrank_pair,
-                             elekes_family)
+from curverig.curves import Interval, RationalCurve, builtin_curve
+from curverig.elekes import (IntersectionReport, _merge_points, _newton,
+                             _unrank_pair, elekes_family)
+from curverig.quantity import pairings
 from conftest import (make_circular_helix, make_parabola, make_rational_circle,
                       make_rect_hyperbola, make_unit_circle,
                       rational_rotation_circle_params)
@@ -226,6 +227,56 @@ def test_elekes_batch_matches_scalar(sq):
     assert np.allclose(tan, fd, atol=1e-6)
 
 
+def _bits(a):
+    return a.view(np.int64)
+
+
+def _polyval_array(curve, ts, order):
+    """The order-th derivative by np.polyval on each coordinate's numerator
+    and denominator, as derivative_array computed it before the jet
+    matrix."""
+    rfs = curve.coords
+    for _ in range(order):
+        rfs = [rf.derivative() for rf in rfs]
+    return np.stack([np.polyval(np.array(rf.num.float_coeffs()[::-1] or [0.0]), ts)
+                     / np.polyval(np.array(rf.den.float_coeffs()[::-1]), ts)
+                     for rf in rfs], axis=-1)
+
+
+def _jet_curve(name):
+    if name == "cubic":
+        return _cubic()
+    if name == "space_curve":  # (t, t^2, t^3 / (1 + t^2)): three coordinates
+        return RationalCurve([RF([0, 1]), RF([0, 0, 1]), RF([0, 0, 0, 1], [1, 0, 1])],
+                             Interval(-2, 2))
+    return builtin_curve(name)
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in ["line", "parabola", "rect_hyperbola", "rational_circle",
+                              "cubic"] for kind in sorted(_COMPONENT_CASES)]
+    + [("space_curve", "sq_euclidean")])
+def test_jet_batches_match_polyval_bitwise(name, kind):
+    curve = _jet_curve(name)
+    q = _COMPONENT_CASES[kind][0]
+    lo, hi = float(curve.domain.lo), float(curve.domain.hi)
+    e = ElekesCurve(curve, q, F(lo + 0.3 * (hi - lo)).limit_denominator(64),
+                    F(lo + 0.7 * (hi - lo)).limit_denominator(64))
+    bases = [np.array([float(c) for c in curve.evaluate(b)]) for b in e.pair()]
+    rng = np.random.default_rng(11)
+    grid = np.concatenate([curve.domain.uniform_grid(64), rng.uniform(lo, hi, 200)])
+    for ts in (grid, grid[:3]):
+        for order in range(3):
+            assert np.array_equal(_bits(curve.derivative_array(ts, order)),
+                                  _bits(_polyval_array(curve, ts, order)))
+        X, V = _polyval_array(curve, ts, 0), _polyval_array(curve, ts, 1)
+        D, T = zip(*(pairings(q, X, V, b, None)[:2] for b in bases))
+        xi, tan = e.tangent_batch(ts)
+        assert np.array_equal(_bits(xi), _bits(np.stack(D, axis=-1)))
+        assert np.array_equal(_bits(tan), _bits(np.stack(T, axis=-1)))
+        assert np.array_equal(_bits(e.eval_batch(ts)), _bits(np.stack(D, axis=-1)))
+
+
 # -- intersections ----------------------------------------------------------------
 
 
@@ -340,20 +391,13 @@ def test_merge_points_small_cases():
         assert _merge_points(pts, 1.0) == _merge_reference(pts, 1.0)
 
 
-def _intersect_reference(e1, e2, n=64, tol=1e-5):
-    """intersect_elekes_pair before the active set: every seed takes all 40
-    Newton steps."""
-    same, method = same_algebraic_curve(e1, e2)
-    if same:
-        return IntersectionReport([], True, method)
-    t0 = e1.curve.domain.uniform_grid(n)
-    s0 = e2.curve.domain.uniform_grid(n)
-    T, S = [a.ravel() for a in np.meshgrid(t0, s0)]
+def _newton_reference(e1, e2, t, s):
+    """The Newton loop of intersect_elekes_pair before the active set and
+    the cycle exit: every seed takes all 40 steps.  Returns the iterates
+    0..40 as (t, s) pairs."""
     lo1, hi1 = float(e1.curve.domain.lo), float(e1.curve.domain.hi)
     lo2, hi2 = float(e2.curve.domain.lo), float(e2.curve.domain.hi)
-    scale = max(1.0, float(np.max(np.abs(e1.eval_batch(t0)))),
-                float(np.max(np.abs(e2.eval_batch(s0)))))
-    t, s = T.copy(), S.copy()
+    path = [(t, s)]
     for _ in range(40):
         xi1, J1 = e1.tangent_batch(t)
         xi2, J2 = e2.tangent_batch(s)
@@ -368,6 +412,24 @@ def _intersect_reference(e1, e2, n=64, tol=1e-5):
                           / np.maximum(step, 1e-300))
         t = np.clip(t - clip * dt, lo1, hi1)
         s = np.clip(s - clip * ds, lo2, hi2)
+        path.append((t, s))
+    return path
+
+
+def _intersect_reference(e1, e2, n=64, tol=1e-5):
+    """intersect_elekes_pair before the active set: every seed takes all 40
+    Newton steps."""
+    same, method = same_algebraic_curve(e1, e2)
+    if same:
+        return IntersectionReport([], True, method)
+    t0 = e1.curve.domain.uniform_grid(n)
+    s0 = e2.curve.domain.uniform_grid(n)
+    T, S = [a.ravel() for a in np.meshgrid(t0, s0)]
+    lo1, hi1 = float(e1.curve.domain.lo), float(e1.curve.domain.hi)
+    lo2, hi2 = float(e2.curve.domain.lo), float(e2.curve.domain.hi)
+    scale = max(1.0, float(np.max(np.abs(e1.eval_batch(t0)))),
+                float(np.max(np.abs(e2.eval_batch(s0)))))
+    t, s = _newton_reference(e1, e2, T, S)[-1]
     F = e1.eval_batch(t) - e2.eval_batch(s)
     resid = np.linalg.norm(F, axis=-1)
     inside = ((t > lo1) & (t < hi1) & (s > lo2) & (s < hi2))
@@ -415,6 +477,39 @@ def test_active_set_newton_matches_full_iteration(sq, make_curve, params,
         # the full iteration evaluates 40 x n_seeds seeds on each curve
         n_seeds = sum(2 * rep.n_seeds for rep in got)
         assert sum(evaluated) < 0.6 * 40 * n_seeds
+
+
+def test_cycle_exit_matches_full_iteration(sq, monkeypatch):
+    # a parabola pair whose 16 x 16 seed grid has seeds in 2-cycles
+    par = make_parabola(0, 1)
+    e1 = ElekesCurve(par, sq, F(1, 7), F(2, 7))
+    e2 = ElekesCurve(par, sq, F(1, 7), F(3, 7))
+    grid = par.domain.uniform_grid(16)
+    T, S = [a.ravel() for a in np.meshgrid(grid, grid)]
+    path = [(_bits(t), _bits(s)) for t, s in _newton_reference(e1, e2, T, S)]
+    # each seed's first bitwise repeat at a lag p <= 4: the step k it
+    # happens at, and the phase of the cycle the 40 steps end on
+    exits = []
+    for i in range(len(T)):
+        k, lag = next(((k, p) for k in range(1, 41) for p in range(1, min(4, k) + 1)
+                       if path[k][0][i] == path[k - p][0][i]
+                       and path[k][1][i] == path[k - p][1][i]), (40, None))
+        exits.append((k, lag, lag and (40 - k + lag) % lag))
+    assert any(lag and lag >= 2 and phase for _, lag, phase in exits)
+
+    evaluated = []
+    tangent_batch = ElekesCurve.tangent_batch
+
+    def counting(self, ts):
+        evaluated.append(len(ts))
+        return tangent_batch(self, ts)
+
+    monkeypatch.setattr(ElekesCurve, "tangent_batch", counting)
+    t, s = _newton(e1, e2, T, S)
+    assert np.array_equal(_bits(t), path[-1][0])
+    assert np.array_equal(_bits(s), path[-1][1])
+    # a seed is evaluated on both curves at each step up to its exit
+    assert sum(evaluated) == 2 * sum(k for k, _, _ in exits)
 
 
 # -- incidence invariant ------------------------------------------------------------

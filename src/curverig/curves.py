@@ -180,13 +180,11 @@ class RationalCurve:
         return out.transpose((0,) + tuple(range(2, ts.ndim + 2)) + (1,))
 
     def _jet_matrix(self, lowest: int, order: int) -> tuple:
-        """(columns, num, den) for jet_array.  The rows of the jet matrix
-        are the distinct numerators and denominators of the coordinates of
-        gamma^(lowest), ..., gamma^(order), highest degree first, longest
-        row first and zero-padded on the left.  columns[j] is column j cut
-        to the rows whose Horner loop has started there (the others hold
-        their initial zeros), shaped to broadcast along a batch; num[i] and
-        den[i] are the rows of the i-th derivative coordinate."""
+        """(columns, num, den) for jet_array, with the rows sorted longest
+        first: columns[j] is column j of the jet matrix cut to the rows
+        whose Horner loop has started there (the others keep their initial
+        zeros), shaped to broadcast along a batch; num[i] and den[i] are
+        the rows of the i-th derivative coordinate."""
         polys = [tuple(p.float_coeffs()[::-1] or [0.0])
                  for k in range(lowest, order + 1)
                  for rf in self._derivatives(k) for p in (rf.num, rf.den)]

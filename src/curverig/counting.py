@@ -11,7 +11,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -186,98 +185,233 @@ _ABS_FLOOR = 1e-300  # absolute dedup floor under the relative-gap rule
 
 @dataclass
 class CountResult:
-    """The distinct values of D on a point set, sorted: a list of Fractions
-    in exact mode, a float array of run representatives in tolerance mode.
-    Reports give their count, min and max."""
+    """The number of distinct values of D on a point set, and their min
+    and max: exact Fractions in exact mode, floats in tolerance mode, None
+    when the set has no pair.  `values` holds tolerance mode's sorted run
+    representatives; exact mode keeps no value list."""
 
     count: int
     n_points: int
     n_pairs: int
     mode: str
-    values: Sequence = field(repr=False)
+    value_min: object = None
+    value_max: object = None
+    values: Sequence = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
         doc = {"count": self.count, "n_points": self.n_points,
                "n_pairs": self.n_pairs, "mode": self.mode}
-        if len(self.values):
-            doc["value_min"] = float(self.values[0])
-            doc["value_max"] = float(self.values[-1])
+        if self.value_min is not None:
+            doc["value_min"] = _report_number(self.value_min)
+            doc["value_max"] = _report_number(self.value_max)
         return doc
 
 
-def _integer_points(pts, origin) -> list:
-    """Each point p - origin once as (X, d): integer numerators X over the
-    point's own denominator d, the lcm of its coordinates' denominators."""
-    out = []
-    for p in pts:
-        c = [x - o for x, o in zip(p, origin)]
-        d = math.lcm(*(x.denominator for x in c))
-        out.append((tuple(x.numerator * (d // x.denominator) for x in c), d))
-    return out
-
-
-def _scaled_pairs(ipts):
-    """(X, Y, a, b, m) for every pair i < j of integer points (X, di),
-    (Y, dj): m = lcm(di, dj), a = m / di and b = m / dj, so that aX and bY
-    are the two points scaled by m."""
-    for i, (X, di) in enumerate(ipts):
-        for Y, dj in ipts[i + 1:]:
-            g = math.gcd(di, dj)
-            a, b = dj // g, di // g
-            yield X, Y, a, b, di * a
-
-
-def _sq_euclidean_scaled(X, Y, a, b) -> int:
-    """m^2 * SquaredEuclidean at the points X/di, Y/dj."""
-    s = 0
-    for x, y in zip(X, Y):
-        e = a * x - b * y
-        s += e * e
-    return s
-
-
-def _pinned_area_scaled(X, Y, a, b) -> int:
-    """m^4 * PinnedAreaSquared at X/di, Y/dj, both already taken about
-    the apex."""
-    e = a * b * (X[0] * Y[1] - X[1] * Y[0])
-    return e * e
-
-
-def _exact_pair_values(pts, q: QuantitySpec) -> set:
-    """Every value D(p_i, p_j), i < j, once."""
-    if isinstance(q, GeneralPolynomial):  # not homogeneous: Fraction eval
-        return {q.eval(x, y) for i, x in enumerate(pts) for y in pts[i + 1:]}
-    if isinstance(q, SquaredEuclidean):
-        kernel, k, origin = _sq_euclidean_scaled, 2, repeat(0)
-    else:
-        kernel, k, origin = _pinned_area_scaled, 4, q.apex
-    return {Fraction(kernel(X, Y, a, b), m ** k)
-            for X, Y, a, b, m in _scaled_pairs(_integer_points(pts, origin))}
-
-
-def _to_float(v: Fraction) -> float:
-    # float(v), without the numbers.Rational method call: int / int true
-    # division is correctly rounded, so the map is monotone
-    return v.numerator / v.denominator
-
-
-def _sorted_exact(values: list) -> list:
-    """values sorted exactly: by float, then each run of equal floats by
-    Fraction comparison, so few Fractions are ever compared.  The floats
-    sit in one array, not in float objects: a lower memory peak."""
+def _report_number(v):
+    """float(v); an exact value beyond the float range as its exact string."""
     try:
-        f = np.fromiter(map(_to_float, values), dtype=float, count=len(values))
-    except OverflowError:  # a value beyond the float range
-        return sorted(values)
-    order = np.argsort(f)
-    out = [values[i] for i in order]
-    f = f[order]
-    starts = np.flatnonzero(np.r_[True, f[1:] != f[:-1]])
-    ends = np.r_[starts[1:], len(f)]
-    ties = ends - starts > 1
-    for a, b in zip(starts[ties], ends[ties]):
-        out[a:b] = sorted(out[a:b])
+        return float(v)
+    except OverflowError:
+        return str(v)
+
+
+# -- exact counting by modular fingerprints ---------------------------------
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the bases 2, 3, 5 and 7 decide every
+    n < 3,215,031,751."""
+    if n < 2:
+        return False
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2^31, largest first: a product of two residues
+    fits in uint64, and so do two residues packed as r0 * p1 + r1."""
+    return filter(_is_prime, range(2 ** 31 - 1, 1, -1))
+
+
+def _separated(q: QuantitySpec, pts: list) -> tuple:
+    """Factor rows (a, b) with D(x_i, x_j) = sum_t a[t][i] * b[t][j]: one
+    list of Fractions over the points per term t."""
+    n = len(pts)
+    if isinstance(q, SquaredEuclidean):
+        # sum_k (x_k - y_k)^2 = |x|^2 + |y|^2 + sum_k x_k * (-2 y_k)
+        norms = [sum(x * x for x in p) for p in pts]
+        one = [Fraction(1)] * n
+        coords = list(zip(*pts))
+        return ([norms, one] + [list(c) for c in coords],
+                [one, norms] + [[-2 * x for x in c] for c in coords])
+    if isinstance(q, GeneralPolynomial):
+        d = q.dimension
+        return ([[c * math.prod(map(pow, p, e[:d])) for p in pts]
+                 for e, c in q.terms],
+                [[math.prod(map(pow, p, e[d:])) for p in pts] for e, _ in q.terms])
+    # pinned area about the apex: (u0 w1 - u1 w0)^2, u = x - apex, w = y - apex
+    v0, v1 = q.apex
+    u = [(x0 - v0, x1 - v1) for x0, x1 in pts]
+    s0, s1 = [x * x for x, _ in u], [y * y for _, y in u]
+    m = [x * y for x, y in u]
+    return [s0, s1, m], [s1, s0, [-2 * c for c in m]]
+
+
+def _height_bound(a: list, b: list) -> int:
+    """H with |S1 m2 - S2 m1| <= H for any two pair values S1/m1, S2/m2.
+
+    m = alpha_i beta_j, the lcm of the factor denominators of x_i in a
+    times that of x_j in b, clears a pair value's denominator.  With
+    V = sum_t (max |a_t| + 1)(max |b_t| + 1) >= |D| over the pairs and
+    M = max alpha * max beta, the cross difference is at most 2 V M^2 in
+    absolute value."""
+    def side(cols):
+        size = [max(abs(v.numerator) // v.denominator for v in c) + 1
+                for c in cols]
+        den = max((math.lcm(*(v.denominator for v in p)) for p in zip(*cols)),
+                  default=1)
+        return size, den
+
+    (sa, da), (sb, db) = side(a), side(b)
+    return 2 * sum(x * y for x, y in zip(sa, sb)) * (da * db) ** 2
+
+
+def _powmod(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.ones_like(x)
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
     return out
+
+
+def _fingerprints(a: list, b: list, n: int):
+    """(p, a mod p, b mod p) for the usable primes, largest first, each
+    residue row a uint64 array over the points.  A prime is usable when it
+    divides no denominator of a factor value (so of no coordinate or
+    coefficient that D uses): reduction mod p is then a ring homomorphism
+    on every value involved."""
+    flat = [v for col in a + b for v in col]
+    nums = [v.numerator for v in flat]
+    dens = [v.denominator for v in flat]
+    for p in _primes():
+        den = np.array([d % p for d in dens], dtype=np.uint64)
+        if not den.all():
+            continue
+        num = np.array([x % p for x in nums], dtype=np.uint64)
+        r = (num * _powmod(den, p - 2, p) % p).reshape(2, len(a), n)
+        yield p, r[0], r[1]
+
+
+def _pair_residues(ra, rb, I, J, p: int) -> np.ndarray:
+    """D mod p at the pairs (I[k], J[k])."""
+    acc = np.zeros(len(I), dtype=np.uint64)
+    for t, (x, y) in enumerate(zip(ra, rb), 1):
+        prod = np.take(x, I)
+        prod *= np.take(y, J)
+        acc += prod
+        if t % 4 == 0:  # p + 4 (p - 1)^2 < 2^64: reduce after every fourth
+            acc %= p
+    acc %= p
+    return acc
+
+
+def _exact_distinct(q, pts, I, J) -> set:
+    return {q.eval(pts[i], pts[j]) for i, j in zip(I.tolist(), J.tolist())}
+
+
+def _count_exact(q, pts, a, b, I, J) -> int:
+    """The number of distinct values of D over the pairs (I, J).
+
+    Equal values have equal residues mod every usable prime, so the
+    classes of equal residues only ever split distinct values.  The first
+    key packs the residues of two primes; a class of two or more pairs
+    takes further primes, on its members only, until the product of the
+    primes used passes the height bound: residues equal mod primes whose
+    product exceeds |S1 m2 - S2 m1| make that difference 0."""
+    bound = _height_bound(a, b)
+    prints = _fingerprints(a, b, len(pts))
+    (p0, *r0), (p1, *r1) = next(prints), next(prints)
+    key = _pair_residues(*r0, I, J, p0)
+    key *= p1
+    key += _pair_residues(*r1, I, J, p1)
+    modulus = p0 * p1
+    sk = np.sort(key)
+    dup = sk[1:] == sk[:-1]
+    count = len(key) - int(np.count_nonzero(dup))
+    if count == len(key) or modulus > bound:
+        return count
+    shared = np.unique(sk[1:][dup])  # the keys of two or more pairs
+    del sk, dup
+    pos = np.minimum(np.searchsorted(shared, key), len(shared) - 1)
+    members = np.flatnonzero(shared[pos] == key)
+    del pos
+    singles = count - len(shared)
+    I, J = I[members], J[members]
+    cls = np.searchsorted(shared, key[members]).astype(np.uint64)
+    while modulus <= bound:
+        nxt = next(prints, None)
+        if nxt is None:  # the prime source ran dry: compare exactly
+            return singles + len(_exact_distinct(q, pts, I, J))
+        p, ra, rb = nxt
+        cls = cls * p + _pair_residues(ra, rb, I, J, p)
+        cls = np.unique(cls, return_inverse=True)[1].astype(np.uint64)
+        modulus *= p
+    return singles + int(cls.max()) + 1
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _exact_extremes(q, pts, a, b, I, J) -> tuple:
+    """(min, max) of D over the pairs (I, J), exact.
+
+    The float value f = sum_t fl(a) fl(b) of a pair is within
+    e = gamma_(T+2) * sum_t |fl(a) fl(b)| of D (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1), doubled here to cover the
+    rounding of that sum and of f -/+ e.  Only pairs whose interval
+    [f - e, f + e] can hold the extreme are evaluated exactly, or every
+    pair when a float is not finite."""
+    try:
+        af = np.array([[float(v) for v in col] for col in a])
+        bf = np.array([[float(v) for v in col] for col in b])
+    except OverflowError:  # a factor value beyond the float range
+        af = bf = None
+    if af is not None:
+        f, size = np.zeros(len(I)), np.zeros(len(I))
+        for x, y in zip(af, bf):
+            prod = np.take(x, I)
+            prod *= np.take(y, J)
+            f += prod
+            size += np.abs(prod, out=prod)
+    if af is None or not np.isfinite(size).all():
+        vals = [q.eval(pts[i], pts[j]) for i, j in zip(I.tolist(), J.tolist())]
+        return min(vals), max(vals)
+    n = len(a) + 2
+    size *= 2 * n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+    size += n * np.finfo(float).smallest_subnormal  # underflow
+    hi = f + size
+    lo = np.subtract(f, size, out=f)
+    cand_min = np.flatnonzero(lo <= hi.min())
+    cand_max = np.flatnonzero(hi >= lo.max())
+    return (min(_exact_distinct(q, pts, I[cand_min], J[cand_min])),
+            max(_exact_distinct(q, pts, I[cand_max], J[cand_max])))
 
 
 def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
@@ -286,17 +420,17 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
     """|{D(p, r) : p != r in P}| with exact or tolerance deduplication.
 
     Exact mode needs a rational curve, rational parameters and a
-    rational-coefficient quantity.  Each point is written once as integer
-    numerators over its own denominator (about the apex, for the pinned
-    area).  For SquaredEuclidean and PinnedAreaSquared, which are
-    homogeneous of degree k = 2 and 4, a pair is scaled to the lcm m of
-    its two denominators, D is evaluated on the integer vectors, and the
-    value is the Fraction (m^k D) / m^k; GeneralPolynomial evaluates D on
-    the Fraction points.  Values are deduplicated by exact equality in a
-    set, and sorted by float with exact order inside runs of equal
-    floats.  Tolerance mode sorts all pair values and merges runs whose
-    relative gap is below rel_eps (scale-free; adversarial near-collisions
-    can over- or under-merge).
+    rational-coefficient quantity.  D is written in separated form,
+    D(x_i, x_j) = sum_t a_t(x_i) b_t(x_j), with the factors a_t, b_t
+    evaluated exactly once per point.  Every pair value is then reduced
+    mod primes p < 2^31 in uint64 numpy arithmetic: differing residues
+    prove two values distinct, and residues equal mod primes whose
+    product passes a height bound prove them equal (see _count_exact).
+    The min and max come from float pair values with a proven error
+    bound, evaluated exactly only where the bound leaves a doubt.
+    Tolerance mode sorts all pair values and merges runs whose relative
+    gap is below rel_eps (scale-free; adversarial near-collisions can
+    over- or under-merge).
     """
     n = len(pset)
     n_pairs = n * (n - 1) // 2
@@ -307,12 +441,15 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
         if q.dimension not in (None, pset.curve.dimension):
             raise DimensionMismatch(
                 f"expected dimension {q.dimension}, got {pset.curve.dimension}")
-        seen = _exact_pair_values([pset.curve.evaluate(t) for t in pset.params], q)
-        values = list(seen)
-        del seen  # before the sort: a lower memory peak
-        uniq = _sorted_exact(values)
-        return CountResult(count=len(uniq), n_points=n, n_pairs=n_pairs,
-                           mode="exact", values=uniq)
+        if n_pairs == 0:
+            return CountResult(0, n, 0, "exact")
+        pts = [pset.curve.evaluate(t) for t in pset.params]
+        a, b = _separated(q, pts)
+        I, J = np.triu_indices(n, 1)
+        lo, hi = _exact_extremes(q, pts, a, b, I, J)
+        return CountResult(count=_count_exact(q, pts, a, b, I, J), n_points=n,
+                           n_pairs=n_pairs, mode="exact",
+                           value_min=lo, value_max=hi)
 
     P = pset.points_array()
 
@@ -325,14 +462,16 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
 
     parts = parallel_chunked(worker, n, threads=threads, chunk_size=32)
     vals = np.sort(np.concatenate(parts)) if parts else np.array([])
+    mode_name = f"tolerance({mode.rel_eps:g})"
     if vals.size == 0:
-        return CountResult(0, n, n_pairs, "tolerance", vals)
+        return CountResult(0, n, n_pairs, mode_name, values=vals)
     gaps = np.diff(vals)
     scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
     boundary = gaps > (mode.rel_eps * scale + _ABS_FLOOR)
     reps = vals[np.concatenate([[True], boundary])]
     return CountResult(count=len(reps), n_points=n, n_pairs=n_pairs,
-                       mode=f"tolerance({mode.rel_eps:g})", values=reps)
+                       mode=mode_name, value_min=reps[0], value_max=reps[-1],
+                       values=reps)
 
 
 # -- growth-exponent fitting ------------------------------------------------

@@ -159,9 +159,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 class RationalFunction:
-    """Reduced ratio of two Polys; denominator kept monic."""
+    """Reduced ratio of two Polys; denominator kept monic.
 
-    __slots__ = ("num", "den")
+    Exact evaluation at t = a/b is homogeneous integer Horner: num and den
+    padded to one degree n, with integer coefficients over their common
+    lcm, give sum c_i a^i b^(n-i) each, and their ratio is the value.
+    """
+
+    __slots__ = ("num", "den", "_horner")
 
     def __init__(self, num: Poly, den: Poly = P_ONE, _reduced: bool = False):
         if den.is_zero():
@@ -177,6 +182,7 @@ class RationalFunction:
                 den = Poly([c / lead for c in den.coeffs])
         self.num = num
         self.den = den
+        self._horner = None  # integer (num, den) coefficient pairs, built on use
 
     @classmethod
     def from_coeffs(cls, num: Sequence[Scalar], den: Sequence[Scalar] = (1,)) -> "RationalFunction":
@@ -236,12 +242,35 @@ class RationalFunction:
         n, d = self.num, self.den
         return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
 
+    def _integer_rows(self) -> tuple:
+        """(num_i, den_i) integer coefficient pairs, highest degree first:
+        both polynomials padded to one length and scaled by one lcm."""
+        if self._horner is None:
+            nc, dc = self.num.coeffs, self.den.coeffs
+            m = max(len(nc), len(dc))
+            scale = math.lcm(*(c.denominator for c in nc + dc))
+            rows = [(int(c * scale) for c in cs + (0,) * (m - len(cs)))
+                    for cs in (nc, dc)]
+            self._horner = tuple(zip(*rows))[::-1]
+        return self._horner
+
     def __call__(self, t: Scalar):
         from .errors import PoleError
-        dv = self.den(t)
-        if dv == 0:
+        if not is_exact(t):
+            dv = self.den(t)
+            if dv == 0:
+                raise PoleError(f"denominator vanishes at t={t}")
+            return self.num(t) / dv
+        a, b = t.numerator, t.denominator
+        num = den = 0
+        bk = 1  # b^(n-i) at coefficient i
+        for cn, cd in self._integer_rows():
+            num = num * a + cn * bk
+            den = den * a + cd * bk
+            bk *= b
+        if den == 0:
             raise PoleError(f"denominator vanishes at t={t}")
-        return self.num(t) / dv
+        return Fraction(num, den)
 
 
 # -- real-root certification (Sturm) ------------------------------------

@@ -50,6 +50,28 @@ def test_count_distances_bad_scheme(capsys):
     assert code == 2
 
 
+def test_count_distances_exact_beyond_float_range(tmp_path, capsys):
+    # x1^120 + y1^120 on 997..999 lies beyond 1e308: the extremes are
+    # reported as exact strings, and an in-range report keeps its floats
+    out = tmp_path / "res.json"
+    quantity = json.dumps({"kind": "poly", "dimension": 2,
+                           "terms": [[[120, 0, 0, 0], "1"], [[0, 0, 120, 0], "1"]]})
+    code, _, err = run_cli(["count-distances", "--curve", "line", "--scheme",
+                            "arith:997:1:3", "--mode", "exact", "--quantity",
+                            quantity, "--out", str(out)], capsys)
+    assert code == 0, err
+    r = read_json(out)["result"]
+    assert r["count"] == 3
+    assert r["value_min"] == str(997 ** 120 + 998 ** 120)
+    assert r["value_max"] == str(998 ** 120 + 999 ** 120)
+    code, _, _ = run_cli(["count-distances", "--curve", "line", "--scheme",
+                          "arith:997:1:3", "--mode", "exact", "--out", str(out)],
+                         capsys)
+    assert code == 0
+    r = read_json(out)["result"]
+    assert (r["value_min"], r["value_max"]) == (1.0, 4.0)
+
+
 def test_estimate_exponent_csv(tmp_path, capsys):
     out = tmp_path / "fit.json"
     csv = tmp_path / "fit.csv"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from curverig import (ArithmeticProgression, DimensionMismatch, DomainError,
                       UniformRandom, count_distinct_values,
                       elekes_lower_bound, fit_exponent, generate_point_set,
                       is_exact_data, parse_scheme)
-from curverig.counting import _scaled_pairs
+from curverig import counting
 from conftest import (make_circular_helix, make_line, make_parabola,
                       make_rational_circle, make_rect_hyperbola,
                       make_unit_circle)
@@ -71,11 +72,25 @@ def test_parse_scheme():
 # -- counting -------------------------------------------------------------------
 
 
+def _oracle(pset, q):
+    """Every pair value, by Fraction evaluation and a set."""
+    pts = [pset.curve.evaluate(t) for t in pset.params]
+    return {q.eval(x, y) for x, y in combinations(pts, 2)}
+
+
+def _assert_matches_oracle(res, oracle):
+    assert res.count == len(oracle)
+    assert res.value_min == min(oracle)
+    assert res.value_max == max(oracle)
+    assert all(isinstance(v, Fraction) for v in (res.value_min, res.value_max))
+
+
 def test_line_integer_points_count(sq):
     pset = generate_point_set(make_line(), ArithmeticProgression(0, 1, 10))
     res = count_distinct_values(pset, sq, Exact())
     assert res.count == 9  # |x - y| in 1..9
-    assert res.values == [k * k for k in range(1, 10)]
+    assert (res.value_min, res.value_max) == (1, 81)
+    _assert_matches_oracle(res, _oracle(pset, sq))
 
 
 _ORACLE_QUANTITIES = {
@@ -101,48 +116,120 @@ def test_exact_count_matches_brute_force(sname, qname):
     curve, scheme = _ORACLE_SETS[sname]
     q = _ORACLE_QUANTITIES[qname]
     pset = generate_point_set(curve, scheme)
-    pts = [curve.evaluate(t) for t in pset.params]
-    oracle = sorted(set(q.eval(x, y) for x, y in combinations(pts, 2)))
-    res = count_distinct_values(pset, q, Exact())
-    assert res.count == len(oracle)
-    assert res.values == oracle
+    _assert_matches_oracle(count_distinct_values(pset, q, Exact()),
+                           _oracle(pset, q))
 
 
-def test_exact_values_ordered_within_float_ties(sq):
+_SMALL_PRIMES = (47, 43, 41, 37, 31, 29, 23, 19, 17, 13, 11, 7, 5, 3, 2)
+
+
+def test_prime_source_walks_down_from_2_31():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    top = 2 ** 31 - 1
+    assert all(counting._is_prime(n) == trial(n)
+               for n in list(range(2000)) + list(range(top - 2000, top + 1)))
+    head = list(itertools.islice(counting._primes(), 3))
+    assert head == [top, 2147483629, 2147483587]
+
+
+@pytest.mark.parametrize("qname", sorted(_ORACLE_QUANTITIES))
+@pytest.mark.parametrize("sname", sorted(_ORACLE_SETS))
+def test_exact_count_with_forced_collisions(sname, qname, monkeypatch):
+    # 47 * 43 = 2021 keys for up to 190 pairs: distinct values collide, so
+    # the count rests on the refinement (and, where the primes below 50 do
+    # not pass the height bound, on the exact comparison of the members)
+    monkeypatch.setattr(counting, "_primes", lambda: iter(_SMALL_PRIMES))
+    curve, scheme = _ORACLE_SETS[sname]
+    q = _ORACLE_QUANTITIES[qname]
+    pset = generate_point_set(curve, scheme)
+    _assert_matches_oracle(count_distinct_values(pset, q, Exact()),
+                           _oracle(pset, q))
+
+
+def test_height_bound_stops_refinement_only_when_proven(sq, monkeypatch):
+    # denominators 97 give a height bound near 2^63, above the product of
+    # the primes below 50 (about 2^59): all of them are used, then the
+    # members are compared exactly; a bound that let the refinement stop
+    # early would merge the distinct values that collide mod 47 * 43
+    monkeypatch.setattr(counting, "_primes", lambda: iter(_SMALL_PRIMES))
+    rng = random.Random(13)
+    params = tuple(sorted(F(k, 97) for k in rng.sample(range(-970, 970), 20)))
+    pset = ParamPointSet(make_line(), params)
+    oracle = _oracle(pset, sq)
+    assert len(oracle) > 150
+    _assert_matches_oracle(count_distinct_values(pset, sq, Exact()), oracle)
+
+
+@pytest.mark.parametrize("first", [2 ** 31 - 1, 7])
+def test_primes_dividing_a_denominator_are_skipped(sq, first, monkeypatch):
+    # the first prime divides every point denominator, so its residues
+    # are undefined; it must not count towards the height bound either
+    if first == 7:
+        monkeypatch.setattr(counting, "_primes",
+                            lambda: iter((7,) + _SMALL_PRIMES))
+    params = tuple(F(k, first) for k in range(-12, 12))
+    pset = ParamPointSet(make_line(), params)
+    _assert_matches_oracle(count_distinct_values(pset, sq, Exact()),
+                           _oracle(pset, sq))
+    q = _ORACLE_QUANTITIES["poly"]
+    _assert_matches_oracle(count_distinct_values(pset, q, Exact()),
+                           _oracle(pset, q))
+
+
+@pytest.mark.parametrize("mode", [Exact(), Tolerance(1e-9)], ids=str)
+def test_single_point_has_no_pairs(sq, mode):
+    res = count_distinct_values(ParamPointSet(make_parabola(0, 1), (F(1, 3),)),
+                                sq, mode)
+    assert (res.count, res.n_pairs, res.value_min, res.value_max) == (0, 0, None, None)
+    assert "value_min" not in res.to_dict()
+
+
+def test_exact_extremes_inside_float_ties(sq):
     # 1 and (1 + 2^-60)^2 = 1 + 2^-59 + 2^-120 round to the same float, so
-    # only the exact order inside runs of equal floats sorts them
+    # only exact evaluation inside runs of equal floats finds the extremes
     eps = F(1, 2 ** 60)
     pset = ParamPointSet(make_line(), (F(0), 1 + eps, 2 + eps))
     want = [F(1), (1 + eps) ** 2, (2 + eps) ** 2]
     assert float(want[0]) == float(want[1])
     res = count_distinct_values(pset, sq, Exact())
     assert res.count == 3
-    assert res.values == want
+    assert (res.value_min, res.value_max) == (want[0], want[2])
+    assert res.to_dict()["value_max"] == float(want[2])
     # a run of nine distinct values that all round to 1.0: 1 and
-    # (1 + k eps)^2, k = 1..8, so no fixed pick of order passes by luck
+    # (1 + k eps)^2, k = 1..8; the max and the min, (k eps)^2, both lie in
+    # runs of equal floats
     params = (F(0), F(1)) + tuple(1 + k * eps for k in range(1, 9))
-    pts = [(t, 0) for t in params]
-    oracle = sorted({sq.eval(x, y) for x, y in combinations(pts, 2)})
+    pset = ParamPointSet(make_line(), params)
+    oracle = _oracle(pset, sq)
     assert sum(float(v) == 1.0 for v in oracle) == 9
-    res = count_distinct_values(ParamPointSet(make_line(), params), sq, Exact())
-    assert res.values == oracle
+    _assert_matches_oracle(count_distinct_values(pset, sq, Exact()), oracle)
+
+
+@pytest.mark.parametrize("offset", [F(600, 7), F(7001, 11), F(-900, 13)])
+def test_exact_min_below_float_rounding_noise(sq, offset):
+    # 16 points with gaps 4/3 + (2k + 1) 2^-70: the pair values near 16/9
+    # differ far below the rounding noise of their float values, so the
+    # smallest float is not at the smallest value, and only the error
+    # bound keeps the true minimum among the candidates
+    params = tuple(offset + F(4, 3) * k + F(k * k, 2 ** 70) for k in range(16))
+    pset = ParamPointSet(make_line(), params)
+    res = count_distinct_values(pset, sq, Exact())
+    _assert_matches_oracle(res, _oracle(pset, sq))
+    assert res.value_min == (params[1] - params[0]) ** 2
 
 
 def test_exact_values_beyond_float_range():
-    # x1^120 + y1^120 at 997..999 exceeds 1e308: ordered without floats
+    # x1^120 + y1^120 at 997..999 exceeds 1e308: extremes found exactly
     q = GeneralPolynomial(2, (((120, 0, 0, 0), 1), ((0, 0, 120, 0), 1)))
     pset = ParamPointSet(make_line(), (997, 998, 999))
     res = count_distinct_values(pset, q, Exact())
     want = sorted(a ** 120 + b ** 120 for a, b in combinations(pset.params, 2))
     assert res.count == 3
-    assert res.values == want
-
-
-def test_pairs_scaled_to_lcm_of_denominators():
-    # denominators 6 and 10 meet at m = lcm = 30, not at the product 60
-    ((X, Y, a, b, m),) = _scaled_pairs([((1, 5), 6), ((3, 7), 10)])
-    assert (a, b, m) == (5, 3, 30)
-    assert (X, Y) == ((1, 5), (3, 7))
+    assert (res.value_min, res.value_max) == (want[0], want[-1])
+    doc = res.to_dict()
+    assert doc["value_min"] == str(want[0]) and doc["value_max"] == str(want[-1])
 
 
 def test_exact_count_checks_dimension():
@@ -156,6 +243,7 @@ def test_tolerance_result_values(sq):
     res = count_distinct_values(pset, sq, Tolerance(1e-9))
     assert res.count == len(res.values) == 40 * 39 // 2
     assert np.all(np.diff(res.values) > 0)
+    assert (res.value_min, res.value_max) == (res.values[0], res.values[-1])
     doc = res.to_dict()
     assert doc["value_min"] == res.values[0]
     assert doc["value_max"] == res.values[-1]

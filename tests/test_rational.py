@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curverig import PoleError, Poly, RationalFunction, count_real_roots
+from curverig import (PoleError, Poly, RationalFunction, builtin_curve,
+                      count_real_roots)
 from curverig.rational import poly_gcd
 
 F = Fraction
@@ -66,6 +68,35 @@ def test_pole_error():
     rf = RationalFunction.from_coeffs([1], [0, 1])
     with pytest.raises(PoleError):
         rf(F(0))
+
+
+@pytest.mark.parametrize("name", ["line", "parabola", "rect_hyperbola",
+                                  "rational_circle"])
+def test_integer_horner_matches_fraction_horner(name):
+    # the homogeneous integer Horner of __call__ against Poly's Fraction
+    # Horner on num and den, on every coordinate and two derivatives
+    curve = builtin_curve(name)
+    rng = random.Random(name)
+    rfs = list(curve.coords)
+    for _ in range(2):
+        rfs += [rf.derivative() for rf in rfs[-curve.dimension:]]
+    for _ in range(20):
+        t = F(rng.randrange(-10 ** 12, 10 ** 12), rng.randrange(1, 10 ** 9))
+        for rf in rfs:
+            v = rf(t)
+            assert type(v) is Fraction
+            assert v == rf.num(t) / rf.den(t)
+    assert rfs[0](7) == rfs[0].num(F(7)) / rfs[0].den(F(7))
+
+
+def test_pole_error_at_rational_root():
+    # den (3t - 2)(t + 5/4) with coefficient denominators 3 and 4
+    den = Poly([-2, 3]) * Poly([F(5, 4), 1])
+    rf = RationalFunction(Poly([1, 0, 1]), den)
+    for root in (F(2, 3), F(-5, 4)):
+        with pytest.raises(PoleError):
+            rf(root)
+    assert rf(F(1, 2)) == F(5, 4) / den(F(1, 2))
 
 
 @pytest.mark.parametrize("coeffs,lo,hi,expected", [

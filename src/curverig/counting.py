@@ -386,32 +386,31 @@ def _exact_extremes(q, pts, a, b, I, J) -> tuple:
     e = gamma_(T+2) * sum_t |fl(a) fl(b)| of D (Higham, Accuracy and
     Stability of Numerical Algorithms, 3.1), doubled here to cover the
     rounding of that sum and of f -/+ e.  Only pairs whose interval
-    [f - e, f + e] can hold the extreme are evaluated exactly, or every
-    pair when a float is not finite."""
+    [f - e, f + e] can hold the min or the max are evaluated exactly, or
+    every pair when a float is not finite."""
+    keep = np.ones(len(I), dtype=bool)
     try:
         af = np.array([[float(v) for v in col] for col in a])
         bf = np.array([[float(v) for v in col] for col in b])
     except OverflowError:  # a factor value beyond the float range
-        af = bf = None
+        af = None
     if af is not None:
         f, size = np.zeros(len(I)), np.zeros(len(I))
-        for x, y in zip(af, bf):
-            prod = np.take(x, I)
-            prod *= np.take(y, J)
-            f += prod
-            size += np.abs(prod, out=prod)
-    if af is None or not np.isfinite(size).all():
-        vals = [q.eval(pts[i], pts[j]) for i, j in zip(I.tolist(), J.tolist())]
-        return min(vals), max(vals)
-    n = len(a) + 2
-    size *= 2 * n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
-    size += n * np.finfo(float).smallest_subnormal  # underflow
-    hi = f + size
-    lo = np.subtract(f, size, out=f)
-    cand_min = np.flatnonzero(lo <= hi.min())
-    cand_max = np.flatnonzero(hi >= lo.max())
-    return (min(_exact_distinct(q, pts, I[cand_min], J[cand_min])),
-            max(_exact_distinct(q, pts, I[cand_max], J[cand_max])))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for x, y in zip(af, bf):
+                prod = np.take(x, I)
+                prod *= np.take(y, J)
+                f += prod
+                size += np.abs(prod, out=prod)
+        if np.isfinite(size).all():
+            n = len(a) + 2
+            size *= 2 * n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+            size += n * np.finfo(float).smallest_subnormal  # underflow
+            hi = f + size
+            lo = np.subtract(f, size, out=f)
+            keep = (lo <= hi.min()) | (hi >= lo.max())
+    vals = _exact_distinct(q, pts, I[keep], J[keep])
+    return min(vals), max(vals)
 
 
 def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,

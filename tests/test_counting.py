@@ -221,15 +221,20 @@ def test_exact_min_below_float_rounding_noise(sq, offset):
 
 
 def test_exact_values_beyond_float_range():
-    # x1^120 + y1^120 at 997..999 exceeds 1e308: extremes found exactly
-    q = GeneralPolynomial(2, (((120, 0, 0, 0), 1), ((0, 0, 120, 0), 1)))
+    # x1^120 + y1^120 and x1^60 y1^60 at 997..999 exceed 1e308, the first
+    # in a float factor, the second only in the float product: extremes
+    # found exactly and reported as exact strings
     pset = ParamPointSet(make_line(), (997, 998, 999))
-    res = count_distinct_values(pset, q, Exact())
-    want = sorted(a ** 120 + b ** 120 for a, b in combinations(pset.params, 2))
-    assert res.count == 3
-    assert (res.value_min, res.value_max) == (want[0], want[-1])
-    doc = res.to_dict()
-    assert doc["value_min"] == str(want[0]) and doc["value_max"] == str(want[-1])
+    for terms in ((((120, 0, 0, 0), 1), ((0, 0, 120, 0), 1)),
+                  (((60, 0, 60, 0), 1),)):
+        q = GeneralPolynomial(2, terms)
+        res = count_distinct_values(pset, q, Exact())
+        want = sorted(q.eval((a, 0), (b, 0))
+                      for a, b in combinations(pset.params, 2))
+        assert res.count == 3
+        assert (res.value_min, res.value_max) == (want[0], want[-1])
+        doc = res.to_dict()
+        assert (doc["value_min"], doc["value_max"]) == (str(want[0]), str(want[-1]))
 
 
 def test_exact_count_checks_dimension():

@@ -339,9 +339,10 @@ def _exact_distinct(q, pts, I, J) -> set:
 def _count_exact(q, pts, a, b, I, J) -> int:
     """The number of distinct values of D over the pairs (I, J).
 
-    Equal values have equal residues mod every usable prime, so the
-    classes of equal residues only ever split distinct values.  The first
-    key packs the residues of two primes; a class of two or more pairs
+    Equal values have equal residues mod every usable prime, so differing
+    residues prove two values distinct, and a class of equal residues
+    never splits equal values.  The first key packs the residues of two
+    primes; a class of two or more pairs
     takes further primes, on its members only, until the product of the
     primes used passes the height bound: residues equal mod primes whose
     product exceeds |S1 m2 - S2 m1| make that difference 0."""

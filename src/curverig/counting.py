@@ -332,22 +332,19 @@ def _pair_residues(ra, rb, I, J, p: int) -> np.ndarray:
     return acc
 
 
-def _exact_distinct(q, pts, I, J) -> set:
-    return {q.eval(pts[i], pts[j]) for i, j in zip(I.tolist(), J.tolist())}
-
-
-def _count_exact(q, pts, a, b, I, J) -> int:
+def _count_exact(a, b, n, I, J) -> int:
     """The number of distinct values of D over the pairs (I, J).
 
     Equal values have equal residues mod every usable prime, so differing
     residues prove two values distinct, and a class of equal residues
     never splits equal values.  The first key packs the residues of two
-    primes; a class of two or more pairs
-    takes further primes, on its members only, until the product of the
-    primes used passes the height bound: residues equal mod primes whose
-    product exceeds |S1 m2 - S2 m1| make that difference 0."""
+    primes; a class of two or more pairs takes further primes, on its
+    members only, until the product of the primes used passes the height
+    bound: residues equal mod primes whose product exceeds |S1 m2 - S2 m1|
+    make that difference 0.  The source holds about 10^8 primes, far more
+    than any height bound that fits in memory needs."""
     bound = _height_bound(a, b)
-    prints = _fingerprints(a, b, len(pts))
+    prints = _fingerprints(a, b, n)
     (p0, *r0), (p1, *r1) = next(prints), next(prints)
     key = _pair_residues(*r0, I, J, p0)
     key *= p1
@@ -368,8 +365,8 @@ def _count_exact(q, pts, a, b, I, J) -> int:
     cls = np.searchsorted(shared, key[members]).astype(np.uint64)
     while modulus <= bound:
         nxt = next(prints, None)
-        if nxt is None:  # the prime source ran dry: compare exactly
-            return singles + len(_exact_distinct(q, pts, I, J))
+        if nxt is None:
+            raise ArithmeticError("too few primes to pass the height bound")
         p, ra, rb = nxt
         cls = cls * p + _pair_residues(ra, rb, I, J, p)
         cls = np.unique(cls, return_inverse=True)[1].astype(np.uint64)
@@ -386,9 +383,12 @@ def _exact_extremes(q, pts, a, b, I, J) -> tuple:
     The float value f = sum_t fl(a) fl(b) of a pair is within
     e = gamma_(T+2) * sum_t |fl(a) fl(b)| of D (Higham, Accuracy and
     Stability of Numerical Algorithms, 3.1), doubled here to cover the
-    rounding of that sum and of f -/+ e.  Only pairs whose interval
-    [f - e, f + e] can hold the min or the max are evaluated exactly, or
-    every pair when a float is not finite."""
+    rounding of that sum and of f -/+ e, plus an absolute part for
+    underflow: a factor that rounds into the subnormal range is off by up
+    to half the smallest subnormal s, and that error is multiplied by its
+    partner factor, so each pair adds s (sum_t |fl(a)| + |fl(b)| + 2T).
+    Only pairs whose interval [f - e, f + e] can hold the min or the max
+    are evaluated exactly, or every pair when a float is not finite."""
     keep = np.ones(len(I), dtype=bool)
     try:
         af = np.array([[float(v) for v in col] for col in a])
@@ -403,14 +403,17 @@ def _exact_extremes(q, pts, a, b, I, J) -> tuple:
                 prod *= np.take(y, J)
                 f += prod
                 size += np.abs(prod, out=prod)
-        if np.isfinite(size).all():
             n = len(a) + 2
             size *= 2 * n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
-            size += n * np.finfo(float).smallest_subnormal  # underflow
+            s = np.finfo(float).smallest_subnormal
+            size += np.take(s * (np.abs(af).sum(0) + len(a)), I)
+            size += np.take(s * (np.abs(bf).sum(0) + len(a)), J)
+        if np.isfinite(size).all():
             hi = f + size
             lo = np.subtract(f, size, out=f)
             keep = (lo <= hi.min()) | (hi >= lo.max())
-    vals = _exact_distinct(q, pts, I[keep], J[keep])
+    vals = [q.eval(pts[i], pts[j]) for i, j in zip(I[keep].tolist(),
+                                                    J[keep].tolist())]
     return min(vals), max(vals)
 
 
@@ -447,7 +450,7 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
         a, b = _separated(q, pts)
         I, J = np.triu_indices(n, 1)
         lo, hi = _exact_extremes(q, pts, a, b, I, J)
-        return CountResult(count=_count_exact(q, pts, a, b, I, J), n_points=n,
+        return CountResult(count=_count_exact(a, b, n, I, J), n_points=n,
                            n_pairs=n_pairs, mode="exact",
                            value_min=lo, value_max=hi)
 
@@ -462,15 +465,15 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
 
     parts = parallel_chunked(worker, n, threads=threads, chunk_size=32)
     vals = np.sort(np.concatenate(parts)) if parts else np.array([])
-    mode_name = f"tolerance({mode.rel_eps:g})"
     if vals.size == 0:
-        return CountResult(0, n, n_pairs, mode_name, values=vals)
+        return CountResult(0, n, n_pairs, "tolerance", values=vals)
     gaps = np.diff(vals)
     scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
     boundary = gaps > (mode.rel_eps * scale + _ABS_FLOOR)
     reps = vals[np.concatenate([[True], boundary])]
     return CountResult(count=len(reps), n_points=n, n_pairs=n_pairs,
-                       mode=mode_name, value_min=reps[0], value_max=reps[-1],
+                       mode=f"tolerance({mode.rel_eps:g})",
+                       value_min=reps[0], value_max=reps[-1],
                        values=reps)
 
 

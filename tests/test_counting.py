@@ -123,6 +123,13 @@ def test_exact_count_matches_brute_force(sname, qname):
 _SMALL_PRIMES = (47, 43, 41, 37, 31, 29, 23, 19, 17, 13, 11, 7, 5, 3, 2)
 
 
+def _small_primes_first(monkeypatch, head=_SMALL_PRIMES):
+    """Make the prime source yield `head` first, then the real primes."""
+    primes = counting._primes
+    monkeypatch.setattr(counting, "_primes",
+                        lambda: itertools.chain(head, primes()))
+
+
 def test_prime_source_walks_down_from_2_31():
     def trial(n):
         return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
@@ -138,9 +145,8 @@ def test_prime_source_walks_down_from_2_31():
 @pytest.mark.parametrize("sname", sorted(_ORACLE_SETS))
 def test_exact_count_with_forced_collisions(sname, qname, monkeypatch):
     # 47 * 43 = 2021 keys for up to 190 pairs: distinct values collide, so
-    # the count rests on the refinement (and, where the primes below 50 do
-    # not pass the height bound, on the exact comparison of the members)
-    monkeypatch.setattr(counting, "_primes", lambda: iter(_SMALL_PRIMES))
+    # the count rests on the refinement by the further primes
+    _small_primes_first(monkeypatch)
     curve, scheme = _ORACLE_SETS[sname]
     q = _ORACLE_QUANTITIES[qname]
     pset = generate_point_set(curve, scheme)
@@ -150,16 +156,20 @@ def test_exact_count_with_forced_collisions(sname, qname, monkeypatch):
 
 def test_height_bound_stops_refinement_only_when_proven(sq, monkeypatch):
     # denominators 97 give a height bound near 2^63, above the product of
-    # the primes below 50 (about 2^59): all of them are used, then the
-    # members are compared exactly; a bound that let the refinement stop
-    # early would merge the distinct values that collide mod 47 * 43
-    monkeypatch.setattr(counting, "_primes", lambda: iter(_SMALL_PRIMES))
+    # the primes below 50 (about 2^59): all of them and then 2^31 - 1 are
+    # used; a bound that let the refinement stop early would merge the
+    # distinct values that collide mod 47 * 43
     rng = random.Random(13)
     params = tuple(sorted(F(k, 97) for k in rng.sample(range(-970, 970), 20)))
     pset = ParamPointSet(make_line(), params)
     oracle = _oracle(pset, sq)
     assert len(oracle) > 150
+    _small_primes_first(monkeypatch)
     _assert_matches_oracle(count_distinct_values(pset, sq, Exact()), oracle)
+    # a source that runs dry below the bound is an error, not a guess
+    monkeypatch.setattr(counting, "_primes", lambda: iter(_SMALL_PRIMES))
+    with pytest.raises(ArithmeticError):
+        count_distinct_values(pset, sq, Exact())
 
 
 @pytest.mark.parametrize("first", [2 ** 31 - 1, 7])
@@ -167,8 +177,7 @@ def test_primes_dividing_a_denominator_are_skipped(sq, first, monkeypatch):
     # the first prime divides every point denominator, so its residues
     # are undefined; it must not count towards the height bound either
     if first == 7:
-        monkeypatch.setattr(counting, "_primes",
-                            lambda: iter((7,) + _SMALL_PRIMES))
+        _small_primes_first(monkeypatch, (7,) + _SMALL_PRIMES)
     params = tuple(F(k, first) for k in range(-12, 12))
     pset = ParamPointSet(make_line(), params)
     _assert_matches_oracle(count_distinct_values(pset, sq, Exact()),
@@ -218,6 +227,21 @@ def test_exact_min_below_float_rounding_noise(sq, offset):
     res = count_distinct_values(pset, sq, Exact())
     _assert_matches_oracle(res, _oracle(pset, sq))
     assert res.value_min == (params[1] - params[0]) ** 2
+
+
+def test_exact_min_of_a_factor_that_underflows():
+    # x1^120 y1^100 on the line: at (1/500, 369) the factor (1/500)^120
+    # rounds to 0.0 and its partner 369^100 is near 1e256, so the float
+    # value 0 is off by about 6.6e-68; the true minimum, at (-1/2, 1/500),
+    # is near 9.5e-307 and lies above that pair's interval unless the
+    # bound counts the conversion error times the partner factor
+    q = GeneralPolynomial(2, (((120, 0, 100, 0), 1),))
+    pset = ParamPointSet(make_line(), (F(-1, 2), F(1, 500), F(369)))
+    assert float(F(1, 500) ** 120) == 0.0
+    oracle = _oracle(pset, q)
+    res = count_distinct_values(pset, q, Exact())
+    _assert_matches_oracle(res, oracle)
+    assert res.value_min == F(-1, 2) ** 120 * F(1, 500) ** 100
 
 
 def test_exact_values_beyond_float_range():

@@ -275,13 +275,52 @@ def gcd_bipoly(A: BiPoly, B: BiPoly) -> BiPoly:
     return (a * cont).normalized()
 
 
+_P = 2 ** 31 - 1  # prime of the modular square-free certificate
+
+
+def _square_free_in(G: BiPoly, v: int) -> bool:
+    """Whether, for some x in 0..3, G with its other variable set to x is
+    mod p of G's degree n in v (v = 0 for X) and prime to its derivative."""
+    n = max(e[v] for e in G.terms)
+    for x in range(4):
+        a = [0] * (n + 1)
+        for e, c in G.terms.items():
+            a[e[v]] += c * x ** e[1 - v]
+        a = [c % _P for c in a]
+        b = [k * c % _P for k, c in enumerate(a)][1:]  # n < p: no trailing 0
+        if not a[n]:
+            continue
+        while b:  # Euclid over Z/p on ascending coefficient lists
+            inv = pow(b[-1], -1, _P)
+            while len(a) >= len(b):
+                q, shift = a[-1] * inv % _P, len(a) - len(b)
+                for k, c in enumerate(b):
+                    a[shift + k] = (a[shift + k] - q * c) % _P
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        if len(a) == 1:
+            return True
+    return False
+
+
 def square_free_part(G: BiPoly) -> BiPoly:
-    """Product of the distinct irreducible factors of G, normalized."""
+    """Product of the distinct irreducible factors of G, normalized.
+
+    A modular certificate settles square-free G without bivariate gcds.
+    Normalized G is primitive, so a repeated factor P, G = P^2 Q, has
+    positive degree in X, say (Y is alike).  If g = G(X, a) mod p keeps G's
+    X-degree, h = P(X, a) mod p keeps P's (lc_X(P)^2 divides lc_X(G)), and
+    h divides g and g' = h (2 h' Q(X, a) + h Q'(X, a)).  So a constant
+    gcd(g, g') for some a, and one for Y, proves G square-free.
+    """
     if G.is_zero():
         return G
     G = G.normalized()
     if G.is_constant():
         return BiPoly.const(1)
+    if _square_free_in(G, 0) and _square_free_in(G, 1):
+        return G
     g = gcd_bipoly(G, G.derivative_x())
     g = gcd_bipoly(g, G.derivative_y())
     if g.is_constant():

@@ -103,7 +103,7 @@ def generate_point_set(curve: CurveSpec, scheme: Scheme) -> ParamPointSet:
         while len(seen) < scheme.n:
             k = rng.randrange(1, _RANDOM_DENOM)
             seen.add(lo + (hi - lo) * Fraction(k, _RANDOM_DENOM))
-        params = sorted(seen)
+        params = list(seen)
         label = f"rand(seed={scheme.seed},{scheme.n})"
     elif isinstance(scheme, EquallySpacedAngle):
         if not (isinstance(curve, HelixCurve) and curve.k == 1 and curve.l == 0):
@@ -125,10 +125,12 @@ def generate_point_set(curve: CurveSpec, scheme: Scheme) -> ParamPointSet:
             raise DomainError(
                 f"scheme parameter {t} leaves domain "
                 f"({curve.domain.lo}, {curve.domain.hi})")
-    params = sorted(params)
+    params = tuple(sorted(params))
     if any(not (a < b) for a, b in zip(params, params[1:])):
         raise ValueError("scheme generated duplicate parameters")
-    return ParamPointSet(curve=curve, params=tuple(params), label=label)
+    pset = object.__new__(ParamPointSet)  # checked above: no second check
+    pset.__dict__.update(curve=curve, params=params, label=label)
+    return pset
 
 
 def parse_scheme(text: str) -> Scheme:

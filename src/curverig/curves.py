@@ -176,7 +176,9 @@ class RationalCurve:
             a *= flat
             a += c
         k, d = order - lowest + 1, self.dimension
-        out = (acc[num] / acc[den]).reshape((k, d) + ts.shape)
+        out = np.empty((k, d) + ts.shape)
+        for row, i, j in zip(out.reshape(k * d, -1), num, den):
+            np.divide(acc[i], acc[j], out=row)
         return out.transpose((0,) + tuple(range(2, ts.ndim + 2)) + (1,))
 
     def _jet_matrix(self, lowest: int, order: int) -> tuple:

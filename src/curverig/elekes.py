@@ -155,20 +155,38 @@ class ElekesCurve:
     def tangent_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(xi(t), xi'(t)) over a float array, each shape (len(ts), 2), with
         xi'(t) = gamma'(t) . D_X(gamma(t), p_or_q); xi is eval_batch's."""
-        ts = np.asarray(ts, dtype=float)
-        if isinstance(self.curve, RationalCurve):  # one Horner loop for both
-            X, V = self.curve.jet_array(ts, 1)
-            # pairings runs several times faster on jet_array's
-            # coordinate-major layout.  A reduction over two coordinates is
-            # one addition, the same bits in any memory order; a sum of
-            # three or more terms rounds in memory order, so it takes the C
-            # order that derivative_array gives.
-            if X.shape[-1] > 2:
-                X, V = np.ascontiguousarray(X), np.ascontiguousarray(V)
-        else:
-            X, V = self.curve.evaluate_array(ts), self.curve.derivative_array(ts, 1)
+        X, V = _jet(self.curve, np.asarray(ts, dtype=float))
         D, T, _ = pairings(self.quantity, X, V, self.base_points(), None)
         return D.T, T.T
+
+
+def _jet(curve: CurveSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma(ts), gamma'(ts)), on rational curves from one Horner loop in
+    its coordinate-major layout, which pairings runs several times faster
+    on; but a sum of three or more coordinates rounds in memory order, so
+    it takes the C order that derivative_array gives."""
+    if not isinstance(curve, RationalCurve):
+        return curve.evaluate_array(ts), curve.derivative_array(ts, 1)
+    X, V = curve.jet_array(ts, 1)
+    if X.shape[-1] > 2:
+        X, V = np.ascontiguousarray(X), np.ascontiguousarray(V)
+    return X, V
+
+
+def _tangents(e1: ElekesCurve, e2: ElekesCurve, ta: np.ndarray,
+              sa: np.ndarray) -> tuple:
+    """(xi1(ta) - xi2(sa), xi1'(ta), xi2'(sa)) as (2, m) rows, one per base
+    point.  Two Elekes curves of one curve and one D (any pair of a family)
+    take both sides from one _jet and one pairings call, bit for bit the
+    values of tangent_batch."""
+    if e1.curve is not e2.curve or e1.quantity is not e2.quantity:
+        (xi1, J1), (xi2, J2) = e1.tangent_batch(ta), e2.tangent_batch(sa)
+        return (xi1 - xi2).T, J1.T, J2.T
+    m = len(ta)
+    X, V = (a.reshape(2, 1, m, -1) for a in _jet(e1.curve, np.concatenate([ta, sa])))
+    bases = np.stack([e1.base_points(), e2.base_points()])
+    D, T, _ = pairings(e1.quantity, X, V, bases, None)
+    return D[0] - D[1], T[0], T[1]
 
 
 def same_algebraic_curve(e1: ElekesCurve, e2: ElekesCurve,
@@ -249,49 +267,42 @@ def _newton(e1: ElekesCurve, e2: ElekesCurve, t: np.ndarray,
     lo2, hi2 = float(e2.curve.domain.lo), float(e2.curve.domain.hi)
     max_step = 0.1 * max(hi1 - lo1, hi2 - lo2)
     ring_len = _MAX_PERIOD + 1
-    ring_t = np.empty((ring_len, len(t)))  # row k % ring_len: iterate k
-    ring_s = np.empty((ring_len, len(s)))
-    ring_t[0], ring_s[0] = t, s
-    t, s = np.empty_like(t), np.empty_like(s)  # written as seeds leave
+    ring = np.empty((2, ring_len, len(t)))  # [:, k % ring_len]: iterate k
+    ring[:, 0] = t, s
+    out = np.empty((2, len(t)))  # (t, s), written as seeds leave
     active = np.arange(len(t))  # seeds that still move
     for k in range(1, _NEWTON_STEPS + 1):
-        ta, sa = ring_t[(k - 1) % ring_len], ring_s[(k - 1) % ring_len]
-        xi1, J1 = e1.tangent_batch(ta)
-        xi2, J2 = e2.tangent_batch(sa)
-        F = xi1 - xi2
-        det = -J1[:, 0] * J2[:, 1] + J1[:, 1] * J2[:, 0]
+        ta, sa = ring[:, (k - 1) % ring_len]
+        F, J1, J2 = _tangents(e1, e2, ta, sa)
+        det = -J1[0] * J2[1] + J1[1] * J2[0]
         ok = np.abs(det) > 1e-300
         safe = np.where(ok, det, 1.0)
-        dt = np.where(ok, (-J2[:, 1] * F[:, 0] + J2[:, 0] * F[:, 1]) / safe, 0.0)
-        ds = np.where(ok, (-J1[:, 1] * F[:, 0] + J1[:, 0] * F[:, 1]) / safe, 0.0)
+        dt = np.where(ok, (-J2[1] * F[0] + J2[0] * F[1]) / safe, 0.0)
+        ds = np.where(ok, (-J1[1] * F[0] + J1[0] * F[1]) / safe, 0.0)
         step = np.maximum(np.abs(dt), np.abs(ds))
         clip = np.minimum(1.0, max_step / np.maximum(step, 1e-300))
         now = k % ring_len
-        np.clip(ta - clip * dt, lo1, hi1, out=ring_t[now])
-        np.clip(sa - clip * ds, lo2, hi2, out=ring_s[now])
+        np.clip(ta - clip * dt, lo1, hi1, out=ring[0, now])
+        np.clip(sa - clip * ds, lo2, hi2, out=ring[1, now])
         # bitwise comparison: -0.0 and 0.0 differ, a NaN equals itself
-        bits_t, bits_s = ring_t.view(np.int64), ring_s.view(np.int64)
-        same_t = bits_t == bits_t[now]  # row (k - p) % ring_len: lag p
-        seen = same_t.any(axis=1)
-        left = np.zeros(len(active), dtype=bool)
-        for p in range(1, min(_MAX_PERIOD, k) + 1):
-            back = (k - p) % ring_len
-            if not seen[back]:
-                continue
-            hit = np.flatnonzero(same_t[back])
-            hit = hit[bits_s[now, hit] == bits_s[back, hit]]
-            last = (k - p + (_NEWTON_STEPS - k + p) % p) % ring_len
-            t[active[hit]], s[active[hit]] = ring_t[last, hit], ring_s[last, hit]
-            left[hit] = True
+        bits = ring.view(np.int64)  # row (k - p) % ring_len of same: lag p
+        same = np.logical_and(*(bits == bits[:, now:now + 1]))
+        same[now] = same[k + 1:] = False  # lag 0, and rows not written yet
+        left = same.any(axis=0)
         if left.any():
+            # a seed still here repeats at one lag only: two lags p < p'
+            # would have made it repeat at lag p' - p, p steps ago
+            hit = np.flatnonzero(left)
+            p = (now - same[:, hit].argmax(axis=0)) % ring_len
+            last = (k - p + (_NEWTON_STEPS - k + p) % p) % ring_len
+            out[:, active[hit]] = ring[:, last, hit]
             keep = np.flatnonzero(~left)
             if not len(keep):
-                return t, s
+                return out[0], out[1]
             active = active[keep]
-            ring_t, ring_s = ring_t.take(keep, axis=1), ring_s.take(keep, axis=1)
-    last = _NEWTON_STEPS % ring_len
-    t[active], s[active] = ring_t[last], ring_s[last]
-    return t, s
+            ring = ring.take(keep, axis=2)
+    out[:, active] = ring[:, _NEWTON_STEPS % ring_len]
+    return out[0], out[1]
 
 
 def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,

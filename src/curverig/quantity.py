@@ -57,11 +57,12 @@ class SquaredEuclidean:
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         d = X - Y
-        return np.sum(d * d, axis=-1)
+        return np.sum(np.square(d, out=d), axis=-1)
 
-    def grad_batch(self, X, Y):
-        dx = 2.0 * (X - Y)
-        return dx, -dx
+    def grad_batch(self, X, Y, with_y=True):
+        dx = X - Y
+        dx *= 2.0
+        return dx, -dx if with_y else None
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,12 @@ class PinnedAreaSquared:
         c = (X[..., 0] - v1) * (Y[..., 1] - v2) - (X[..., 1] - v2) * (Y[..., 0] - v1)
         return c * c
 
-    def grad_batch(self, X, Y):
+    def grad_batch(self, X, Y, with_y=True):
         v1, v2 = float(self.apex[0]), float(self.apex[1])
         c = (X[..., 0] - v1) * (Y[..., 1] - v2) - (X[..., 1] - v2) * (Y[..., 0] - v1)
         dx = np.stack([2 * c * (Y[..., 1] - v2), -2 * c * (Y[..., 0] - v1)], axis=-1)
-        dy = np.stack([-2 * c * (X[..., 1] - v2), 2 * c * (X[..., 0] - v1)], axis=-1)
+        dy = (np.stack([-2 * c * (X[..., 1] - v2), 2 * c * (X[..., 0] - v1)], axis=-1)
+              if with_y else None)
         return dx, dy
 
 
@@ -176,12 +178,12 @@ class GeneralPolynomial:
         z, shape = self._columns(X, Y)
         return self._monomial_sum(z, float, np.zeros(shape))
 
-    def grad_batch(self, X, Y):
+    def grad_batch(self, X, Y, with_y=True):
         z, shape = self._columns(X, Y)
-        g = np.stack([self._monomial_sum(z, float, np.zeros(shape), k)
-                      for k in range(len(z))], axis=-1)
         d = len(z) // 2
-        return g[..., :d], g[..., d:]
+        g = np.stack([self._monomial_sum(z, float, np.zeros(shape), k)
+                      for k in range(2 * d if with_y else d)], axis=-1)
+        return g[..., :d], g[..., d:] if with_y else None
 
 
 QuantitySpec = SquaredEuclidean | PinnedAreaSquared | GeneralPolynomial
@@ -199,7 +201,7 @@ def pairings(q: QuantitySpec, X, VX, Y, VY):
     """(D, VX . D_X, VY . D_Y) over float arrays whose leading axes
     broadcast against each other; a None velocity gives None."""
     D = q.eval_batch(X, Y)  # before the gradients: a lower memory peak
-    dx, dy = q.grad_batch(X, Y)
+    dx, dy = q.grad_batch(X, Y, VY is not None)
     return (D,
             None if VX is None else np.einsum("...k,...k->...", dx, VX),
             None if VY is None else np.einsum("...k,...k->...", dy, VY))

@@ -39,13 +39,14 @@ def as_fraction(x) -> Fraction:
 class Poly:
     """Dense univariate polynomial with exact Fraction coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         cs = [as_fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._floats = None  # float(c) of each coefficient, built on use
 
     # -- basic structure -------------------------------------------------
 
@@ -136,12 +137,15 @@ class Poly:
                 acc = acc * t + c
             return acc
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
+        for c in reversed(self._floats or self.float_coeffs()):
+            acc = acc * t + c
         return acc
 
-    def float_coeffs(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
+    def float_coeffs(self) -> tuple[float, ...]:
+        """The coefficients rounded to float, ascending; converted once."""
+        if self._floats is None:
+            self._floats = tuple(float(c) for c in self.coeffs)
+        return self._floats
 
 
 P_ONE = Poly([1])

@@ -5,6 +5,7 @@ import pytest
 
 from curverig import (Interval, RationalCurve, RationalFunction,
                       SquaredEuclidean)
+from curverig import bipoly
 from curverig.bipoly import (BiPoly, bareiss_determinant, gcd_bipoly,
                              square_free_part, sylvester_resultant)
 from curverig.elekes import ElekesCurve, _clear_denominators
@@ -127,6 +128,38 @@ def test_square_free_part():
     # already square-free stays put
     g = X * X + Y * Y - ONE
     assert square_free_part(g) == g.normalized()
+
+
+def test_square_free_certificate_needs_the_full_degree():
+    # at Y = 1, P = (Y - 1) X + 1 loses its X-degree: P^2 becomes the
+    # constant 1 and P^2 (X + Y) becomes X + 1, neither with a repeated
+    # factor, and neither may certify its square
+    P = (Y - ONE) * X + ONE
+    assert square_free_part(P * P) == P.normalized()
+    assert square_free_part(P * P * (X + Y)) == (P * (X + Y)).normalized()
+
+
+@pytest.mark.parametrize("var", ["X", "Y"])
+def test_square_free_certificate_tests_both_variables(var):
+    # (V^2 + 1)^2 (X + Y): the square involves V only, so only the test
+    # in V can see it
+    V = X if var == "X" else Y
+    sq = V * V + ONE
+    assert square_free_part(sq * sq * (X + Y)) == (sq * (X + Y)).normalized()
+
+
+def test_square_free_certificate_matches_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def no_gcd(A, B):
+        raise AssertionError("the modular certificate should settle this")
+
+    # certified at Y = 1 and X = 2 (Y = 0 and X = 0, 1 are not)
+    G = (X + Y) * (X - Y + ONE) * (X * Y - C(2)) * C(-3)
+    want = _from_sympy(sympy.sqf_part(_to_sympy(G, x, y)), x, y)
+    monkeypatch.setattr(bipoly, "gcd_bipoly", no_gcd)
+    assert square_free_part(G) == want
 
 
 def test_normalized_sign_and_content():

@@ -47,8 +47,26 @@ def test_uniform_random_reproducible(sq):
 
 def test_progression_leaving_domain_errors():
     par = make_parabola(0, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match=r"^scheme parameter 1 leaves domain \(0, 1\)$"):
         generate_point_set(par, ArithmeticProgression(F(1, 2), F(1, 2), 3))
+    # the domain is checked before the order, in generation order
+    with pytest.raises(DomainError, match=r"^scheme parameter 5 leaves domain"):
+        generate_point_set(par, ArithmeticProgression(5, 0, 3))
+
+
+def test_progression_with_duplicates_errors():
+    par = make_parabola(0, 1)
+    for scheme in (ArithmeticProgression(F(1, 2), 0, 3),
+                   GeometricProgression(F(1, 2), 1, 2),
+                   GeometricProgression(F(1, 2), -1, 3)):
+        with pytest.raises(ValueError,
+                           match="^scheme generated duplicate parameters$"):
+            generate_point_set(make_line(), scheme)
+    # a generated set is the set its own checks would build
+    pset = generate_point_set(par, UniformRandom(seed=9, n=20))
+    assert pset == ParamPointSet(par, pset.params, pset.label)
+    assert pset.label == "rand(seed=9,20)"
 
 
 def test_equally_spaced_angle_only_on_circles():
@@ -426,9 +444,10 @@ def test_elekes_lower_bound_validation():
 
 def test_point_set_validation(sq):
     par = make_parabola(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^parameters must be strictly increasing$"):
         ParamPointSet(par, (F(1, 2), F(1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^parameters must be strictly increasing$"):
         ParamPointSet(par, (F(2, 3), F(1, 3)))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match=r"^parameter 3/2 outside open domain \(0, 1\)$"):
         ParamPointSet(par, (F(1, 3), F(3, 2)))

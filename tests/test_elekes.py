@@ -11,9 +11,10 @@ from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
                       implicit_to_dict, implicitize_rational,
                       intersect_elekes_pair, same_algebraic_curve,
                       verify_incidence_invariant)
+import curverig.elekes as elekes_module
 from curverig.curves import Interval, RationalCurve, builtin_curve
 from curverig.elekes import (IntersectionReport, _merge_points, _newton,
-                             _unrank_pair, elekes_family)
+                             _tangents, _unrank_pair, elekes_family)
 from curverig.quantity import pairings
 from conftest import (make_circular_helix, make_parabola, make_rational_circle,
                       make_rect_hyperbola, make_unit_circle,
@@ -275,6 +276,24 @@ def test_jet_batches_match_polyval_bitwise(name, kind):
         assert np.array_equal(_bits(xi), _bits(np.stack(D, axis=-1)))
         assert np.array_equal(_bits(tan), _bits(np.stack(T, axis=-1)))
         assert np.array_equal(_bits(e.eval_batch(ts)), _bits(np.stack(D, axis=-1)))
+        # both sides of a Newton step from one jet: tangent_batch's bits
+        e2 = ElekesCurve(curve, q, *e.pair()[::-1])
+        ss = ts[::-1].copy()
+        xi2, tan2 = e2.tangent_batch(ss)
+        for got, want in zip(_tangents(e, e2, ts, ss), (xi - xi2, tan, tan2)):
+            assert np.array_equal(_bits(got), _bits(want.T))
+
+
+def test_helix_step_matches_reference_bitwise(sq):
+    # three coordinates: sums of three terms round in memory order
+    helix = make_circular_helix(0.5)
+    e1 = ElekesCurve(helix, sq, -613.25, 2.0)
+    e2 = ElekesCurve(helix, sq, -17.5, 401.75)
+    rng = np.random.default_rng(3)
+    ts, ss = rng.uniform(-1000, 1000, (2, 2000))
+    (xi1, tan1), (xi2, tan2) = _tangent_reference(e1, ts), _tangent_reference(e2, ss)
+    for got, want in zip(_tangents(e1, e2, ts, ss), (xi1 - xi2, tan1, tan2)):
+        assert np.array_equal(_bits(got), _bits(want.T))
 
 
 # -- intersections ----------------------------------------------------------------
@@ -391,16 +410,30 @@ def test_merge_points_small_cases():
         assert _merge_points(pts, 1.0) == _merge_reference(pts, 1.0)
 
 
+def _tangent_reference(e, ts):
+    """(xi, xi') over ts, each shape (len(ts), 2), without ElekesCurve's
+    batches or jet_array: gamma and gamma' by np.polyval on each
+    coordinate (a helix by its own arrays), then D and gamma' . D_X of the
+    squared distance as pairings computed them before its row layout."""
+    if isinstance(e.curve, RationalCurve):
+        X, V = _polyval_array(e.curve, ts, 0), _polyval_array(e.curve, ts, 1)
+    else:
+        X, V = e.curve.evaluate_array(ts), e.curve.derivative_array(ts, 1)
+    d = X - np.array([[[float(c) for c in e.curve.evaluate(b)]] for b in e.pair()])
+    return np.sum(d * d, axis=-1).T, np.einsum("...k,...k->...", 2.0 * d, V).T
+
+
 def _newton_reference(e1, e2, t, s):
     """The Newton loop of intersect_elekes_pair before the active set and
     the cycle exit: every seed takes all 40 steps.  Returns the iterates
     0..40 as (t, s) pairs."""
+    assert isinstance(e1.quantity, SquaredEuclidean)
     lo1, hi1 = float(e1.curve.domain.lo), float(e1.curve.domain.hi)
     lo2, hi2 = float(e2.curve.domain.lo), float(e2.curve.domain.hi)
     path = [(t, s)]
     for _ in range(40):
-        xi1, J1 = e1.tangent_batch(t)
-        xi2, J2 = e2.tangent_batch(s)
+        xi1, J1 = _tangent_reference(e1, t)
+        xi2, J2 = _tangent_reference(e2, s)
         F = xi1 - xi2
         det = -J1[:, 0] * J2[:, 1] + J1[:, 1] * J2[:, 0]
         ok = np.abs(det) > 1e-300
@@ -430,12 +463,12 @@ def _intersect_reference(e1, e2, n=64, tol=1e-5):
     scale = max(1.0, float(np.max(np.abs(e1.eval_batch(t0)))),
                 float(np.max(np.abs(e2.eval_batch(s0)))))
     t, s = _newton_reference(e1, e2, T, S)[-1]
-    F = e1.eval_batch(t) - e2.eval_batch(s)
+    F = _tangent_reference(e1, t)[0] - _tangent_reference(e2, s)[0]
     resid = np.linalg.norm(F, axis=-1)
     inside = ((t > lo1) & (t < hi1) & (s > lo2) & (s < hi2))
     good = inside & (resid <= 1e-12 * scale)
     n_conv = int(np.count_nonzero(good))
-    pts = e1.eval_batch(t[good])
+    pts = _tangent_reference(e1, t[good])[0]
     img_tol = max(tol * scale, 1e-12 * scale)
     return IntersectionReport(_merge_reference(pts, img_tol), False, method,
                               len(T), n_conv, len(T) - n_conv)
@@ -444,6 +477,20 @@ def _intersect_reference(e1, e2, n=64, tol=1e-5):
 def _cubic():
     """(t, t^3 - t) on (-2, 2)."""
     return RationalCurve([RF([0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2))
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """Count the seeds each Newton step evaluates, one per curve, through
+    the step's two-sided evaluation."""
+    evaluated = []
+    tangents = elekes_module._tangents
+
+    def counting(e1, e2, ta, sa):
+        evaluated.append(len(ta) + len(sa))
+        return tangents(e1, e2, ta, sa)
+
+    monkeypatch.setattr(elekes_module, "_tangents", counting)
+    return evaluated
 
 
 @pytest.mark.parametrize("make_curve, params, n_pairs", [
@@ -459,23 +506,18 @@ def test_active_set_newton_matches_full_iteration(sq, make_curve, params,
     pairs = rng.sample(list(combinations(curves, 2)), n_pairs)
     expected = [_intersect_reference(e1, e2) for e1, e2 in pairs]
 
-    evaluated = []
-    tangent_batch = ElekesCurve.tangent_batch
-
-    def counting(self, ts):
-        evaluated.append(len(ts))
-        return tangent_batch(self, ts)
-
-    monkeypatch.setattr(ElekesCurve, "tangent_batch", counting)
+    evaluated = _count_evaluations(monkeypatch)
     got = [intersect_elekes_pair(e1, e2) for e1, e2 in pairs]
     assert any(rep.count for rep in expected)
     for rep, ref in zip(got, expected):
         assert rep.points == ref.points
         assert (rep.n_converged, rep.n_unconverged) == \
             (ref.n_converged, ref.n_unconverged)
+    # every seed is evaluated on both curves at least once
+    n_seeds = sum(2 * rep.n_seeds for rep in got)
+    assert n_seeds <= sum(evaluated)
     if make_curve is make_parabola:
         # the full iteration evaluates 40 x n_seeds seeds on each curve
-        n_seeds = sum(2 * rep.n_seeds for rep in got)
         assert sum(evaluated) < 0.6 * 40 * n_seeds
 
 
@@ -497,14 +539,7 @@ def test_cycle_exit_matches_full_iteration(sq, monkeypatch):
         exits.append((k, lag, lag and (40 - k + lag) % lag))
     assert any(lag and lag >= 2 and phase for _, lag, phase in exits)
 
-    evaluated = []
-    tangent_batch = ElekesCurve.tangent_batch
-
-    def counting(self, ts):
-        evaluated.append(len(ts))
-        return tangent_batch(self, ts)
-
-    monkeypatch.setattr(ElekesCurve, "tangent_batch", counting)
+    evaluated = _count_evaluations(monkeypatch)
     t, s = _newton(e1, e2, T, S)
     assert np.array_equal(_bits(t), path[-1][0])
     assert np.array_equal(_bits(s), path[-1][1])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,3 +117,34 @@ def test_sturm_open_interval_excludes_endpoint_roots():
     p = Poly([-1, 0, 1])  # roots at +-1
     assert count_real_roots(p, -1, 1) == 0
     assert count_real_roots(p, -2, 1) == 1
+
+
+def _horner_over_float(p, t):
+    """p(t) as float Horner with float(c) taken at every step."""
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * t + float(c)
+    return acc
+
+
+@pytest.mark.parametrize("name", ["line", "parabola", "rect_hyperbola",
+                                  "rational_circle"])
+def test_float_evaluation_is_bitwise_unchanged(name):
+    # float evaluation reads coefficients converted once per Poly; every
+    # value is the one a fresh float(c) per step gives
+    ts = [0.1, -2.5, 1.0 / 3, 7.0, 1e3, -1e-7, 4096.0]
+    arr = np.array(ts)
+    rfs = builtin_curve(name).coords
+    for _ in range(3):  # the curve and its first two derivatives
+        for rf in rfs:
+            for p in (rf.num, rf.den):
+                for t in ts + ts:  # the second pass reads the cache
+                    assert p(t).hex() == _horner_over_float(p, t).hex()
+                got, want = (np.asarray(v, dtype=float) for v in
+                             (p(arr), _horner_over_float(p, arr)))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for t in ts:
+                want = _horner_over_float(rf.num, t) / _horner_over_float(rf.den, t)
+                assert rf(t).hex() == want.hex()
+        rfs = [rf.derivative() for rf in rfs]
+

@@ -287,9 +287,9 @@ def _square_free_in(G: BiPoly, v: int) -> bool:
         for e, c in G.terms.items():
             a[e[v]] += c * x ** e[1 - v]
         a = [c % _P for c in a]
-        b = [k * c % _P for k, c in enumerate(a)][1:]  # n < p: no trailing 0
         if not a[n]:
             continue
+        b = [k * c % _P for k, c in enumerate(a)][1:]  # n < p: no trailing 0
         while b:  # Euclid over Z/p on ascending coefficient lists
             inv = pow(b[-1], -1, _P)
             while len(a) >= len(b):

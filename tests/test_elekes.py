@@ -284,6 +284,17 @@ def test_jet_batches_match_polyval_bitwise(name, kind):
             assert np.array_equal(_bits(got), _bits(want.T))
 
 
+def test_step_of_two_distances_takes_each_curves_own(sq):
+    # one curve, two D: each side of the step keeps its own D
+    par = make_parabola(0, 1)
+    e1 = ElekesCurve(par, sq, F(1, 7), F(3, 7))
+    e2 = ElekesCurve(par, PinnedAreaSquared(apex=(0, 0)), F(2, 7), F(5, 7))
+    ts, ss = np.linspace(0.05, 0.95, 40), np.linspace(0.9, 0.1, 40)
+    (xi1, tan1), (xi2, tan2) = e1.tangent_batch(ts), e2.tangent_batch(ss)
+    for got, want in zip(_tangents(e1, e2, ts, ss), (xi1 - xi2, tan1, tan2)):
+        assert np.array_equal(_bits(got), _bits(want.T))
+
+
 def test_helix_step_matches_reference_bitwise(sq):
     # three coordinates: sums of three terms round in memory order
     helix = make_circular_helix(0.5)

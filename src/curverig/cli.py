@@ -131,8 +131,7 @@ def cmd_count_distances(args) -> Outcome:
     curve = load_curve_arg(args.curve)
     quantity = load_quantity_arg(args.quantity)
     pset = generate_point_set(curve, parse_scheme(args.scheme))
-    res = count_distinct_values(pset, quantity, _parse_mode(args.mode),
-                                threads=args.threads)
+    res = count_distinct_values(pset, quantity, _parse_mode(args.mode))
     return Outcome(res.to_dict())
 
 
@@ -144,7 +143,7 @@ def cmd_estimate_exponent(args) -> Outcome:
     for n in args.sizes:
         scheme = parse_scheme(f"{args.scheme}:{n}")
         pset = generate_point_set(curve, scheme)
-        res = count_distinct_values(pset, quantity, mode, threads=args.threads)
+        res = count_distinct_values(pset, quantity, mode)
         runs.append((pset, res.count))
     fit = fit_exponent(runs)
     rows = [[n, c] for n, c in fit.samples]
@@ -163,7 +162,7 @@ def cmd_elekes_analyze(args) -> Outcome:
     incidence = verify_incidence_invariant(pset, quantity, curves)
     scan = admissibility_scan(pset, quantity, sample_pairs=args.pairs,
                               n=args.grid, tol=args.tol, seed=args.seed,
-                              threads=args.threads, curves=curves)
+                              curves=curves)
     return Outcome({"incidence": incidence.to_dict(),
                     "admissibility": scan.to_dict()})
 
@@ -172,7 +171,7 @@ def cmd_test_degeneracy(args) -> Outcome:
     curve = load_curve_arg(args.curve)
     quantity = load_quantity_arg(args.quantity)
     rep = scan_T_degeneracy(curve, quantity, m=args.pairs, n=args.tau_grid,
-                            tol=args.tol, threads=args.threads)
+                            tol=args.tol)
     return Outcome(rep.to_dict())
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -189,8 +189,7 @@ _ABS_FLOOR = 1e-300  # absolute dedup floor under the relative-gap rule
 class CountResult:
     """The number of distinct values of D on a point set, and their min
     and max: exact Fractions in exact mode, floats in tolerance mode, None
-    when the set has no pair.  `values` holds tolerance mode's sorted run
-    representatives; exact mode keeps no value list."""
+    when the set has no pair."""
 
     count: int
     n_points: int
@@ -198,7 +197,6 @@ class CountResult:
     mode: str
     value_min: object = None
     value_max: object = None
-    values: Sequence = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
         doc = {"count": self.count, "n_points": self.n_points,
@@ -420,8 +418,7 @@ def _exact_extremes(q, pts, a, b, I, J) -> tuple:
 
 
 def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
-                          mode: CountMode = Tolerance(1e-9),
-                          threads: int = 1) -> CountResult:
+                          mode: CountMode = Tolerance(1e-9)) -> CountResult:
     """|{D(p, r) : p != r in P}| with exact or tolerance deduplication.
 
     Exact mode needs a rational curve, rational parameters and a
@@ -465,18 +462,17 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
                 out.append(q.eval_batch(P[i], P[i + 1:]))
         return out
 
-    parts = parallel_chunked(worker, n, threads=threads, chunk_size=32)
+    parts = parallel_chunked(worker, n, chunk_size=32)
     vals = np.sort(np.concatenate(parts)) if parts else np.array([])
     if vals.size == 0:
-        return CountResult(0, n, n_pairs, "tolerance", values=vals)
+        return CountResult(0, n, n_pairs, "tolerance")
     gaps = np.diff(vals)
     scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
     boundary = gaps > (mode.rel_eps * scale + _ABS_FLOOR)
     reps = vals[np.concatenate([[True], boundary])]
     return CountResult(count=len(reps), n_points=n, n_pairs=n_pairs,
                        mode=f"tolerance({mode.rel_eps:g})",
-                       value_min=reps[0], value_max=reps[-1],
-                       values=reps)
+                       value_min=reps[0], value_max=reps[-1])
 
 
 # -- growth-exponent fitting ------------------------------------------------

@@ -90,8 +90,9 @@ class RationalCurve:
     every denominator is certified root-free on the domain by Sturm
     real-root counting.
 
-    Float evaluation goes through a cached jet matrix per range of
-    derivative orders, e.g. gamma and gamma' together: one row per distinct
+    Every float evaluation, a single point or jet as well as an array, is
+    one pass over a cached jet matrix per range of derivative orders, e.g.
+    gamma and gamma' together: one row per distinct
     numerator and denominator of the coordinates, highest degree first and
     zero-padded on the left to one length.  One Horner loop runs over all
     rows at once (start from zeros, then acc *= t; acc += c), and a row
@@ -116,11 +117,7 @@ class RationalCurve:
     def _certify_denominator(den: Poly, domain: Interval):
         if den.is_constant():
             return
-        # Float endpoints embed exactly into Q, so Sturm certification
-        # applies to every constructible instance.
-        lo = domain.lo if domain.lo == NEG_INF else as_fraction(domain.lo)
-        hi = domain.hi if domain.hi == POS_INF else as_fraction(domain.hi)
-        if count_real_roots(den, lo, hi) > 0:
+        if count_real_roots(den, domain.lo, domain.hi) > 0:
             raise PoleError(
                 f"denominator {den!r} has a root inside ({domain.lo}, {domain.hi})")
 
@@ -130,24 +127,23 @@ class RationalCurve:
         return self._jets[order]
 
     def evaluate(self, t):
-        """Point gamma(t); tuple of Fractions when t is rational."""
+        """Point gamma(t): a tuple of Fractions when t is rational, else
+        the float row of jet_array at t."""
         self.domain.require(t)
         if is_exact(t):
             return tuple(rf(t) for rf in self.coords)
-        tf = float(t)
-        return np.array([rf(tf) for rf in self.coords])
+        return self.jet_array(np.asarray(float(t)), 0)[0]
 
     def derivative_jet(self, t, order: int):
-        """[gamma(t), gamma'(t), ..., gamma^(order)(t)], exact on rationals."""
+        """[gamma(t), gamma'(t), ..., gamma^(order)(t)]: tuples of Fractions
+        when t is rational, else the float rows of jet_array at t."""
         self.domain.require(t)
         if order < 0:
             raise ValueError("jet order must be >= 0")
-        self._derivatives(order)
         if is_exact(t):
-            return [tuple(rf(t) for rf in self._jets[k]) for k in range(order + 1)]
-        tf = float(t)
-        return [np.array([rf(tf) for rf in self._jets[k]])
-                for k in range(order + 1)]
+            return [tuple(rf(t) for rf in self._derivatives(k))
+                    for k in range(order + 1)]
+        return list(self.jet_array(np.asarray(float(t)), order))
 
     def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
         return self.derivative_array(ts, 0)

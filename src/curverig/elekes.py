@@ -27,30 +27,19 @@ from .quantity import QuantitySpec, pairings, quantity_degree
 from .rational import RationalFunction, is_exact
 
 
-def _clear_denominators(rf: RationalFunction) -> tuple[list[int], list[int]]:
-    denoms = [c.denominator for c in rf.num.coeffs] + \
-             [c.denominator for c in rf.den.coeffs]
-    L = 1
-    for d in denoms:
-        L = L * d // math.gcd(L, d)
-    num = [int(c * L) for c in rf.num.coeffs]
-    den = [int(c * L) for c in rf.den.coeffs]
-    return num, den
-
-
 def implicitize_rational(x: RationalFunction, y: RationalFunction) -> BiPoly:
     """G(X, Y) = Res_t(g1(t) X - f1(t), g2(t) Y - f2(t)), square-free part.
 
     Computed by fraction-free Bareiss elimination of the Sylvester matrix
-    over big integers after clearing denominators, and normalized.  Raises
+    over big integers, on each coordinate's integer rows (num and den over
+    one lcm, RationalFunction._integer_rows), and normalized.  Raises
     DegenerateParametrization when the resultant is zero or constant.
     """
     if x.is_constant() and y.is_constant():
         raise DegenerateParametrization("both coordinates are constant")
-    f1, g1 = _clear_denominators(x)
-    f2, g2 = _clear_denominators(y)
-    n1 = max(len(f1), len(g1)) - 1
-    n2 = max(len(f2), len(g2)) - 1
+    f1, g1 = zip(*x._integer_rows()[::-1])
+    f2, g2 = zip(*y._integer_rows()[::-1])
+    n1, n2 = len(f1) - 1, len(f2) - 1
 
     def coeff(fs, gs, var, k):
         terms = {}
@@ -446,7 +435,6 @@ def _unrank_pair(k: int, n: int) -> tuple[int, int]:
 
 def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
                        n: int = 64, tol: float = 1e-5, seed: int = 0,
-                       threads: int = 1,
                        curves: Optional[list] = None) -> AdmissibilityReport:
     """Empirical admissibility of the Elekes family of a point set.
 
@@ -482,19 +470,11 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
     take = min(sample_pairs, n_pairs)
     chosen = sorted(rng.sample(range(n_pairs), take))
 
-    class_of = {}
-    for ci, cls in enumerate(classes):
-        for pair in cls:
-            class_of[pair] = ci
-
     def worker(a, b):
         out = []
         for k in chosen[a:b]:
             i, j = _unrank_pair(k, len(curves))
             e1, e2 = curves[i], curves[j]
-            if exact and class_of[e1.pair()] == class_of[e2.pair()]:
-                out.append(("same", e1.pair(), e2.pair()))
-                continue
             rep = intersect_elekes_pair(e1, e2, n=n, tol=tol)
             if rep.same_algebraic_curve:
                 out.append(("same", e1.pair(), e2.pair()))
@@ -502,8 +482,7 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
                 out.append(("count", rep.count))
         return out
 
-    results = parallel_chunked(worker, len(chosen), threads=threads,
-                               chunk_size=8)
+    results = parallel_chunked(worker, len(chosen), chunk_size=8)
 
     histogram: dict = {}
     max_int = 0

@@ -1,8 +1,9 @@
 """Exact univariate polynomials and rational functions over Fraction.
 
-Coefficients are stored in ascending order.  All arithmetic is exact; float
-inputs are accepted for evaluation only.  Poly and RationalFunction are
-immutable value types and safe to share across threads.
+Coefficients are stored in ascending order.  The module is exact-only:
+Poly and RationalFunction evaluate at int or Fraction arguments and raise
+TypeError otherwise; a rational curve evaluates floats through its jet
+matrix (RationalCurve.jet_array).  Both are immutable value types.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _require_exact(t):
+    if not is_exact(t):
+        raise TypeError(f"exact evaluation needs an int or Fraction, "
+                        f"not {type(t).__name__}")
+
+
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -39,14 +46,13 @@ def as_fraction(x) -> Fraction:
 class Poly:
     """Dense univariate polynomial with exact Fraction coefficients."""
 
-    __slots__ = ("coeffs", "_floats")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
         cs = [as_fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._floats = None  # float(c) of each coefficient, built on use
 
     # -- basic structure -------------------------------------------------
 
@@ -129,23 +135,17 @@ class Poly:
 
     # -- evaluation -------------------------------------------------------
 
-    def __call__(self, t: Scalar):
-        """Horner evaluation; exact when t is int/Fraction."""
-        if is_exact(t):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * t + c
-            return acc
-        acc = 0.0
-        for c in reversed(self._floats or self.float_coeffs()):
+    def __call__(self, t) -> Fraction:
+        """Exact Horner evaluation at an int or Fraction t."""
+        _require_exact(t)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
 
     def float_coeffs(self) -> tuple[float, ...]:
-        """The coefficients rounded to float, ascending; converted once."""
-        if self._floats is None:
-            self._floats = tuple(float(c) for c in self.coeffs)
-        return self._floats
+        """The coefficients rounded to float, ascending."""
+        return tuple(float(c) for c in self.coeffs)
 
 
 P_ONE = Poly([1])
@@ -258,13 +258,10 @@ class RationalFunction:
             self._horner = tuple(zip(*rows))[::-1]
         return self._horner
 
-    def __call__(self, t: Scalar):
+    def __call__(self, t) -> Fraction:
+        """Exact value at an int or Fraction t; PoleError at a root of den."""
         from .errors import PoleError
-        if not is_exact(t):
-            dv = self.den(t)
-            if dv == 0:
-                raise PoleError(f"denominator vanishes at t={t}")
-            return self.num(t) / dv
+        _require_exact(t)
         a, b = t.numerator, t.denominator
         num = den = 0
         bk = 1  # b^(n-i) at coefficient i
@@ -311,9 +308,11 @@ def _sign_variations(chain: list[Poly], x) -> int:
 def count_real_roots(p: Poly, lo, hi) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi).
 
-    Endpoints may be +-inf.  Uses a Sturm chain on the square-free part,
-    so multiple roots are counted once.
+    Endpoints may be +-inf; a finite endpoint is taken at its exact value,
+    a float at its binary value.  Uses a Sturm chain on the square-free
+    part, so multiple roots are counted once.
     """
+    lo, hi = (x if x in (NEG_INF, POS_INF) else as_fraction(x) for x in (lo, hi))
     if p.is_zero():
         raise ValueError("zero polynomial vanishes everywhere")
     if p.is_constant():

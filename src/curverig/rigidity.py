@@ -297,8 +297,7 @@ def _h_over_grid(curve, quantity, alpha: float, beta: float, taus: np.ndarray):
 
 
 def scan_T_degeneracy(curve: CurveSpec, quantity: QuantitySpec,
-                      m: int = 16, n: int = 256, tol: float = 1e-8,
-                      threads: int = 1) -> DegeneracyReport:
+                      m: int = 16, n: int = 256, tol: float = 1e-8) -> DegeneracyReport:
     """Max relative variation of H over m base pairs and an n-node
     Chebyshev tau grid; candidate-degenerate iff the max variation < tol."""
     if m < 8:
@@ -333,7 +332,7 @@ def scan_T_degeneracy(curve: CurveSpec, quantity: QuantitySpec,
             out.append((variation, (a, b, t_lo, t_hi), changes))
         return out
 
-    results = parallel_chunked(worker, len(pairs), threads=threads, chunk_size=2)
+    results = parallel_chunked(worker, len(pairs), chunk_size=2)
     if not results:
         return DegeneracyReport(True, 0.0, tol, None, 0, n, 0)
     best = max(range(len(results)), key=lambda i: results[i][0])

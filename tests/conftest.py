@@ -3,12 +3,25 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from curverig import (HelixCurve, Interval, PinnedAreaSquared, RationalCurve,
                       RationalFunction, SquaredEuclidean, trig_ellipse)
 
 RF = RationalFunction.from_coeffs
+
+
+def polyval_array(curve, ts, order):
+    """The order-th derivative of a rational curve by np.polyval on each
+    coordinate's float numerator and denominator: the reference the jet
+    matrix must equal bit for bit."""
+    rfs = curve.coords
+    for _ in range(order):
+        rfs = [rf.derivative() for rf in rfs]
+    return np.stack([np.polyval(np.array(rf.num.float_coeffs()[::-1] or [0.0]), ts)
+                     / np.polyval(np.array(rf.den.float_coeffs()[::-1]), ts)
+                     for rf in rfs], axis=-1)
 
 
 def make_parabola(lo=0, hi=1) -> RationalCurve:

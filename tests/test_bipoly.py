@@ -8,7 +8,7 @@ from curverig import (Interval, RationalCurve, RationalFunction,
 from curverig import bipoly
 from curverig.bipoly import (BiPoly, bareiss_determinant, gcd_bipoly,
                              square_free_part, sylvester_resultant)
-from curverig.elekes import ElekesCurve, _clear_denominators
+from curverig.elekes import ElekesCurve
 
 X = BiPoly.monomial(1, 0)
 Y = BiPoly.monomial(0, 1)
@@ -218,7 +218,7 @@ def test_cubic_implicitization_matches_sympy_resultant():
         e = ElekesCurve(cubic, SquaredEuclidean(), a, b)
         polys = []
         for var, rf in zip((x, y), e.components()):
-            num, den = _clear_denominators(rf)
+            num, den = zip(*rf._integer_rows()[::-1])  # ascending
             polys.append(sum(c * t ** k for k, c in enumerate(den)) * var
                          - sum(c * t ** k for k, c in enumerate(num)))
         want = sympy.sqf_part(sympy.resultant(*polys, t))

@@ -17,7 +17,7 @@ from curverig.elekes import (IntersectionReport, _merge_points, _newton,
                              _tangents, _unrank_pair, elekes_family)
 from curverig.quantity import pairings
 from conftest import (make_circular_helix, make_parabola, make_rational_circle,
-                      make_rect_hyperbola, make_unit_circle,
+                      make_rect_hyperbola, make_unit_circle, polyval_array,
                       rational_rotation_circle_params)
 
 F = Fraction
@@ -232,18 +232,6 @@ def _bits(a):
     return a.view(np.int64)
 
 
-def _polyval_array(curve, ts, order):
-    """The order-th derivative by np.polyval on each coordinate's numerator
-    and denominator, as derivative_array computed it before the jet
-    matrix."""
-    rfs = curve.coords
-    for _ in range(order):
-        rfs = [rf.derivative() for rf in rfs]
-    return np.stack([np.polyval(np.array(rf.num.float_coeffs()[::-1] or [0.0]), ts)
-                     / np.polyval(np.array(rf.den.float_coeffs()[::-1]), ts)
-                     for rf in rfs], axis=-1)
-
-
 def _jet_curve(name):
     if name == "cubic":
         return _cubic()
@@ -269,8 +257,8 @@ def test_jet_batches_match_polyval_bitwise(name, kind):
     for ts in (grid, grid[:3]):
         for order in range(3):
             assert np.array_equal(_bits(curve.derivative_array(ts, order)),
-                                  _bits(_polyval_array(curve, ts, order)))
-        X, V = _polyval_array(curve, ts, 0), _polyval_array(curve, ts, 1)
+                                  _bits(polyval_array(curve, ts, order)))
+        X, V = polyval_array(curve, ts, 0), polyval_array(curve, ts, 1)
         D, T = zip(*(pairings(q, X, V, b, None)[:2] for b in bases))
         xi, tan = e.tangent_batch(ts)
         assert np.array_equal(_bits(xi), _bits(np.stack(D, axis=-1)))
@@ -427,7 +415,7 @@ def _tangent_reference(e, ts):
     coordinate (a helix by its own arrays), then D and gamma' . D_X of the
     squared distance as pairings computed them before its row layout."""
     if isinstance(e.curve, RationalCurve):
-        X, V = _polyval_array(e.curve, ts, 0), _polyval_array(e.curve, ts, 1)
+        X, V = polyval_array(e.curve, ts, 0), polyval_array(e.curve, ts, 1)
     else:
         X, V = e.curve.evaluate_array(ts), e.curve.derivative_array(ts, 1)
     d = X - np.array([[[float(c) for c in e.curve.evaluate(b)]] for b in e.pair()])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from curverig import (PoleError, Poly, RationalFunction, builtin_curve,
                       count_real_roots)
 from curverig.rational import poly_gcd
+from conftest import polyval_array
 
 F = Fraction
 
@@ -119,32 +120,47 @@ def test_sturm_open_interval_excludes_endpoint_roots():
     assert count_real_roots(p, -2, 1) == 1
 
 
-def _horner_over_float(p, t):
-    """p(t) as float Horner with float(c) taken at every step."""
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * t + float(c)
-    return acc
+def test_sturm_float_endpoints_are_taken_exactly():
+    # 0.3333333333333333 lies below 1/3, so the root of 3t - 1 is inside
+    p = Poly([-1, 3])
+    assert float(F(1, 3)) < F(1, 3)
+    assert count_real_roots(p, 0.3333333333333333, 1) == 1
+    # hi = 0.1 lies above 1/10 and 0.7 below 7/10: the root of 10t - 1 is
+    # inside (0, 0.1), and the root of 10t - 7 is outside (0, 0.7)
+    assert F(0.1) > F(1, 10) and F(0.7) < F(7, 10)
+    assert count_real_roots(Poly([-1, 10]), 0, 0.1) == 1
+    assert count_real_roots(Poly([-7, 10]), 0, 0.7) == 0
+    assert count_real_roots(Poly([-7, 10]), 0.7, 1) == 1
+
+
+def _bits(a):
+    return a.view(np.int64)
 
 
 @pytest.mark.parametrize("name", ["line", "parabola", "rect_hyperbola",
                                   "rational_circle"])
-def test_float_evaluation_is_bitwise_unchanged(name):
-    # float evaluation reads coefficients converted once per Poly; every
-    # value is the one a fresh float(c) per step gives
-    ts = [0.1, -2.5, 1.0 / 3, 7.0, 1e3, -1e-7, 4096.0]
-    arr = np.array(ts)
-    rfs = builtin_curve(name).coords
-    for _ in range(3):  # the curve and its first two derivatives
-        for rf in rfs:
-            for p in (rf.num, rf.den):
-                for t in ts + ts:  # the second pass reads the cache
-                    assert p(t).hex() == _horner_over_float(p, t).hex()
-                got, want = (np.asarray(v, dtype=float) for v in
-                             (p(arr), _horner_over_float(p, arr)))
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            for t in ts:
-                want = _horner_over_float(rf.num, t) / _horner_over_float(rf.den, t)
-                assert rf(t).hex() == want.hex()
-        rfs = [rf.derivative() for rf in rfs]
+def test_float_points_and_jets_come_from_the_jet_matrix(name):
+    # a float point or jet equals, bit for bit, per-coordinate polyval of
+    # the float coefficients, the evaluation the jet matrix reproduces
+    curve = builtin_curve(name)
+    lo, hi = float(curve.domain.lo), float(curve.domain.hi)
+    ts = [lo + (hi - lo) * f for f in (1e-9, 0.1, 1.0 / 3, 0.5, 0.7, 1 - 1e-9)]
+    ts += [t for t in (-2.5, 0.1, 7.0, -1e-7, 1e3) if lo < t < hi]
+    for t in ts:
+        want = [polyval_array(curve, np.array([t]), k)[0] for k in range(3)]
+        assert np.array_equal(_bits(curve.evaluate(t)), _bits(want[0]))
+        for order in range(3):
+            jet = curve.derivative_jet(t, order)
+            assert len(jet) == order + 1
+            for got, w in zip(jet, want):
+                assert got.shape == (curve.dimension,)
+                assert np.array_equal(_bits(got), _bits(w))
 
+
+def test_poly_and_rational_function_are_exact_only():
+    p, rf = Poly([1, 2, 3]), RationalFunction.from_coeffs([1], [1, 0, 1])
+    for f in (p, rf):
+        for t in (0.5, 2.0, np.float64(0.5), np.array([0.5])):
+            with pytest.raises(TypeError):
+                f(t)
+        assert type(f(F(1, 2))) is Fraction and type(f(2)) is Fraction

@@ -158,7 +158,7 @@ def parse_param(v):
     if isinstance(v, str):
         try:
             return as_fraction(v)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             return float(v)
     return as_fraction(v) if is_exact(v) else v
 

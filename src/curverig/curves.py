@@ -86,9 +86,9 @@ def _endpoint_from_json(v):
 class RationalCurve:
     """Curve with reduced rational-function coordinates over Q.
 
-    Every coefficient is a Fraction (Poly converts floats exactly), and
-    every denominator is certified root-free on the domain by Sturm
-    real-root counting.
+    Each coordinate is stored as integer rows over Q (floats convert
+    exactly), and every denominator is certified root-free on the domain
+    by Sturm real-root counting.
 
     Every float evaluation, a single point or jet as well as an array, is
     one pass over a cached jet matrix per range of derivative orders, e.g.
@@ -107,19 +107,13 @@ class RationalCurve:
         self.dimension = len(self.coords)
         if self.dimension < 1:
             raise ValueError("curve needs at least one coordinate")
-        for rf in self.coords:
-            self._certify_denominator(rf.den, domain)
+        for den in (rf.den for rf in self.coords):
+            if not den.is_constant() and count_real_roots(den, domain.lo, domain.hi):
+                raise PoleError(f"denominator {den!r} has a root inside "
+                                f"({domain.lo}, {domain.hi})")
         self.degree = max(rf.degree for rf in self.coords)
         self._jets = [list(self.coords)]  # order -> coordinate derivatives
         self._jet_matrices: dict = {}  # (lowest, order) -> _jet_matrix
-
-    @staticmethod
-    def _certify_denominator(den: Poly, domain: Interval):
-        if den.is_constant():
-            return
-        if count_real_roots(den, domain.lo, domain.hi) > 0:
-            raise PoleError(
-                f"denominator {den!r} has a root inside ({domain.lo}, {domain.hi})")
 
     def _derivatives(self, order: int):
         while len(self._jets) <= order:
@@ -628,10 +622,13 @@ def trig_ellipse(a: float, b: float,
                          label=f"ellipse({a},{b})")
 
 
-def _rf_from_json(doc: dict) -> RationalFunction:
-    num = [as_fraction(c) for c in doc["num"]]
-    den = [as_fraction(c) for c in doc.get("den", [1])]
-    return RationalFunction(Poly(num), Poly(den))
+def _rf_from_json(doc) -> RationalFunction:
+    if not isinstance(doc, dict):
+        raise ValueError(f"rational coordinate {doc!r} is not a num/den object")
+    den = Poly(doc.get("den", [1]))
+    if den.is_zero():
+        raise ValueError("rational coordinate with zero denominator")
+    return RationalFunction(Poly(doc["num"]), den)
 
 
 def curve_from_json(doc: dict) -> CurveSpec:
@@ -644,6 +641,8 @@ def curve_from_json(doc: dict) -> CurveSpec:
     if kind == "builtin":
         return builtin_curve(doc["name"])
     dom = doc.get("domain")
+    if dom and len(dom) != 2:
+        raise ValueError(f"domain {dom!r} is not a [lo, hi] pair")
     interval = (Interval(_endpoint_from_json(dom[0]), _endpoint_from_json(dom[1]))
                 if dom else None)
     if kind == "rational":

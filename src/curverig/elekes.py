@@ -3,7 +3,7 @@
 For rational base curves with rational data the two components are cached
 as univariate rational functions and the curve is implicitized exactly as
 a Sylvester resultant; intersection counting is numerical (grid seeds plus
-Newton refinement) and reports a lower-bound estimate of the true count.
+Newton refinement): an estimate, not a bound (see intersect_elekes_pair).
 A Newton seed leaves the loop as soon as its iterates repeat bitwise with
 a period of at most 4, taking the value the full 40 steps would end on, so
 the exit saves evaluations without changing any result.
@@ -31,14 +31,14 @@ def implicitize_rational(x: RationalFunction, y: RationalFunction) -> BiPoly:
     """G(X, Y) = Res_t(g1(t) X - f1(t), g2(t) Y - f2(t)), square-free part.
 
     Computed by fraction-free Bareiss elimination of the Sylvester matrix
-    over big integers, on each coordinate's integer rows (num and den over
-    one lcm, RationalFunction._integer_rows), and normalized.  Raises
+    over big integers, on each coordinate's RationalFunction.rows, and
+    normalized.  Raises
     DegenerateParametrization when the resultant is zero or constant.
     """
     if x.is_constant() and y.is_constant():
         raise DegenerateParametrization("both coordinates are constant")
-    f1, g1 = zip(*x._integer_rows()[::-1])
-    f2, g2 = zip(*y._integer_rows()[::-1])
+    f1, g1 = zip(*x.rows[::-1])
+    f2, g2 = zip(*y.rows[::-1])
     n1, n2 = len(f1) - 1, len(f2) - 1
 
     def coeff(fs, gs, var, k):
@@ -303,9 +303,10 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
     the full 40 steps would end on (see _newton).  Only machine-converged
     solutions are kept.  Their image points are merged greedily in
     lexicographic order (a point is dropped when an earlier kept point lies
-    within tol * scale), so tangential intersections collapse to one point;
-    the reported count is a lower-bound estimate of the true number of
-    intersections.  same_algebraic_curve short-circuits the search.
+    within tol * scale).  The count is a numeric estimate, neither a lower
+    nor an upper bound: a tangential intersection can survive the merge as
+    two points, and a root no seed converges to is dropped (ROADMAP item 2
+    plans exact counts).  same_algebraic_curve short-circuits the search.
     """
     if e1.pair() == e2.pair() and e1.curve is e2.curve:
         raise ValueError("intersection needs two distinct Elekes curves")

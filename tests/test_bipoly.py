@@ -218,7 +218,7 @@ def test_cubic_implicitization_matches_sympy_resultant():
         e = ElekesCurve(cubic, SquaredEuclidean(), a, b)
         polys = []
         for var, rf in zip((x, y), e.components()):
-            num, den = zip(*rf._integer_rows()[::-1])  # ascending
+            num, den = zip(*rf.rows[::-1])  # ascending
             polys.append(sum(c * t ** k for k, c in enumerate(den)) * var
                          - sum(c * t ** k for k, c in enumerate(num)))
         want = sympy.sqf_part(sympy.resultant(*polys, t))

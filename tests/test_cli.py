@@ -50,6 +50,27 @@ def test_count_distances_bad_scheme(capsys):
     assert code == 2
 
 
+_PARABOLA = {"kind": "rational", "domain": ["0", "1"],
+             "coords": [{"num": ["0", "1"]}, {"num": ["0", "0", "1"]}]}
+
+
+@pytest.mark.parametrize("change", [
+    {"coords": [{"num": ["0", "1"], "den": ["0"]}, {"num": ["1"]}]},
+    {"coords": [{"num": ["0", "1"], "den": ["1/0"]}, {"num": ["1"]}]},
+    {"coords": [{"num": [None, 1]}, {"num": ["1"]}]},
+    {"coords": [{"num": [True, 1]}, {"num": ["1"]}]},
+    {"domain": ["0"]},
+    {"coords": {"num": ["0", "1"]}},
+], ids=["zero-den", "den-1/0", "num-null", "num-bool", "one-endpoint",
+        "coords-object"])
+def test_malformed_rational_curve_exits_2(change, capsys):
+    curve = json.dumps({**_PARABOLA, **change})
+    code, _, err = run_cli(["count-distances", "--curve", curve,
+                            "--scheme", "rand:1:8"], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_count_distances_exact_beyond_float_range(tmp_path, capsys):
     # x1^120 + y1^120 on 997..999 lies beyond 1e308: the extremes are
     # reported as exact strings, and an in-range report keeps its floats

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from curverig import (PoleError, Poly, RationalFunction, builtin_curve,
                       count_real_roots)
-from curverig.rational import poly_gcd
 from conftest import polyval_array
 
 F = Fraction
@@ -23,28 +23,65 @@ def test_poly_arithmetic():
     assert p.derivative().coeffs == (F(2), F(6))
 
 
-def test_poly_divmod_roundtrip():
-    a = Poly([2, 0, -3, 1, 4])
-    b = Poly([1, 2, 1])
-    q, r = a.divmod(b)
-    assert (q * b + r).coeffs == a.coeffs
-    assert r.degree < b.degree
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+nonzero_polys = st.lists(fractions, min_size=1, max_size=4).filter(any)
 
 
-coeff_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
+def _sympy_monic(sympy, t, expr):
+    """Ascending Fraction coefficients of cancel(expr), den made monic."""
+    num, den = (sympy.Poly(e, t, domain="QQ") for e in sympy.fraction(sympy.cancel(expr)))
+    lc = den.LC()
+    return tuple(tuple(F(int(c.p), int(c.q)) for c in (p.all_coeffs()[::-1] if p else []))
+                 for p in (num.quo_ground(lc), den.quo_ground(lc)))
 
 
-@given(coeff_lists, coeff_lists)
+def _lcm_rows(num, den):
+    """Reference rows of monic-den Fraction coefficients: num and den padded
+    to one length, scaled by the lcm of all denominators, highest degree
+    first."""
+    m = max(len(num), len(den))
+    scale = math.lcm(*(c.denominator for c in num + den))
+    return tuple(zip(*[[int(c * scale) for c in cs + (F(0),) * (m - len(cs))]
+                       for cs in (num, den)]))[::-1]
+
+
+def _expr(sympy, t, p):
+    return sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+               for i, c in enumerate(p.coeffs))
+
+
+def _check_against_sympy(rf, expr):
+    sympy = pytest.importorskip("sympy")
+    num, den = _sympy_monic(sympy, sympy.Symbol("t"), expr)
+    assert (rf.num.coeffs, rf.den.coeffs) == (num, den)
+    assert rf.rows == _lcm_rows(num, den)
+
+
+@given(st.lists(fractions, max_size=4), nonzero_polys, nonzero_polys)
+@settings(max_examples=80, deadline=None)
+def test_rational_function_matches_sympy_cancel(a, b, c):
+    # num/den share the factor c: reduction must cancel it
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    num, den = Poly(a) * Poly(c), Poly(b) * Poly(c)
+    _check_against_sympy(RationalFunction(num, den),
+                         _expr(sympy, t, num) / _expr(sympy, t, den))
+
+
+@given(st.lists(fractions, max_size=3), nonzero_polys,
+       st.lists(fractions, max_size=3), nonzero_polys, fractions)
 @settings(max_examples=60, deadline=None)
-def test_poly_gcd_divides_both(ca, cb):
-    a, b = Poly(ca), Poly(cb)
-    g = poly_gcd(a, b)
-    if g.is_zero():
-        assert a.is_zero() and b.is_zero()
-        return
-    for p in (a, b):
-        _, r = p.divmod(g)
-        assert r.is_zero()
+def test_rational_function_arithmetic_matches_sympy(a, b, c, d, k):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    f, g = RationalFunction.from_coeffs(a, b), RationalFunction.from_coeffs(c, d)
+    ef = _expr(sympy, t, Poly(a)) / _expr(sympy, t, Poly(b))
+    eg = _expr(sympy, t, Poly(c)) / _expr(sympy, t, Poly(d))
+    ek = sympy.Rational(k.numerator, k.denominator)
+    for rf, expr in [(f + g, ef + eg), (f - g, ef - eg), (f * g, ef * eg),
+                     (f + k, ef + ek), (k * f, ek * ef), (-f, -ef),
+                     (f ** 3, ef ** 3), (f.derivative(), sympy.diff(ef, t))]:
+        _check_against_sympy(rf, expr)
 
 
 def test_rational_function_reduces():
@@ -109,6 +146,8 @@ def test_pole_error_at_rational_root():
     ([0, 1], Fraction(1, 2), 1, 0),
     ([0, 0, 1], -1, 1, 1),        # t^2, double root counted once
     ([-6, 11, -6, 1], 0, 4, 3),   # (t-1)(t-2)(t-3)
+    ([2, 0, -1], 0, 2, 1),        # negative leading coefficients
+    ([6, -11, 6, -1], 0, 4, 3),
 ])
 def test_sturm_root_counts(coeffs, lo, hi, expected):
     assert count_real_roots(Poly(coeffs), lo, hi) == expected
@@ -131,6 +170,36 @@ def test_sturm_float_endpoints_are_taken_exactly():
     assert count_real_roots(Poly([-1, 10]), 0, 0.1) == 1
     assert count_real_roots(Poly([-7, 10]), 0, 0.7) == 0
     assert count_real_roots(Poly([-7, 10]), 0.7, 1) == 1
+
+
+endpoints = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6),
+                      st.floats(-4, 4), st.sampled_from([float("-inf"), float("inf")]))
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(1, 3)),
+                min_size=1, max_size=4),
+       st.sampled_from([[-3], [-1], [2], [1, 0, 1], [-2, 0, 1], [-1, 1, 1]]),
+       endpoints, endpoints)
+@settings(max_examples=150, deadline=None)
+def test_sturm_counts_match_sympy(factors, lead, lo, hi):
+    # lead * prod (b t - r)^m: repeated factors, negative leading
+    # coefficients, roots that may sit on the endpoints; a quadratic lead
+    # adds no real roots or two irrational ones
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    lo, hi = sorted([lo, hi])
+    if lo == hi:
+        return
+    p = Poly(lead)
+    for r, b, m in factors:
+        for _ in range(m):
+            p = p * Poly([-r, b])
+    sp = sympy.Poly(_expr(sympy, t, p), t)
+    bound = [None if x in (float("-inf"), float("inf")) else sympy.Rational(F(x))
+             for x in (lo, hi)]
+    want = sp.count_roots(*bound) - sum(1 for x in bound
+                                        if x is not None and sp.eval(x) == 0)
+    assert count_real_roots(p, lo, hi) == want
 
 
 def _bits(a):

@@ -4,7 +4,8 @@ A curve carries an open domain interval, supports point evaluation and
 derivative jets, and can be reparametrized by arc length.  RationalCurve
 evaluation is exact at rational parameters; HelixCurve jets are closed-form
 trigonometric; AnalyticCurve delegates to a user evaluator whose supported
-jet order is part of its contract.
+jet order is part of its contract.  Every curve's float_jet is a one-point
+jet on Python floats, bitwise equal to its array evaluation.
 """
 
 from __future__ import annotations
@@ -38,8 +39,15 @@ class Interval:
             raise ValueError(f"bad interval endpoint {hi!r}")
         if not lo < hi:
             raise ValueError(f"empty interval ({lo}, {hi})")
+        # a float t lies above lo iff t > float(lo), or t >= float(lo) when
+        # float(lo) rounded lo up (no float lies between them); hi mirrors it
+        flo, fhi = _nearest_float(lo), _nearest_float(hi)
+        object.__setattr__(self, "_float_bounds", (flo, flo > lo, fhi, fhi < hi))
 
     def contains(self, t) -> bool:
+        if isinstance(t, float):  # exact, without comparing to a Fraction
+            lo, lo_up, hi, hi_down = self._float_bounds
+            return (t >= lo if lo_up else t > lo) and (t <= hi if hi_down else t < hi)
         return self.lo < t < self.hi
 
     def is_finite(self) -> bool:
@@ -70,6 +78,20 @@ class Interval:
         return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
 
 
+def _nearest_float(x) -> float:
+    """float(x), or the infinity of x's sign past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _check_jet(curve, t, order: int):
+    curve.domain.require(t)
+    if order < 0:
+        raise ValueError("jet order must be >= 0")
+
+
 def _endpoint_from_json(v):
     if isinstance(v, str):
         s = v.strip().lower()
@@ -90,15 +112,15 @@ class RationalCurve:
     exactly), and every denominator is certified root-free on the domain
     by Sturm real-root counting.
 
-    Every float evaluation, a single point or jet as well as an array, is
-    one pass over a cached jet matrix per range of derivative orders, e.g.
-    gamma and gamma' together: one row per distinct
-    numerator and denominator of the coordinates, highest degree first and
-    zero-padded on the left to one length.  One Horner loop runs over all
-    rows at once (start from zeros, then acc *= t; acc += c), and a row
-    joins the loop at its leading coefficient, so each row sees exactly
-    the operations of np.polyval and the values are bitwise those of
-    per-coordinate polyval.
+    Every float array evaluation is one pass over a cached jet matrix per
+    range of derivative orders, e.g. gamma and gamma' together: one row per
+    distinct numerator and denominator of the coordinates, highest degree
+    first and zero-padded on the left to one length.  One Horner loop runs
+    over all rows at once (start from zeros, then acc *= t; acc += c), and
+    a row joins the loop at its leading coefficient, so each row sees
+    exactly the operations of np.polyval and the values are bitwise those
+    of per-coordinate polyval.  A single float point or jet (float_jet)
+    runs the same loop row by row on Python floats.
     """
 
     def __init__(self, coords: Sequence[RationalFunction], domain: Interval):
@@ -121,23 +143,36 @@ class RationalCurve:
         return self._jets[order]
 
     def evaluate(self, t):
-        """Point gamma(t): a tuple of Fractions when t is rational, else
-        the float row of jet_array at t."""
-        self.domain.require(t)
-        if is_exact(t):
-            return tuple(rf(t) for rf in self.coords)
-        return self.jet_array(np.asarray(float(t)), 0)[0]
+        """Point gamma(t), the first row of derivative_jet(t, 0)."""
+        return self.derivative_jet(t, 0)[0]
 
     def derivative_jet(self, t, order: int):
         """[gamma(t), gamma'(t), ..., gamma^(order)(t)]: tuples of Fractions
-        when t is rational, else the float rows of jet_array at t."""
-        self.domain.require(t)
-        if order < 0:
-            raise ValueError("jet order must be >= 0")
-        if is_exact(t):
-            return [tuple(rf(t) for rf in self._derivatives(k))
-                    for k in range(order + 1)]
-        return list(self.jet_array(np.asarray(float(t)), order))
+        when t is rational, else the float rows of float_jet as arrays."""
+        if not is_exact(t):
+            return [np.array(row) for row in self.float_jet(t, order)]
+        _check_jet(self, t, order)
+        return [tuple(rf(t) for rf in self._derivatives(k))
+                for k in range(order + 1)]
+
+    def float_jet(self, t, order: int) -> list:
+        """[gamma(t), ..., gamma^(order)(t)] at one float t as lists of Python
+        floats: jet_array's Horner loop and divisions, row by row.  CPython
+        has no fused multiply-add, so the bits are jet_array's."""
+        _check_jet(self, t, order)
+        _, num, den, rows = self._jet_matrix(0, order)
+        t = float(t)
+        vals = []
+        for row in rows:
+            acc = 0.0
+            for c in row:
+                acc = acc * t + c
+            vals.append(acc)
+        try:
+            q = [vals[i] / vals[j] for i, j in zip(num, den)]
+        except ZeroDivisionError:  # a denominator underflowed: numpy's inf/nan
+            return self.jet_array(np.array(t), order).tolist()
+        return [q[k:k + self.dimension] for k in range(0, len(q), self.dimension)]
 
     def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
         return self.derivative_array(ts, 0)
@@ -155,10 +190,7 @@ class RationalCurve:
         coordinate-major, as the loop leaves it: each coordinate is
         contiguous over ts."""
         ts = np.asarray(ts, dtype=float)
-        key = (lowest, order)
-        if key not in self._jet_matrices:
-            self._jet_matrices[key] = self._jet_matrix(*key)
-        columns, num, den = self._jet_matrices[key]
+        columns, num, den, _ = self._jet_matrix(lowest, order)
         flat = ts.ravel()
         acc = np.zeros((len(columns[-1]), flat.size))
         for c in columns:
@@ -172,11 +204,14 @@ class RationalCurve:
         return out.transpose((0,) + tuple(range(2, ts.ndim + 2)) + (1,))
 
     def _jet_matrix(self, lowest: int, order: int) -> tuple:
-        """(columns, num, den) for jet_array, with the rows sorted longest
-        first: columns[j] is column j of the jet matrix cut to the rows
-        whose Horner loop has started there (the others keep their initial
-        zeros), shaped to broadcast along a batch; num[i] and den[i] are
-        the rows of the i-th derivative coordinate."""
+        """(columns, num, den, rows), cached: rows are the distinct rows,
+        longest first; columns[j] is column j of the jet matrix cut to the
+        rows whose Horner loop has started there (the others keep their
+        initial zeros), shaped to broadcast along a batch; num[i] and den[i]
+        are the rows of the i-th derivative coordinate."""
+        key = (lowest, order)
+        if key in self._jet_matrices:
+            return self._jet_matrices[key]
         polys = [tuple(p.float_coeffs()[::-1] or [0.0])
                  for k in range(lowest, order + 1)
                  for rf in self._derivatives(k) for p in (rf.num, rf.den)]
@@ -188,7 +223,8 @@ class RationalCurve:
         columns = [M[j, :sum(len(r) >= width - j for r in rows)]
                    for j in range(width)]
         index = [rows.index(p) for p in polys]
-        return columns, np.array(index[0::2]), np.array(index[1::2])
+        self._jet_matrices[key] = columns, index[0::2], index[1::2], rows
+        return self._jet_matrices[key]
 
 
 class HelixCurve:
@@ -218,23 +254,31 @@ class HelixCurve:
         self.degree = None  # not an algebraic invariant of this type
 
     def evaluate(self, t):
-        self.domain.require(t)
-        return self.derivative_array(np.asarray(float(t)), 0)
+        return np.array(self.float_jet(t, 0)[0])
 
     def derivative_jet(self, t, order: int):
-        self.domain.require(t)
-        if order < 0:
-            raise ValueError("jet order must be >= 0")
-        ts = np.asarray(float(t))
-        return [self.derivative_array(ts, j) for j in range(order + 1)]
+        return [np.array(row) for row in self.float_jet(t, order)]
+
+    def float_jet(self, t, order: int) -> list:
+        """derivative_array's operations at one float t on Python floats, all
+        orders at once; the tests pin math.cos/sin to numpy's bits."""
+        _check_jet(self, t, order)
+        t = float(t)
+        jet = []
+        for j in range(order + 1):
+            row = []
+            for a, lam in zip(self.radii, self.frequencies):
+                ph, scale = lam * t + j * math.pi / 2, a * lam ** j
+                row += (scale * math.cos(ph), scale * math.sin(ph))
+            row += [t * w if j == 0 else w if j == 1 else 0.0 for w in self.drift]
+            jet.append(row + [0.0] * (self.dimension - len(row)))
+        return jet
 
     def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
         return self.derivative_array(ts, 0)
 
     def derivative_array(self, ts: np.ndarray, order: int) -> np.ndarray:
-        # [()] turns a 0-d array into a numpy scalar, whose arithmetic is
-        # several times cheaper; the values are the same
-        ts = np.asarray(ts, dtype=float)[()]
+        ts = np.asarray(ts, dtype=float)
         v = np.zeros(ts.shape + (self.dimension,))
         j = order
         for i, (a, lam) in enumerate(zip(self.radii, self.frequencies)):
@@ -271,13 +315,14 @@ class AnalyticCurve:
         return np.asarray(self.evaluator(float(t), 0)[0], dtype=float)
 
     def derivative_jet(self, t, order: int):
-        self.domain.require(t)
-        if order < 0:
-            raise ValueError("jet order must be >= 0")
+        _check_jet(self, t, order)
         if self.max_jet_order is not None and order > self.max_jet_order:
             raise JetOrderError(
                 f"{self.label}: jet order {order} > supported {self.max_jet_order}")
         return [np.asarray(v, dtype=float) for v in self.evaluator(float(t), order)]
+
+    def float_jet(self, t, order: int) -> list:
+        return [v.tolist() for v in self.derivative_jet(t, order)]
 
     def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -622,38 +667,45 @@ def trig_ellipse(a: float, b: float,
                          label=f"ellipse({a},{b})")
 
 
+def _json_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what} {v!r} is not a list")
+    return v
+
+
 def _rf_from_json(doc) -> RationalFunction:
     if not isinstance(doc, dict):
         raise ValueError(f"rational coordinate {doc!r} is not a num/den object")
-    den = Poly(doc.get("den", [1]))
+    den = Poly(_json_list(doc.get("den", [1]), "den"))
     if den.is_zero():
         raise ValueError("rational coordinate with zero denominator")
-    return RationalFunction(Poly(doc["num"]), den)
+    return RationalFunction(Poly(_json_list(doc["num"], "num")), den)
 
 
 def curve_from_json(doc: dict) -> CurveSpec:
     """Parse {"kind": "rational" | "helix" | "builtin", ...}.
 
     Rational coefficients are "p/q" strings, ascending order; the domain is
-    a [lo, hi] pair accepting "p/q", numbers, or "-inf"/"inf".
+    a [lo, hi] pair accepting "p/q", numbers, or "-inf"/"inf".  Raises
+    ValueError on a malformed document: the CLI then exits 2.
     """
     kind = doc.get("kind")
     if kind == "builtin":
         return builtin_curve(doc["name"])
     dom = doc.get("domain")
-    if dom and len(dom) != 2:
+    if dom and len(_json_list(dom, "domain")) != 2:
         raise ValueError(f"domain {dom!r} is not a [lo, hi] pair")
     interval = (Interval(_endpoint_from_json(dom[0]), _endpoint_from_json(dom[1]))
                 if dom else None)
     if kind == "rational":
-        coords = [_rf_from_json(c) for c in doc["coords"]]
+        coords = [_rf_from_json(c) for c in _json_list(doc["coords"], "coords")]
         return RationalCurve(coords, interval or Interval(-1, 1))
     if kind == "helix":
+        def floats(key):
+            return [float(as_fraction(x)) for x in _json_list(doc.get(key, []), key)]
         return HelixCurve(
-            radii=[float(as_fraction(x)) for x in doc.get("radii", [])],
-            frequencies=[float(as_fraction(x)) for x in doc.get("frequencies", [])],
-            drift=[float(as_fraction(x)) for x in doc.get("drift", [])],
-            dimension=doc.get("dimension"),
+            radii=floats("radii"), frequencies=floats("frequencies"),
+            drift=floats("drift"), dimension=doc.get("dimension"),
             domain=interval or Interval(-1000.0, 1000.0))
     raise ValueError(f"unknown curve kind {kind!r}")
 

@@ -4,7 +4,8 @@ Motions are traced by per-step Newton constraint propagation along a BFS
 tree of the framework (no ODE integration, so no integrator drift): the
 driver vertex advances, every other vertex is re-solved on its defining
 edge, and all remaining edges are drift monitors.  Zero drift on the
-monitors witnesses local smooth flexibility.
+monitors witnesses local smooth flexibility.  Newton reads one point at a
+time from the curve's float_jet, without numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -97,21 +98,18 @@ class _EdgeSolver:
         self.quantity = quantity
 
     def edge_value(self, a: float, b: float) -> float:
-        pa = np.asarray(self.curve.evaluate(a), dtype=float)
-        pb = np.asarray(self.curve.evaluate(b), dtype=float)
-        return float(self.quantity.eval(pa, pb))
+        jet = self.curve.float_jet
+        return float(self.quantity.eval(jet(a, 0)[0], jet(b, 0)[0]))
 
     def solve(self, anchor: float, seed: float, target: float):
         """Returns (x, iterations) or (None, iterations) on failure."""
-        pa = np.asarray(self.curve.evaluate(anchor), dtype=float)
+        pa = self.curve.float_jet(anchor, 0)[0]
         x = seed
         for it in range(1, _NEWTON_MAX_ITER + 1):
             try:
-                jet = self.curve.derivative_jet(x, 1)
+                px, vx = self.curve.float_jet(x, 1)
             except DomainError:
                 return None, it
-            px = np.asarray(jet[0], dtype=float)
-            vx = np.asarray(jet[1], dtype=float)
             g = float(self.quantity.eval(pa, px)) - target
             if _rel(g, target) <= _NEWTON_TOL:
                 return x, it

@@ -61,8 +61,14 @@ _PARABOLA = {"kind": "rational", "domain": ["0", "1"],
     {"coords": [{"num": [True, 1]}, {"num": ["1"]}]},
     {"domain": ["0"]},
     {"coords": {"num": ["0", "1"]}},
+    {"coords": [{"num": 5}, {"num": ["1"]}]},
+    {"coords": [{"num": ["0", "1"], "den": 5}, {"num": ["1"]}]},
+    {"domain": 5},
+    {"domain": "01"},
+    {"coords": 5},
 ], ids=["zero-den", "den-1/0", "num-null", "num-bool", "one-endpoint",
-        "coords-object"])
+        "coords-object", "num-int", "den-int", "domain-int", "domain-string",
+        "coords-int"])
 def test_malformed_rational_curve_exits_2(change, capsys):
     curve = json.dumps({**_PARABOLA, **change})
     code, _, err = run_cli(["count-distances", "--curve", curve,

@@ -12,7 +12,7 @@ from curverig import (DomainError, HelixCurve, Interval, PoleError,
                       arc_length_reparametrize, builtin_curve, check_simplicity,
                       curve_from_json, curve_to_json,
                       PinnedAreaSquared, SingularParametrization)
-from conftest import (make_circular_helix, make_line, make_parabola,
+from conftest import (make_circular_helix, make_cubic, make_line, make_parabola,
                       make_rational_circle, make_unit_circle)
 
 F = Fraction
@@ -235,6 +235,94 @@ def test_simplicity_report_dict(sq):
 def test_simplicity_grid_minimum(sq):
     with pytest.raises(ValueError):
         check_simplicity(make_parabola(0, 1), sq, n=16)
+
+
+# -- single-point float jets -------------------------------------------------
+
+_SCALAR_JET_CURVES = {
+    **{name: builtin_curve(name) for name in
+       ("line", "parabola", "rect_hyperbola", "rational_circle")},
+    "cubic": make_cubic(-2, 2),
+    "fractional": RationalCurve(
+        [RF([F(1, 3), F(-2, 7), F(5, 11)], [F(5, 2), 0, F(1, 9)]),
+         RF([F(1, 5), 0, F(3, 4)], [F(7, 3), F(1, 6)])], Interval(-10, 10)),
+    "helix-drift": HelixCurve([1.5], [0.7], [0.3, -1.2], 5),
+    "helix-two-frequencies": HelixCurve([1.0, 0.5], [1.0, math.sqrt(2)]),
+}
+
+
+def _bits(rows):
+    return np.asarray(rows, dtype=float).view(np.int64)
+
+
+def _assert_float_jet_bitwise(curve, t):
+    ts = np.array([t])
+    with np.errstate(all="ignore"):
+        want = [curve.derivative_array(ts, k)[0] for k in range(5)]
+        for order in range(5):
+            got = curve.float_jet(t, order)
+            assert len(got) == order + 1
+            assert all(type(x) is float for row in got for x in row)
+            assert np.array_equal(_bits(got), _bits(want[:order + 1]))
+            if isinstance(curve, RationalCurve):
+                jet = curve.jet_array(ts, order)[:, 0]
+                assert np.array_equal(_bits(got), _bits(jet))
+            arrays = curve.derivative_jet(t, order)
+            assert all(a.shape == (curve.dimension,) and a.dtype == float
+                       for a in arrays)
+            assert np.array_equal(_bits(arrays), _bits(got))
+        assert np.array_equal(_bits(curve.evaluate(t)), _bits(want[0]))
+
+
+@pytest.mark.parametrize("name", list(_SCALAR_JET_CURVES))
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_float_jet_is_bitwise_the_array_evaluation(name, data):
+    # the scalar jet runs the array paths' operations on Python floats; on
+    # the helix this also pins math.cos/math.sin against numpy's bits
+    curve = _SCALAR_JET_CURVES[name]
+    lo, hi = float(curve.domain.lo), float(curve.domain.hi)
+    t = data.draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+    _assert_float_jet_bitwise(curve, t)
+
+
+def test_float_jet_where_a_denominator_underflows():
+    # 24 / t^5 at t = 1e-70: t^5 is 0.0 in floats, and the scalar jet gives
+    # numpy's inf like jet_array instead of raising ZeroDivisionError
+    curve = builtin_curve("rect_hyperbola")
+    with np.errstate(divide="ignore"):
+        assert curve.float_jet(1e-70, 4)[4][1] == math.inf
+    _assert_float_jet_bitwise(curve, 1e-70)
+
+
+def _json_domain(lo, hi):
+    return curve_from_json({"kind": "rational", "domain": [lo, hi],
+                            "coords": [{"num": ["0", "1"]}]}).domain
+
+
+@pytest.mark.parametrize("interval", [
+    _json_domain("-16/5", "1/3"),              # both round down
+    Interval(-(10 ** 30 + 1), 10 ** 30 + 1),   # lo rounds down, hi up
+    _json_domain("16/5", "7"),                 # lo rounds up, hi is exact
+    Interval(10 ** 30 + 1, 10 ** 31 + 1),      # lo rounds up, hi down
+], ids=["thirds", "huge", "lo-up", "huge-positive"])
+def test_interval_contains_is_exact_at_unrepresentable_endpoints(interval):
+    lo, hi = interval.lo, interval.hi
+    ts = []
+    for e in (lo, hi):
+        f = float(e)
+        near = [math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)]
+        ts += near + [np.float64(x) for x in near]
+        ts += [math.floor(e), math.ceil(e), e, e - F(1, 10 ** 40), e + F(1, 10 ** 40)]
+    for t in ts:
+        assert interval.contains(t) == (lo < F(t) < hi), (t, type(t))
+    assert not interval.contains(math.nan)
+
+
+def test_interval_contains_floats_inside_endpoints_past_the_float_range():
+    interval = Interval(-(10 ** 400), F(10 ** 400, 3))
+    for t in (-math.inf, -1e308, 0.0, 1e308, math.inf):
+        assert interval.contains(t) == math.isfinite(t)
 
 
 # -- JSON ----------------------------------------------------------------------

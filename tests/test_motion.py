@@ -6,7 +6,8 @@ import pytest
 
 from curverig import (AnalyticCurve, DisconnectedFramework, DomainExit,
                       Framework, HelixCurve, Interval, JetOrderError,
-                      arc_length_reparametrize, classify_helix,
+                      arc_length_reparametrize, builtin_curve, classify_helix,
+                      curve_from_json,
                       complete_framework, derivative_norm_profile, eval_H,
                       infinitesimal_nullity, trace_framework_motion,
                       trace_triangle_motion, triangle)
@@ -51,6 +52,30 @@ def test_newton_residuals_on_defining_edges(sq):
             pw = np.asarray(circ.evaluate(tr.paths[w][k]), float)
             val = float(sq.eval(pu, pw))
             assert abs(val - target) <= 1e-11 * max(1.0, abs(target))
+
+
+_JSON_CIRCLE = {"kind": "rational", "domain": ["-16/5", "7/3"],
+                "coords": [{"num": ["1", "0", "-1"], "den": ["1", "0", "1"]},
+                           {"num": ["0", "2"], "den": ["1", "0", "1"]}]}
+
+
+@pytest.mark.parametrize("curve, initial, delta, want", [
+    (curve_from_json(_JSON_CIRCLE), (1.0, 1.8, 2.2), -0.005,
+     (100, 740, 0, False, "2.983967239966745e-13",
+      "[0.49999999999999956, 0.9166666666666661, 1.0769230769231748]")),
+    (builtin_curve("circular_helix(0.4)"), (0.0, 0.7, 1.5), 0.005,
+     (100, 700, 0, False, "8.83182416089312e-13",
+      "[0.5000000000000003, 1.2000000000000002, 2.0000000000005222]")),
+    # beta reaches the domain end 1: step halvings, then an abort
+    (builtin_curve("parabola"), (0.3, 0.6, 0.9), 0.002,
+     (86, 777, 11, True, "0.004206354707012971",
+      "[0.47200000000000014, 0.7301153796172476, 0.9989300468707836]")),
+], ids=["json-circle", "helix", "parabola"])
+def test_motion_traces_are_pinned_to_the_bit(sq, curve, initial, delta, want):
+    # exact values: a change to any float operation of a step shows here
+    tr = trace_triangle_motion(curve, sq, initial, delta, 100)
+    assert (tr.steps_completed, tr.newton_iterations, tr.newton_failures,
+            tr.aborted, repr(tr.max_drift), repr([p[-1] for p in tr.paths])) == want
 
 
 def test_triangle_equals_k3_framework_trace(sq):

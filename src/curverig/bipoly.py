@@ -1,16 +1,16 @@
-"""Bivariate integer polynomials: Bareiss resultants, gcd, square-free part.
+"""Bivariate integer polynomials: Bareiss resultants and exact power roots.
 
-Used to implicitize rational plane parametrizations as the Sylvester
-resultant eliminating the parameter, with exact fraction-free elimination
-over big integers.  Terms are kept in a dict {(deg_x, deg_y): int}.
+Used to implicitize rational plane parametrizations: the Sylvester
+resultant eliminating the parameter, by exact fraction-free elimination
+over big integers, is c G^k, and the implicit equation G is its exact k-th
+root.  Terms are kept in a dict {(deg_x, deg_y): int}.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .rational import _diff, _gcd, _trim
+from functools import reduce
 
 
 class BiPoly:
@@ -129,12 +129,6 @@ class BiPoly:
                     rem.pop(kk, None)
         return BiPoly(quo)
 
-    def derivative_x(self) -> "BiPoly":
-        return BiPoly({(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
-
-    def derivative_y(self) -> "BiPoly":
-        return BiPoly({(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
-
     def content(self) -> int:
         return math.gcd(*[abs(c) for c in self.terms.values()]) if self.terms else 0
 
@@ -213,102 +207,66 @@ def sylvester_resultant(p_coeffs: list, q_coeffs: list) -> BiPoly:
     return bareiss_determinant(M)
 
 
-# -- gcd and square-free part ------------------------------------------------
-# Primitive PRS in one main variable v (index 0 for X, 1 for Y); the
-# coefficients of the powers of v are BiPolys free of v.
+# -- implicit equation as an exact power root ---------------------------------
 
 
-def _coeffs(P: BiPoly, v: int) -> dict:
-    """P as {k: terms of the coefficient of v^k}, each free of v."""
-    out: dict = {}
-    for e, c in P.terms.items():
-        out.setdefault(e[v], {})[(0, e[1]) if v == 0 else (e[0], 0)] = c
-    return out
+def _iroot(n: int, k: int):
+    """The integer k-th root of n if n is a k-th power, else None."""
+    if n < 0:
+        r = None if k % 2 == 0 else _iroot(-n, k)
+        return None if r is None else -r
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)        # above the root: Newton descends
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x ** k == n else None
+        x = y
 
 
-def _lead(P: BiPoly, v: int) -> tuple[int, BiPoly]:
-    """(deg_v P, coefficient of v^deg) of a nonzero P."""
-    cs = _coeffs(P, v)
-    d = max(cs)
-    return d, BiPoly(cs[d])
+def _power_root(R: BiPoly, k: int):
+    """H with H^k == R, found term by term in lex order (X > Y), or None.
 
-
-def _content(P: BiPoly, v: int) -> BiPoly:
-    """gcd of the v-coefficients of a nonzero P, integer content included."""
-    g = BiPoly.zero()
-    for terms in _coeffs(P, v).values():
-        g = gcd_bipoly(g, BiPoly(terms))
-        if g.is_constant():
-            break
-    return g * P.content()
-
-
-def _pseudo_rem(R: BiPoly, B: BiPoly, v: int) -> BiPoly:
-    """prem_v(R, B) up to a power of lc(B); each step cancels R's lead."""
-    dB, lcB = _lead(B, v)
-    while not R.is_zero():
-        dR, lead = _lead(R, v)
-        if dR < dB:
-            break
-        shift = BiPoly.monomial(dR - dB, 0) if v == 0 else BiPoly.monomial(0, dR - dB)
-        R = R * lcB - B * (lead * shift)
-    return R
-
-
-def gcd_bipoly(A: BiPoly, B: BiPoly) -> BiPoly:
-    """gcd in Z[X, Y] via primitive PRS, normalized.
-
-    The main variable is X when either input contains X, else Y; contents
-    are gcds of coefficients in the other variable, found by recursion.
+    If H^k = R, R's first and last terms in lex order are the k-th powers
+    of H's, and the leading term of R - (H's leading terms)^k is
+    k lt(H)^(k-1) times H's next term, so each term is forced.  Only an
+    exact H^k == R accepts H.
     """
-    if A.is_zero():
-        return B.normalized()
-    if B.is_zero():
-        return A.normalized()
-    if A.is_constant() or B.is_constant():
-        return BiPoly.const(1)
-    v = 0 if A.degree_x() or B.degree_x() else 1
-    ca, cb = _content(A, v), _content(B, v)
-    cont = gcd_bipoly(ca, cb)
-    a, b = A.exact_div(ca), B.exact_div(cb)
-    while not b.is_zero():
-        r = _pseudo_rem(a, b, v)
-        a, b = b, (r if r.is_zero() else r.exact_div(_content(r, v)))
-    return (a * cont).normalized()
-
-
-def _square_free_in(G: BiPoly, v: int) -> bool:
-    """Whether, for some x in 0..3, G with its other variable set to x
-    keeps G's degree n in v (v = 0 for X) and is prime to its derivative."""
-    n = max(e[v] for e in G.terms)
-    for x in range(4):
-        a = [0] * (n + 1)
-        for e, c in G.terms.items():
-            a[e[v]] += c * x ** e[1 - v]
-        if len(_trim(a)) == n + 1 and len(_gcd(a, _diff(a))) == 1:
-            return True
-    return False
+    (i0, j0), c0 = R.lex_leading()
+    low, c_low = min(R.terms.items())       # lex-last term: H's last, ^k
+    c = _iroot(c0, k)
+    if any(e % k for e in (i0, j0) + low) or None in (c, _iroot(c_low, k)):
+        return None
+    top_y = R.degree_y() // k
+    H = BiPoly.monomial(i0 // k, j0 // k, c)
+    di, dj, dc = (k - 1) * (i0 // k), (k - 1) * (j0 // k), k * c ** (k - 1)
+    while True:
+        rem = R - reduce(BiPoly.__mul__, [H] * k)
+        if rem.is_zero():
+            return H
+        (a, b), r = rem.lex_leading()
+        q, m = divmod(r, dc)
+        if a < di or b < dj or b - dj > top_y or m:
+            return None
+        H = H + BiPoly.monomial(a - di, b - dj, q)
 
 
 def square_free_part(G: BiPoly) -> BiPoly:
-    """Product of the distinct irreducible factors of G, normalized.
+    """The irreducible factor of G = c P^k, normalized (1 for a constant G).
 
-    A univariate certificate settles square-free G without bivariate gcds.
-    Normalized G is primitive, so a repeated factor P, G = P^2 Q, has
-    positive degree in X, say (Y is alike).  If g = G(X, a) keeps G's
-    X-degree, h = P(X, a) keeps P's (lc_X(P)^2 divides lc_X(G)), and h
-    divides g and g' = h (2 h' Q(X, a) + h Q'(X, a)).  So a constant
-    gcd(g, g') over Q for some a, and one for Y, proves G square-free.
+    Every implicitization resultant has this form: Res_t(g1 X - f1,
+    g2 Y - f2) of a reduced parametrization is c P^k, with P the
+    irreducible implicit equation and k the index of the parametrization
+    (Sendra, Winkler and Perez-Diaz, *Rational Algebraic Curves*,
+    Springer 2008, ch. 4).  Normalized, R = +-P^k0, and R = P^k0 when k0
+    is even (the graded leading coefficient of P^k0 is then positive), so
+    R has the k0-th root +-P, and k0 divides g = gcd(deg_X R, deg_Y R).
+    If H^k = R, unique factorization in Z[X, Y] makes H = +-P^(k0/k), so k
+    divides k0.  Hence the largest divisor k > 1 of g with an exact k-th
+    root is k0, and that root is +-P; with none, k0 = 1 and P = R.
     """
-    if G.is_zero():
-        return G
-    G = G.normalized()
-    if G.is_constant():
-        return BiPoly.const(1)
-    if _square_free_in(G, 0) and _square_free_in(G, 1):
-        return G
-    g = gcd_bipoly(G, G.derivative_x())
-    g = gcd_bipoly(g, G.derivative_y())
-    if g.is_constant():
-        return G
-    return G.exact_div(g).normalized()
+    R = G.normalized()
+    g = math.gcd(R.degree_x(), R.degree_y())
+    roots = (_power_root(R, k) for k in range(g, 1, -1) if g % k == 0)
+    return next((H.normalized() for H in roots if H is not None), R)

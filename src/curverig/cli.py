@@ -32,11 +32,15 @@ _NUMERIC_ERRORS = (DomainExit, SingularH)
 
 def _load_doc(arg: str) -> dict:
     if arg.strip().startswith("{"):
-        return json.loads(arg)
-    if os.path.exists(arg):
+        doc = json.loads(arg)
+    elif os.path.exists(arg):
         with open(arg) as fh:
-            return json.load(fh)
-    raise ValueError(f"not a JSON document or file: {arg!r}")
+            doc = json.load(fh)
+    else:
+        raise ValueError(f"not a JSON document or file: {arg!r}")
+    if not isinstance(doc, dict):
+        raise ValueError(f"JSON document {arg!r} is not an object")
+    return doc
 
 
 def load_curve_arg(arg: str):
@@ -177,6 +181,10 @@ def cmd_test_degeneracy(args) -> Outcome:
 
 def cmd_flex(args) -> Outcome:
     doc = _load_doc(args.framework)
+    for key in ("curve", "quantity"):
+        if not isinstance(doc[key], (dict, str)):
+            raise ValueError(f"framework {key} {doc[key]!r} is neither an "
+                             "object nor a string")
     curve = curve_from_json(doc["curve"]) if isinstance(doc["curve"], dict) \
         else load_curve_arg(doc["curve"])
     quantity = quantity_from_json(doc["quantity"]) \

@@ -693,19 +693,22 @@ def curve_from_json(doc: dict) -> CurveSpec:
     if kind == "builtin":
         return builtin_curve(doc["name"])
     dom = doc.get("domain")
-    if dom and len(_json_list(dom, "domain")) != 2:
+    if dom is not None and len(_json_list(dom, "domain")) != 2:
         raise ValueError(f"domain {dom!r} is not a [lo, hi] pair")
     interval = (Interval(_endpoint_from_json(dom[0]), _endpoint_from_json(dom[1]))
-                if dom else None)
+                if dom is not None else None)
     if kind == "rational":
         coords = [_rf_from_json(c) for c in _json_list(doc["coords"], "coords")]
         return RationalCurve(coords, interval or Interval(-1, 1))
     if kind == "helix":
         def floats(key):
             return [float(as_fraction(x)) for x in _json_list(doc.get(key, []), key)]
+        dim = doc.get("dimension")
+        if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int)):
+            raise ValueError(f"helix dimension {dim!r} is not an integer")
         return HelixCurve(
             radii=floats("radii"), frequencies=floats("frequencies"),
-            drift=floats("drift"), dimension=doc.get("dimension"),
+            drift=floats("drift"), dimension=dim,
             domain=interval or Interval(-1000.0, 1000.0))
     raise ValueError(f"unknown curve kind {kind!r}")
 

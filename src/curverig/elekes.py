@@ -28,12 +28,13 @@ from .rational import RationalFunction, is_exact
 
 
 def implicitize_rational(x: RationalFunction, y: RationalFunction) -> BiPoly:
-    """G(X, Y) = Res_t(g1(t) X - f1(t), g2(t) Y - f2(t)), square-free part.
+    """The irreducible implicit equation G(X, Y) of t -> (x(t), y(t)).
 
-    Computed by fraction-free Bareiss elimination of the Sylvester matrix
-    over big integers, on each coordinate's RationalFunction.rows, and
-    normalized.  Raises
-    DegenerateParametrization when the resultant is zero or constant.
+    The resultant Res_t(g1(t) X - f1(t), g2(t) Y - f2(t)), by fraction-free
+    Bareiss elimination of the Sylvester matrix over big integers on each
+    coordinate's RationalFunction.rows, is c G^k for the parametrization's
+    index k; G is its exact k-th root (square_free_part), normalized.
+    Raises DegenerateParametrization when the resultant is zero or constant.
     """
     if x.is_constant() and y.is_constant():
         raise DegenerateParametrization("both coordinates are constant")

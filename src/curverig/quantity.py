@@ -229,8 +229,10 @@ def quantity_from_json(doc: dict) -> QuantitySpec:
         dim = doc.get("dimension")
         return SquaredEuclidean(dimension=int(dim) if dim is not None else None)
     if kind == "pinned_area":
-        apex = tuple(as_fraction(v) for v in doc["apex"])
-        return PinnedAreaSquared(apex=apex)
+        apex = doc["apex"]
+        if not (isinstance(apex, list) and len(apex) == 2):
+            raise ValueError(f"apex {apex!r} is not an [x, y] pair")
+        return PinnedAreaSquared(apex=tuple(as_fraction(v) for v in apex))
     if kind == "poly":
         terms = tuple((tuple(int(e) for e in expo), as_fraction(c))
                       for expo, c in doc["terms"])

@@ -2,9 +2,9 @@
 
 One core on ascending int lists (no trailing zeros, [] for zero): _prem,
 the primitive remainder sequence _gcd and the exact quotient _quo reduce
-rational functions, build Sturm chains and certify square-free implicit
-curves (bipoly).  Poly and RationalFunction are immutable and exact-only:
-they evaluate at int or Fraction arguments, else raise TypeError.
+rational functions and build Sturm chains.  Poly and RationalFunction are
+immutable and exact-only: they evaluate at int or Fraction arguments, else
+raise TypeError.
 """
 
 from __future__ import annotations

@@ -5,10 +5,9 @@ import pytest
 
 from curverig import (Interval, RationalCurve, RationalFunction,
                       SquaredEuclidean)
-from curverig import bipoly
-from curverig.bipoly import (BiPoly, bareiss_determinant, gcd_bipoly,
-                             square_free_part, sylvester_resultant)
-from curverig.elekes import ElekesCurve
+from curverig.bipoly import (BiPoly, bareiss_determinant, square_free_part,
+                             sylvester_resultant)
+from curverig.elekes import ElekesCurve, implicitize_rational
 
 X = BiPoly.monomial(1, 0)
 Y = BiPoly.monomial(0, 1)
@@ -17,6 +16,13 @@ ONE = BiPoly.const(1)
 
 def C(c):
     return BiPoly.const(c)
+
+
+def power(p, k):
+    out = ONE
+    for _ in range(k):
+        out = out * p
+    return out
 
 
 def test_arithmetic_and_eval():
@@ -101,65 +107,39 @@ def test_sylvester_degenerate_cases():
     assert sylvester_resultant([C(1), C(0), C(1)], [C(2)]) == C(4)
 
 
-def test_gcd_bipoly():
-    a = (X + Y) * (X - Y)
-    b = (X + Y) * (X + ONE)
-    g = gcd_bipoly(a, b)
-    assert g == (X + Y).normalized()
-    assert gcd_bipoly(a, BiPoly.zero()) == a.normalized()
-    # coprime
-    assert gcd_bipoly(X, Y).is_constant()
-
-
-def test_gcd_bipoly_content_factors():
-    a = (X * X + ONE) * C(6)
-    b = (X * X + ONE) * C(4)
-    g = gcd_bipoly(a, b)
-    # primitive normalization keeps the polynomial factor, drops content
-    assert g == (X * X + ONE)
-
-
 def test_square_free_part():
     sq = (Y - X * X)
     assert square_free_part(sq * sq) == sq.normalized()
-    assert square_free_part(X * X * Y) == (X * Y).normalized()
-    assert square_free_part((X + Y) * (X + Y) * (X - Y)) == \
-        ((X + Y) * (X - Y)).normalized()
     # already square-free stays put
     g = X * X + Y * Y - ONE
     assert square_free_part(g) == g.normalized()
+    assert square_free_part(C(-6)) == ONE
+    assert square_free_part(BiPoly.zero()).is_zero()
 
 
-def test_square_free_certificate_needs_the_full_degree():
-    # at Y = 1, P = (Y - 1) X + 1 loses its X-degree: P^2 becomes the
-    # constant 1 and P^2 (X + Y) becomes X + 1, neither with a repeated
-    # factor, and neither may certify its square
-    P = (Y - ONE) * X + ONE
-    assert square_free_part(P * P) == P.normalized()
-    assert square_free_part(P * P * (X + Y)) == (P * (X + Y)).normalized()
+# Irreducible in Z[X, Y]: Y^2 - X and the last have degree 1 in X or Y with
+# coprime coefficients; the circle has no linear factor over C.
+_IRREDUCIBLE = {
+    "lex-lead-negative": Y * Y - X,
+    "circle": X * X + Y * Y - ONE,
+    "2000-bit": X * Y * C(2 ** 2000 + 1) - X * X * C(3 ** 1300) + C(5),
+}
 
 
-@pytest.mark.parametrize("var", ["X", "Y"])
-def test_square_free_certificate_tests_both_variables(var):
-    # (V^2 + 1)^2 (X + Y): the square involves V only, so only the test
-    # in V can see it
-    V = X if var == "X" else Y
-    sq = V * V + ONE
-    assert square_free_part(sq * sq * (X + Y)) == (sq * (X + Y)).normalized()
+@pytest.mark.parametrize("name", _IRREDUCIBLE)
+@pytest.mark.parametrize("c", [1, -1, 8, -8, 12, -12])
+def test_square_free_part_is_the_exact_power_root(name, c):
+    H = _IRREDUCIBLE[name]
+    for k in range(1, 5):
+        assert square_free_part(C(c) * power(H, k)) == H.normalized()
 
 
-def test_square_free_certificate_matches_sympy(monkeypatch):
-    sympy = pytest.importorskip("sympy")
-    x, y = sympy.symbols("x y")
-
-    def no_gcd(A, B):
-        raise AssertionError("the modular certificate should settle this")
-
-    # certified at Y = 1 and X = 2 (Y = 0 and X = 0, 1 are not)
-    G = (X + Y) * (X - Y + ONE) * (X * Y - C(2)) * C(-3)
-    want = _from_sympy(sympy.sqf_part(_to_sympy(G, x, y)), x, y)
-    monkeypatch.setattr(bipoly, "gcd_bipoly", no_gcd)
-    assert square_free_part(G) == want
+def test_square_free_part_in_one_variable():
+    # (X^2 + 1)^2 has Y-degree 0, so every divisor of its X-degree is tried
+    for V in (X, Y):
+        sq = V * V + ONE
+        assert square_free_part(power(sq, 2)) == sq
+        assert square_free_part(power(sq, 3) * C(-5)) == sq
 
 
 def test_normalized_sign_and_content():
@@ -176,34 +156,6 @@ def test_normalized_sign_and_content():
 def _from_sympy(expr, x, y) -> BiPoly:
     return BiPoly({k: int(c) for k, c in
                    expr.as_poly(x, y).as_dict().items()}).normalized()
-
-
-def _to_sympy(p: BiPoly, x, y):
-    return sum(c * x ** i * y ** j for (i, j), c in p.terms.items())
-
-
-def _random_factor(rng, deg):
-    while True:
-        f = BiPoly({(rng.randrange(deg + 1), rng.randrange(deg + 1)):
-                    rng.randrange(-6, 7) for _ in range(3)})
-        if not f.is_constant():
-            return f
-
-
-def test_gcd_and_square_free_match_sympy():
-    sympy = pytest.importorskip("sympy")
-    x, y = sympy.symbols("x y")
-    rng = random.Random(11)
-    for _ in range(30):
-        f, g, h = (_random_factor(rng, 2) for _ in range(3))
-        shared = f * C(rng.randrange(1, 13))
-        A = shared * g * g * C(rng.randrange(1, 13))   # repeated factor
-        B = shared * h * C(rng.randrange(-12, 13) or 1)
-        sA, sB = _to_sympy(A, x, y), _to_sympy(B, x, y)
-        assert gcd_bipoly(A, B) == _from_sympy(sympy.gcd(sA, sB), x, y)
-        assert square_free_part(A) == _from_sympy(sympy.sqf_part(sA), x, y)
-        assert square_free_part(A * B) == \
-            _from_sympy(sympy.sqf_part(sA * sB), x, y)
 
 
 def test_cubic_implicitization_matches_sympy_resultant():
@@ -223,3 +175,36 @@ def test_cubic_implicitization_matches_sympy_resultant():
                          - sum(c * t ** k for k, c in enumerate(num)))
         want = sympy.sqf_part(sympy.resultant(*polys, t))
         assert e.implicit() == _from_sympy(want, x, y)
+
+
+def test_implicitize_improper_parametrizations_matches_sympy():
+    # a proper curve composed with inner maps of degree 2 or 3 has index
+    # k = their product, and Res_t = c G^k
+    sympy = pytest.importorskip("sympy")
+    t, x, y = sympy.symbols("t x y")
+    u2, v2, u3 = (t ** 2 + 1) / (t - 1), t ** 2 + t, (t ** 3 - 2) / (t + 1)
+    generic = ((2 * t ** 2 - 3) / (t + 4), (t ** 3 + t) / (t + 4))
+    circle = ((1 - t ** 2) / (1 + t ** 2), 2 * t / (1 + t ** 2))
+    cases = [(generic, [u2], 2), (generic, [u3], 3), (generic, [u2, v2], 4),
+             (circle, [u3], 3), ((t, t ** 3 - t), [u2], 2),
+             ((t, t ** 2), [u3, v2], 6)]
+    for coords, inners, k in cases:
+        for inner in inners:
+            coords = [c.subs(t, inner) for c in coords]
+        rfs, polys = [], []
+        for var, c in zip((x, y), coords):
+            num, den = sympy.fraction(sympy.cancel(c))
+            rfs.append(RationalFunction.from_coeffs(
+                *([Fraction(str(a)) for a in sympy.Poly(p, t).all_coeffs()[::-1]]
+                  for p in (num, den))))
+            polys.append(sympy.expand(den * var - num))
+        res = sympy.resultant(*polys, t)
+        assert [m for _, m in sympy.sqf_list(res)[1]] == [k]
+        assert implicitize_rational(*rfs) == _from_sympy(sympy.sqf_part(res), x, y)
+
+
+def test_implicitize_constant_coordinate():
+    RF = RationalFunction.from_coeffs
+    assert implicitize_rational(RF([2]), RF([0, 0, 1])) == X - C(2)
+    assert implicitize_rational(RF([0, 1, 1]), RF([-3], [2])) == \
+        (Y * C(2) + C(3)).normalized()

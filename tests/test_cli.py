@@ -66,13 +66,45 @@ _PARABOLA = {"kind": "rational", "domain": ["0", "1"],
     {"domain": 5},
     {"domain": "01"},
     {"coords": 5},
+    {"domain": []},
 ], ids=["zero-den", "den-1/0", "num-null", "num-bool", "one-endpoint",
         "coords-object", "num-int", "den-int", "domain-int", "domain-string",
-        "coords-int"])
+        "coords-int", "domain-empty"])
 def test_malformed_rational_curve_exits_2(change, capsys):
     curve = json.dumps({**_PARABOLA, **change})
     code, _, err = run_cli(["count-distances", "--curve", curve,
                             "--scheme", "rand:1:8"], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+_FRAMEWORK = {"curve": "rational_circle", "quantity": "sq_euclidean",
+              "params": ["0", "1/2", "2"], "edges": [[0, 1], [0, 2], [1, 2]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-distances", "--curve", "@[1, 2]", "--scheme", "rand:1:8"],
+    ["count-distances", "--curve", "line", "--quantity", "@[1, 2]",
+     "--scheme", "rand:1:8"],
+    ["count-distances", "--curve", "line", "--scheme", "rand:1:8", "--quantity",
+     '{"kind": "pinned_area", "apex": 5}'],
+    ["count-distances", "--scheme", "rand:1:8", "--curve",
+     '{"kind": "helix", "radii": [1], "frequencies": [1], "dimension": 4.5}'],
+    ["flex", "--framework", "@[1, 2]"],
+    ["flex", "--framework", "@" + json.dumps({**_FRAMEWORK, "curve": 5})],
+    ["flex", "--framework", "@" + json.dumps({**_FRAMEWORK, "quantity": [1]})],
+], ids=["curve-list", "quantity-list", "apex-int", "helix-dim-4.5",
+        "framework-list", "framework-curve-int", "framework-quantity-list"])
+def test_json_of_the_wrong_shape_exits_2(argv, tmp_path, capsys):
+    # "@doc" is written to a file and passed as its path
+    def file_of(i, text):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(text)
+        return str(path)
+
+    argv = [file_of(i, a[1:]) if a.startswith("@") else a
+            for i, a in enumerate(argv)]
+    code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("error: ")
 

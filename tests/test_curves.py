@@ -358,6 +358,15 @@ def test_curve_json_rational_strings():
     assert c.evaluate(F(1, 2)) == (F(1, 2), F(1, 8))
 
 
+@pytest.mark.parametrize("dim", [4.5, 4.0, "4", True])
+def test_curve_json_rejects_a_helix_dimension_that_is_not_an_int(dim):
+    doc = {"kind": "helix", "radii": [1.0], "frequencies": [1.0],
+           "dimension": dim}
+    with pytest.raises(ValueError, match="not an integer"):
+        curve_from_json(doc)
+    assert curve_from_json({**doc, "dimension": 4}).dimension == 4
+
+
 def test_infinite_domain_endpoints():
     doc = {"kind": "rational", "domain": ["0", "inf"],
            "coords": [{"num": ["0", "1"], "den": ["1"]},

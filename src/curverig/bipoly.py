@@ -1,8 +1,8 @@
-"""Bivariate integer polynomials: Bareiss resultants and exact power roots.
+"""Bivariate integer polynomials: Sylvester resultants and exact power roots.
 
 Used to implicitize rational plane parametrizations: the Sylvester
-resultant eliminating the parameter, by exact fraction-free elimination
-over big integers, is c G^k, and the implicit equation G is its exact k-th
+resultant eliminating the parameter, a Bareiss determinant on rational's
+integer core, is c G^k, and the implicit equation G is its exact k-th
 root.  Terms are kept in a dict {(deg_x, deg_y): int}.
 """
 
@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+
+from .rational import _det
 
 
 class BiPoly:
@@ -78,9 +80,7 @@ class BiPoly:
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
 
-    def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, int):
-            return BiPoly({k: v * other for k, v in self.terms.items()})
+    def __mul__(self, other: "BiPoly") -> "BiPoly":
         out: dict = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -88,46 +88,10 @@ class BiPoly:
                 out[k] = out.get(k, 0) + c1 * c2
         return BiPoly(out)
 
-    __rmul__ = __mul__
-
     def lex_leading(self) -> tuple:
         """(exponent pair, coeff) maximal in lex order with X > Y."""
         k = max(self.terms)
         return k, self.terms[k]
-
-    def exact_div(self, other: "BiPoly") -> "BiPoly":
-        """Quotient self / other, which must be exact in Z[X, Y]."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if other.is_constant():
-            c = other.terms.get((0, 0), 0)
-            out = {}
-            for k, v in self.terms.items():
-                q, r = divmod(v, c)
-                if r:
-                    raise ArithmeticError("inexact constant division")
-                out[k] = q
-            return BiPoly(out)
-        rem = dict(self.terms)
-        quo: dict = {}
-        (bi, bj), bc = other.lex_leading()
-        while rem:
-            k = max(rem)
-            i, j = k[0] - bi, k[1] - bj
-            if i < 0 or j < 0:
-                raise ArithmeticError("inexact polynomial division")
-            q, r = divmod(rem[k], bc)
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            quo[(i, j)] = quo.get((i, j), 0) + q
-            for (oi, oj), oc in other.terms.items():
-                kk = (oi + i, oj + j)
-                nv = rem.get(kk, 0) - q * oc
-                if nv:
-                    rem[kk] = nv
-                else:
-                    rem.pop(kk, None)
-        return BiPoly(quo)
 
     def content(self) -> int:
         return math.gcd(*[abs(c) for c in self.terms.values()]) if self.terms else 0
@@ -155,56 +119,37 @@ class BiPoly:
 # -- resultants -------------------------------------------------------------
 
 
-def bareiss_determinant(M: list) -> BiPoly:
-    """Fraction-free determinant of a square BiPoly matrix."""
-    n = len(M)
-    if n == 0:
-        return BiPoly.const(1)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = BiPoly.const(1)
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not M[r][k].is_zero():
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return BiPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]).exact_div(prev)
-            M[i][k] = BiPoly.zero()
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _true_degree(coeffs: list) -> int:
-    d = len(coeffs) - 1
-    while d > 0 and coeffs[d].is_zero():
-        d -= 1
-    return d
-
-
 def sylvester_resultant(p_coeffs: list, q_coeffs: list) -> BiPoly:
-    """Res_t of two polynomials in t with BiPoly coefficients (ascending)."""
-    n1 = _true_degree(p_coeffs)
-    n2 = _true_degree(q_coeffs)
-    p = p_coeffs[:n1 + 1]
-    q = q_coeffs[:n2 + 1]
+    """Res_t of two polynomials in t with BiPoly coefficients (ascending).
+
+    A Bareiss determinant (rational._det) in Z[Z] under the Kronecker
+    substitution X -> Z, Y -> Z^s (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, 8.4), s = 1 + n2 dx(p) + n1 dx(q) for the t-degrees
+    n1, n2 and the largest coefficient X-degrees dx.  Each Bareiss entry is
+    +- a Sylvester minor, of X-degree at most the sum of its rows', so below
+    s.  The substitution, a ring map, is thus injective on every entry, each
+    exact division by the previous pivot maps to an exact division in Z[Z],
+    and Z^k decodes to X^(k mod s) Y^(k div s).
+    """
+    p, q = list(p_coeffs), list(q_coeffs)
+    for cs in (p, q):
+        while len(cs) > 1 and cs[-1].is_zero():
+            cs.pop()
+    n1, n2 = len(p) - 1, len(q) - 1
     if n1 == 0 and n2 == 0:
         raise ValueError("resultant of two constants is undefined here")
-    size = n1 + n2
-    M = [[BiPoly.zero() for _ in range(size)] for _ in range(size)]
-    for r in range(n2):
-        for k in range(n1 + 1):
-            M[r][r + k] = p[n1 - k]
-    for r in range(n1):
-        for k in range(n2 + 1):
-            M[n2 + r][r + k] = q[n2 - k]
-    return bareiss_determinant(M)
+    s = 1 + n2 * max(c.degree_x() for c in p) + n1 * max(c.degree_x() for c in q)
+
+    def enc(c):
+        z = [0] * (1 + max((i + s * j for i, j in c.terms), default=-1))
+        for (i, j), v in c.terms.items():
+            z[i + s * j] = v
+        return z
+
+    P, Q = [enc(c) for c in reversed(p)], [enc(c) for c in reversed(q)]
+    M = [[[]] * r + P + [[]] * (n2 - 1 - r) for r in range(n2)] + \
+        [[[]] * r + Q + [[]] * (n1 - 1 - r) for r in range(n1)]
+    return BiPoly({(k % s, k // s): c for k, c in enumerate(_det(M))})
 
 
 # -- implicit equation as an exact power root ---------------------------------

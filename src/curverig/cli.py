@@ -24,7 +24,7 @@ from .elekes import (admissibility_scan, elekes_family,
                      verify_incidence_invariant)
 from .errors import CurverigError, DomainExit, SingularH
 from .motion import classify_helix, derivative_norm_profile, trace_triangle_motion
-from .quantity import quantity_from_json
+from .quantity import _json_list, quantity_from_json
 from .rigidity import Framework, infinitesimal_nullity, scan_T_degeneracy
 
 _NUMERIC_ERRORS = (DomainExit, SingularH)
@@ -189,9 +189,10 @@ def cmd_flex(args) -> Outcome:
         else load_curve_arg(doc["curve"])
     quantity = quantity_from_json(doc["quantity"]) \
         if isinstance(doc["quantity"], dict) else load_quantity_arg(doc["quantity"])
-    params = [parse_param(p) for p in doc["params"]]
-    fw = Framework(len(params), tuple(tuple(e) for e in doc["edges"]),
-                   tuple(params), curve, quantity)
+    params = [parse_param(p) for p in _json_list(doc["params"], "params")]
+    edges = tuple(tuple(_json_list(e, "edge"))
+                  for e in _json_list(doc["edges"], "edges"))
+    fw = Framework(len(params), edges, tuple(params), curve, quantity)
     return Outcome(infinitesimal_nullity(fw, tol=args.tol).to_dict())
 
 

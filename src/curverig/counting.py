@@ -16,10 +16,11 @@ from typing import Sequence, Union
 import numpy as np
 
 from .curves import CurveSpec, HelixCurve, is_exact_data
-from .errors import (DimensionMismatch, DomainError, ExactnessUnavailable,
-                     InsufficientSamples, SchemeMismatch)
+from .errors import (DomainError, ExactnessUnavailable, InsufficientSamples,
+                     SchemeMismatch)
 from .parallel import parallel_chunked
-from .quantity import GeneralPolynomial, QuantitySpec, SquaredEuclidean
+from .quantity import (GeneralPolynomial, QuantitySpec, SquaredEuclidean,
+                       check_dimension)
 from .rational import as_fraction, is_exact
 
 
@@ -436,13 +437,11 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
     """
     n = len(pset)
     n_pairs = n * (n - 1) // 2
+    check_dimension(q, pset.curve.dimension)
     if isinstance(mode, Exact):
         if not is_exact_data(pset.curve, pset.params, q):
             raise ExactnessUnavailable(
                 "Exact counting needs rational curve, params and quantity")
-        if q.dimension not in (None, pset.curve.dimension):
-            raise DimensionMismatch(
-                f"expected dimension {q.dimension}, got {pset.curve.dimension}")
         if n_pairs == 0:
             return CountResult(0, n, 0, "exact")
         pts = [pset.curve.evaluate(t) for t in pset.params]

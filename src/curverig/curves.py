@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import (DomainError, JetOrderError, PoleError,
                      SingularParametrization)
-from .quantity import pairings, quantity_is_rational
+from .quantity import (_index, _json_list, check_dimension, pairings,
+                       quantity_is_rational)
 from .rational import (NEG_INF, POS_INF, Poly, RationalFunction, as_fraction,
                        count_real_roots, is_exact)
 
@@ -511,6 +512,7 @@ def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
     """
     if n < 32:
         raise ValueError("need grid size n >= 32")
+    check_dimension(quantity, curve.dimension)
     ts = curve.domain.uniform_grid(n)
     P = curve.evaluate_array(ts)
     V = curve.derivative_array(ts, 1)
@@ -667,12 +669,6 @@ def trig_ellipse(a: float, b: float,
                          label=f"ellipse({a},{b})")
 
 
-def _json_list(v, what: str) -> list:
-    if not isinstance(v, list):
-        raise ValueError(f"{what} {v!r} is not a list")
-    return v
-
-
 def _rf_from_json(doc) -> RationalFunction:
     if not isinstance(doc, dict):
         raise ValueError(f"rational coordinate {doc!r} is not a num/den object")
@@ -704,11 +700,10 @@ def curve_from_json(doc: dict) -> CurveSpec:
         def floats(key):
             return [float(as_fraction(x)) for x in _json_list(doc.get(key, []), key)]
         dim = doc.get("dimension")
-        if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int)):
-            raise ValueError(f"helix dimension {dim!r} is not an integer")
         return HelixCurve(
             radii=floats("radii"), frequencies=floats("frequencies"),
-            drift=floats("drift"), dimension=dim,
+            drift=floats("drift"),
+            dimension=None if dim is None else _index(dim, "helix dimension"),
             domain=interval or Interval(-1000.0, 1000.0))
     raise ValueError(f"unknown curve kind {kind!r}")
 

@@ -30,28 +30,17 @@ from .rational import RationalFunction, is_exact
 def implicitize_rational(x: RationalFunction, y: RationalFunction) -> BiPoly:
     """The irreducible implicit equation G(X, Y) of t -> (x(t), y(t)).
 
-    The resultant Res_t(g1(t) X - f1(t), g2(t) Y - f2(t)), by fraction-free
-    Bareiss elimination of the Sylvester matrix over big integers on each
-    coordinate's RationalFunction.rows, is c G^k for the parametrization's
-    index k; G is its exact k-th root (square_free_part), normalized.
+    The resultant Res_t(g1(t) X - f1(t), g2(t) Y - f2(t)) of each
+    coordinate's RationalFunction.rows, a Bareiss determinant of the
+    Sylvester matrix on the integer core (sylvester_resultant), is c G^k
+    for the parametrization's index k; G is its exact k-th root
+    (square_free_part), normalized.
     Raises DegenerateParametrization when the resultant is zero or constant.
     """
     if x.is_constant() and y.is_constant():
         raise DegenerateParametrization("both coordinates are constant")
-    f1, g1 = zip(*x.rows[::-1])
-    f2, g2 = zip(*y.rows[::-1])
-    n1, n2 = len(f1) - 1, len(f2) - 1
-
-    def coeff(fs, gs, var, k):
-        terms = {}
-        if k < len(gs) and gs[k]:
-            terms[(1, 0) if var == "x" else (0, 1)] = gs[k]
-        if k < len(fs) and fs[k]:
-            terms[(0, 0)] = -fs[k]
-        return BiPoly(terms)
-
-    p = [coeff(f1, g1, "x", k) for k in range(n1 + 1)]
-    q = [coeff(f2, g2, "y", k) for k in range(n2 + 1)]
+    p = [BiPoly({(1, 0): g, (0, 0): -f}) for f, g in x.rows[::-1]]
+    q = [BiPoly({(0, 1): g, (0, 0): -f}) for f, g in y.rows[::-1]]
     res = sylvester_resultant(p, q)
     if res.is_zero():
         raise DegenerateParametrization("resultant vanishes identically")

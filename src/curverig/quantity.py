@@ -22,12 +22,29 @@ from .errors import DimensionMismatch
 from .rational import RationalFunction, as_fraction, is_exact
 
 
+def _json_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what} {v!r} is not a list")
+    return v
+
+
+def _index(v, what: str) -> int:
+    """v when it is an int >= 0 and not a bool, else ValueError."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ValueError(f"{what} {v!r} is not an integer >= 0")
+    return v
+
+
+def check_dimension(q, d: int) -> None:
+    """DimensionMismatch unless D takes points of dimension d."""
+    if q.dimension not in (None, d):
+        raise DimensionMismatch(f"expected dimension {q.dimension}, got {d}")
+
+
 def _check_dim(q, x, y):
     if len(x) != len(y):
         raise DimensionMismatch(f"point dimensions differ: {len(x)} vs {len(y)}")
-    if q.dimension is not None and len(x) != q.dimension:
-        raise DimensionMismatch(
-            f"expected dimension {q.dimension}, got {len(x)}")
+    check_dimension(q, len(x))
 
 
 def _arithmetic(z):
@@ -129,7 +146,7 @@ class GeneralPolynomial:
     def __post_init__(self):
         merged: dict = {}
         for expo, coeff in self.terms:
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(_index(e, "exponent") for e in expo)
             if len(expo) != 2 * self.dimension:
                 raise DimensionMismatch(
                     f"exponent vector length {len(expo)} != 2*{self.dimension}")
@@ -227,16 +244,14 @@ def quantity_from_json(doc: dict) -> QuantitySpec:
     kind = doc.get("kind")
     if kind == "sq_euclidean":
         dim = doc.get("dimension")
-        return SquaredEuclidean(dimension=int(dim) if dim is not None else None)
+        return SquaredEuclidean(None if dim is None else _index(dim, "dimension"))
     if kind == "pinned_area":
-        apex = doc["apex"]
-        if not (isinstance(apex, list) and len(apex) == 2):
-            raise ValueError(f"apex {apex!r} is not an [x, y] pair")
-        return PinnedAreaSquared(apex=tuple(as_fraction(v) for v in apex))
+        return PinnedAreaSquared(
+            apex=tuple(as_fraction(v) for v in _json_list(doc["apex"], "apex")))
     if kind == "poly":
-        terms = tuple((tuple(int(e) for e in expo), as_fraction(c))
-                      for expo, c in doc["terms"])
-        return GeneralPolynomial(dimension=int(doc["dimension"]), terms=terms)
+        terms = [_json_list(t, "term") for t in _json_list(doc["terms"], "terms")]
+        return GeneralPolynomial(_index(doc["dimension"], "dimension"), tuple(
+            (tuple(_json_list(e, "exponents")), as_fraction(c)) for e, c in terms))
     raise ValueError(f"unknown quantity kind {kind!r}")
 
 

@@ -2,7 +2,8 @@
 
 One core on ascending int lists (no trailing zeros, [] for zero): _prem,
 the primitive remainder sequence _gcd and the exact quotient _quo reduce
-rational functions and build Sturm chains.  Poly and RationalFunction are
+rational functions and build Sturm chains, and _det takes Bareiss
+determinants (bipoly's resultants).  Poly and RationalFunction are
 immutable and exact-only: they evaluate at int or Fraction arguments, else
 raise TypeError.
 """
@@ -106,6 +107,28 @@ def _quo(a, b) -> list:
         for i, c in enumerate(b):
             a[k + i] -= q[k] * c
     return q
+
+
+def _det(M) -> list:
+    """Determinant of a square matrix of integer polynomials ([] if it is
+    singular) by fraction-free Bareiss elimination: each new entry is a
+    minor, so its division by the previous pivot is exact (Bareiss, *Math.
+    Comp.* 22, 1968).  The pivot is the first nonzero entry at or below
+    the diagonal; a row swap flips the sign."""
+    M, sign, prev = [list(row) for row in M], 1, [1]
+    for k in range(len(M) - 1):
+        p = next((r for r in range(k, len(M)) if M[r][k]), None)
+        if p is None:
+            return []
+        M[k], M[p], sign = M[p], M[k], sign if p == k else -sign
+        a = M[k][k]
+        for row in M[k + 1:]:
+            b = [-c for c in row[k]]
+            for j in range(k + 1, len(M)):
+                row[j] = _quo(_add(_mul(a, row[j]), _mul(b, M[k][j])), prev)
+        prev = a
+    det = M[-1][-1] if M else [1]
+    return det if sign > 0 else [-c for c in det]
 
 
 class Poly:

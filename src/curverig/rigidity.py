@@ -19,7 +19,7 @@ import numpy as np
 from .curves import CurveSpec, is_exact_data
 from .errors import SingularH
 from .parallel import parallel_chunked
-from .quantity import QuantitySpec, pairing, pairings
+from .quantity import QuantitySpec, _index, check_dimension, pairing, pairings
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,10 @@ class Framework:
         edges = []
         seen = set()
         for u, w in self.edges:
-            u, w = int(u), int(w)
+            u, w = _index(u, "vertex"), _index(w, "vertex")
             if u == w:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= w < self.vertex_count):
+            if max(u, w) >= self.vertex_count:
                 raise ValueError(f"edge ({u},{w}) out of range")
             key = (min(u, w), max(u, w))
             if key in seen:
@@ -304,6 +304,7 @@ def scan_T_degeneracy(curve: CurveSpec, quantity: QuantitySpec,
         raise ValueError("need at least m = 8 base pairs")
     if n < 64:
         raise ValueError("need at least n = 64 tau nodes")
+    check_dimension(quantity, curve.dimension)
     a_grid = curve.domain.chebyshev_grid(m)
     b_grid = curve.domain.chebyshev_grid(m + 1)
     pairs = []

@@ -5,9 +5,9 @@ import pytest
 
 from curverig import (Interval, RationalCurve, RationalFunction,
                       SquaredEuclidean)
-from curverig.bipoly import (BiPoly, bareiss_determinant, square_free_part,
-                             sylvester_resultant)
+from curverig.bipoly import BiPoly, square_free_part, sylvester_resultant
 from curverig.elekes import ElekesCurve, implicitize_rational
+from curverig.rational import _det
 
 X = BiPoly.monomial(1, 0)
 Y = BiPoly.monomial(0, 1)
@@ -34,24 +34,6 @@ def test_arithmetic_and_eval():
     assert q == X * X - Y * Y
 
 
-def test_exact_div_roundtrip():
-    rng = random.Random(7)
-    for _ in range(40):
-        a = BiPoly({(rng.randrange(3), rng.randrange(3)):
-                    rng.randrange(-9, 10) for _ in range(4)})
-        b = BiPoly({(rng.randrange(3), rng.randrange(3)):
-                    rng.randrange(-9, 10) for _ in range(3)})
-        if a.is_zero() or b.is_zero():
-            continue
-        prod = a * b
-        assert prod.exact_div(b) == a
-
-
-def test_exact_div_rejects_inexact():
-    with pytest.raises(ArithmeticError):
-        (X * X + ONE).exact_div(X + ONE)
-
-
 def _fraction_det(m):
     m = [[Fraction(c) for c in row] for row in m]
     n = len(m)
@@ -75,16 +57,30 @@ def test_bareiss_matches_fraction_elimination():
     for _ in range(25):
         n = rng.randrange(2, 6)
         raw = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        M = [[C(c) for c in row] for row in raw]
-        got = bareiss_determinant(M)
         want = _fraction_det(raw)
-        assert got.eval_exact(0, 0) == want
+        assert _det([[[c] if c else [] for c in row] for row in raw]) == \
+            ([int(want)] if want else [])
 
 
 def test_bareiss_with_polynomial_entries():
-    # det [[X, 1], [1, Y]] = XY - 1
-    M = [[X, ONE], [ONE, Y]]
-    assert bareiss_determinant(M) == X * Y - ONE
+    # det [[t, 1], [1, t]] = t^2 - 1
+    assert _det([[[0, 1], [1]], [[1], [0, 1]]]) == [-1, 0, 1]
+
+
+def test_bareiss_swaps_a_zero_pivot_and_flips_the_sign():
+    # det [[0, 1, 0], [t, 0, 0], [0, 0, 1]] = -t: the (0, 0) pivot is zero
+    M = [[[], [1], []], [[0, 1], [], []], [[], [], [1]]]
+    assert _det(M) == [0, -1]
+    # a later zero pivot: det [[1, 1, 0], [1, 1, t], [0, 1, 1]] = -t
+    M = [[[1], [1], []], [[1], [1], [0, 1]], [[], [1], [1]]]
+    assert _det(M) == [0, -1]
+
+
+def test_bareiss_singular_matrix_is_zero():
+    # a zero column, and rows dependent over Q[t]: row 2 = t * row 1
+    assert _det([[[], [1]], [[], [0, 1]]]) == []
+    assert _det([[[1], [2, 1], [3]], [[0, 1], [0, 2, 1], [0, 3]],
+                 [[5], [], [1]]]) == []
 
 
 def test_sylvester_resultant_univariate_oracle():
@@ -105,6 +101,37 @@ def test_sylvester_degenerate_cases():
     # constant p: Res = p^(deg q); constant q: Res = q^(deg p)
     assert sylvester_resultant([C(2)], [C(1), C(0), C(1)]) == C(4)
     assert sylvester_resultant([C(1), C(0), C(1)], [C(2)]) == C(4)
+
+
+def _random_bipoly(rng):
+    return BiPoly({(rng.randrange(3), rng.randrange(3)): rng.randrange(-5, 6)
+                   for _ in range(rng.randrange(1, 4))})
+
+
+def test_sylvester_resultant_matches_sympy():
+    # X- and Y-degrees up to 2 in every coefficient, so the Kronecker
+    # stride s matters; a zero leading coefficient is trimmed, and a side
+    # may be a constant in t
+    sympy = pytest.importorskip("sympy")
+    x, y, t = sympy.symbols("x y t")
+
+    def expr(cs):
+        return sum(c * x ** i * y ** j * t ** k
+                   for k, b in enumerate(cs) for (i, j), c in b.terms.items())
+
+    rng = random.Random(11)
+    shapes = [(3, 2), (2, 3), (4, 2), (1, 3), (3, 1)]
+    for trial in range(60):
+        n1, n2 = shapes[trial % len(shapes)]
+        p = [_random_bipoly(rng) for _ in range(n1)]
+        q = [_random_bipoly(rng) for _ in range(n2)]
+        if trial % 3 == 0:
+            p.append(BiPoly.zero())
+        if sympy.Poly(expr(p), t).degree() < 1 and sympy.Poly(expr(q), t).degree() < 1:
+            continue
+        want = sympy.Poly(sympy.resultant(expr(p), expr(q), t), x, y)
+        assert sylvester_resultant(p, q) == BiPoly(
+            {k: int(c) for k, c in want.as_dict().items()})
 
 
 def test_square_free_part():

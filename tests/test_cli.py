@@ -78,6 +78,7 @@ def test_malformed_rational_curve_exits_2(change, capsys):
     assert err.startswith("error: ")
 
 
+_LINE_1D = {"kind": "rational", "coords": [{"num": ["0", "1"]}]}
 _FRAMEWORK = {"curve": "rational_circle", "quantity": "sq_euclidean",
               "params": ["0", "1/2", "2"], "edges": [[0, 1], [0, 2], [1, 2]]}
 
@@ -93,8 +94,31 @@ _FRAMEWORK = {"curve": "rational_circle", "quantity": "sq_euclidean",
     ["flex", "--framework", "@[1, 2]"],
     ["flex", "--framework", "@" + json.dumps({**_FRAMEWORK, "curve": 5})],
     ["flex", "--framework", "@" + json.dumps({**_FRAMEWORK, "quantity": [1]})],
+    *(["count-distances", "--curve", "parabola", "--scheme", "rand:1:8",
+       "--quantity", json.dumps({"kind": "poly", "dimension": 2, **change})]
+      for change in ({"terms": 5}, {"terms": [5]}, {"terms": [[5, "1"]]},
+                     {"terms": [[[0.5, 0, 0, 0], "1"]]},
+                     {"terms": [[[-1, 0, 0, 0], "1"], [[0, 0, 2, 0], "1"]]},
+                     {"terms": [[[True, 0, 0, 0], "1"]]},
+                     {"terms": [[["1", 0, 0, 0], "1"]]},
+                     {"terms": [[[2, 0, 0, 0], "1"]], "dimension": 2.5})),
+    *(["count-distances", "--curve", json.dumps(_LINE_1D), "--scheme", "rand:1:8",
+       "--quantity", json.dumps(q)]
+      for q in ({"kind": "sq_euclidean", "dimension": 1.5},
+                {"kind": "sq_euclidean", "dimension": 1.7},
+                {"kind": "sq_euclidean", "dimension": True},
+                {"kind": "poly", "dimension": True, "terms": [[[2, 0], "1"]]})),
+    *(["flex", "--framework", "@" + json.dumps({**_FRAMEWORK, **change})]
+      for change in ({"edges": [0, 1]}, {"edges": 5}, {"params": 5},
+                     {"params": "012"}, {"edges": [[0.5, 1], [0, 2], [1, 2]]},
+                     {"edges": [[True, 2], [0, 2]]}, {"edges": [[0, -1]]})),
 ], ids=["curve-list", "quantity-list", "apex-int", "helix-dim-4.5",
-        "framework-list", "framework-curve-int", "framework-quantity-list"])
+        "framework-list", "framework-curve-int", "framework-quantity-list",
+        "terms-int", "term-int", "exponents-int", "exponent-0.5",
+        "exponent-negative", "exponent-bool", "exponent-string", "poly-dim-2.5",
+        "dim-1.5", "dim-1.7", "dim-bool", "poly-dim-bool",
+        "edges-flat", "edges-int", "params-int", "params-string",
+        "edge-0.5", "edge-bool", "edge-negative"])
 def test_json_of_the_wrong_shape_exits_2(argv, tmp_path, capsys):
     # "@doc" is written to a file and passed as its path
     def file_of(i, text):
@@ -107,6 +131,30 @@ def test_json_of_the_wrong_shape_exits_2(argv, tmp_path, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("error: ")
+
+
+_POLY_1D = json.dumps({"kind": "poly", "dimension": 1,
+                       "terms": [[[2, 0], "1"], [[1, 1], "-2"], [[0, 2], "1"]]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-distances", "--curve", "parabola", "--scheme", "arith:1/8:1/8:6",
+     "--quantity", _POLY_1D],
+    ["count-distances", "--curve", "parabola", "--scheme", "arith:1/8:1/8:6",
+     "--quantity", _POLY_1D, "--mode", "exact"],
+    ["count-distances", "--curve", "parabola", "--scheme", "arith:1/8:1/8:6",
+     "--quantity", '{"kind": "sq_euclidean", "dimension": 3}'],
+    ["count-distances", "--curve", "circular_helix(0.5)", "--scheme",
+     "arith:1/8:1/8:20", "--quantity", "pinned_area:0,0"],
+    ["check-simplicity", "--curve", "parabola", "--quantity", _POLY_1D],
+    ["test-degeneracy", "--curve", "parabola", "--quantity", _POLY_1D],
+], ids=["count-tol", "count-exact", "sq-euclidean-3d", "pinned-area-on-helix",
+        "check-simplicity", "test-degeneracy"])
+def test_quantity_of_another_dimension_exits_2(argv, capsys):
+    # D of a 1-D, 3-D or planar quantity on a curve of another dimension
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: expected dimension")
 
 
 def test_count_distances_exact_beyond_float_range(tmp_path, capsys):

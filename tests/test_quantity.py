@@ -35,6 +35,12 @@ def test_pinned_area_translates_apex():
     assert q.eval(x, y) == q0.eval(*shifted)
 
 
+@pytest.mark.parametrize("e", [0.5, -1, True, "1"])
+def test_general_polynomial_rejects_an_exponent_that_is_not_an_int(e):
+    with pytest.raises(ValueError, match="exponent"):
+        GeneralPolynomial(dimension=1, terms=(((e, 1), 1),))
+
+
 def test_dimension_mismatch():
     q = SquaredEuclidean(dimension=2)
     with pytest.raises(DimensionMismatch):

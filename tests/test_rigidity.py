@@ -29,6 +29,10 @@ def test_framework_validation(sq):
         Framework(2, ((0, 1),), (F(1, 3), F(1, 3)), par, sq)
     with pytest.raises(ValueError):
         Framework(2, ((0, 2),), (F(1, 3), F(2, 3)), par, sq)
+    # a vertex index must be an int >= 0, not a float, bool or string
+    for edge in ((0.5, 1), (True, 0), (0, -1), ("0", 1)):
+        with pytest.raises(ValueError, match="vertex"):
+            Framework(2, (edge,), (F(1, 3), F(2, 3)), par, sq)
 
 
 def test_k11_matrix_and_nullity(sq):

@@ -1,9 +1,12 @@
-"""Bivariate integer polynomials: Sylvester resultants and exact power roots.
+"""Implicit equations of rational plane curves on the integer core.
 
-Used to implicitize rational plane parametrizations: the Sylvester
-resultant eliminating the parameter, a Bareiss determinant on rational's
-integer core, is c G^k, and the implicit equation G is its exact k-th
-root.  Terms are kept in a dict {(deg_x, deg_y): int}.
+t -> (f1/g1, f2/g2) is implicitized in Z[Z] under the Kronecker
+substitution X -> Z, Y -> Z^s: sylvester_resultant builds the Sylvester
+matrix of g1 X - f1 and g2 Y - f2 straight from the coordinates' integer
+rows, takes its Bareiss determinant (rational._det) and decodes it once
+into R = c G^k; square_free_part takes the exact k-th root G of R, again
+as one int list, decoded once.  BiPoly only holds such a result, as a dict
+{(deg_x, deg_y): int}; it has no arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 
-from .rational import _det
+from .rational import RationalFunction, _add, _det, _mul, _trim
 
 
 class BiPoly:
@@ -22,24 +25,6 @@ class BiPoly:
 
     def __init__(self, terms: dict | None = None):
         self.terms = {k: int(v) for k, v in (terms or {}).items() if v != 0}
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls({})
-
-    @classmethod
-    def const(cls, c: int) -> "BiPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: int = 1) -> "BiPoly":
-        return cls({(i, j): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
 
     def degree_x(self) -> int:
         return max((i for i, _ in self.terms), default=0)
@@ -57,7 +42,7 @@ class BiPoly:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
-        if self.is_zero():
+        if not self.terms:
             return "BiPoly(0)"
         bits = []
         for (i, j), c in sorted(self.terms.items(),
@@ -68,43 +53,18 @@ class BiPoly:
             bits.append(f"{c}{'*' if mono else ''}{mono}")
         return "BiPoly(" + " + ".join(bits) + ")"
 
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return BiPoly(out)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BiPoly(out)
-
-    def lex_leading(self) -> tuple:
-        """(exponent pair, coeff) maximal in lex order with X > Y."""
-        k = max(self.terms)
-        return k, self.terms[k]
-
     def content(self) -> int:
         return math.gcd(*[abs(c) for c in self.terms.values()]) if self.terms else 0
 
     def graded_leading_sign(self) -> int:
-        if self.is_zero():
+        if not self.terms:
             return 0
         k = max(self.terms, key=lambda ij: (ij[0] + ij[1], ij[0], ij[1]))
         return 1 if self.terms[k] > 0 else -1
 
     def normalized(self) -> "BiPoly":
         """Primitive with positive graded-lex leading coefficient."""
-        if self.is_zero():
+        if not self.terms:
             return self
         c = self.content() * self.graded_leading_sign()
         return BiPoly({k: v // c for k, v in self.terms.items()})
@@ -116,40 +76,39 @@ class BiPoly:
         return total
 
 
+def _decode(z: list, s: int) -> BiPoly:
+    """The BiPoly whose Kronecker image, X^i Y^j -> Z^(i + s j), is z, for
+    X-degrees below s: Z^e decodes to X^(e mod s) Y^(e div s)."""
+    return BiPoly({(e % s, e // s): c for e, c in enumerate(z)})
+
+
 # -- resultants -------------------------------------------------------------
 
 
-def sylvester_resultant(p_coeffs: list, q_coeffs: list) -> BiPoly:
-    """Res_t of two polynomials in t with BiPoly coefficients (ascending).
+def sylvester_resultant(x: RationalFunction, y: RationalFunction) -> BiPoly:
+    """Res_t(g1(t) X - f1(t), g2(t) Y - f2(t)) for x = f1/g1, y = f2/g2.
 
-    A Bareiss determinant (rational._det) in Z[Z] under the Kronecker
-    substitution X -> Z, Y -> Z^s (von zur Gathen and Gerhard, *Modern
-    Computer Algebra*, 8.4), s = 1 + n2 dx(p) + n1 dx(q) for the t-degrees
-    n1, n2 and the largest coefficient X-degrees dx.  Each Bareiss entry is
-    +- a Sylvester minor, of X-degree at most the sum of its rows', so below
-    s.  The substitution, a ring map, is thus injective on every entry, each
-    exact division by the previous pivot maps to an exact division in Z[Z],
-    and Z^k decodes to X^(k mod s) Y^(k div s).
+    The Sylvester matrix is built straight from the coordinates' integer
+    rows (highest degree first) under the Kronecker substitution X -> Z,
+    Y -> Z^s (von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4),
+    s = len(y.rows): a row (f, g) of x is the entry g Z - f, one of y
+    g Z^s - f.  Its determinant is a Bareiss determinant in Z[Z]
+    (rational._det).  Only the n2 = deg_t y rows holding x's entries
+    involve X, each linearly, so every Bareiss entry, +- a Sylvester minor,
+    has X-degree at most n2 < s.  The substitution, a ring map, is thus
+    injective on every entry, each exact division by the previous pivot
+    maps to an exact division in Z[Z], and Z^e decodes to X^(e mod s)
+    Y^(e div s).  Raises ValueError when both coordinates are constant.
     """
-    p, q = list(p_coeffs), list(q_coeffs)
-    for cs in (p, q):
-        while len(cs) > 1 and cs[-1].is_zero():
-            cs.pop()
-    n1, n2 = len(p) - 1, len(q) - 1
+    n1, n2 = len(x.rows) - 1, len(y.rows) - 1
     if n1 == 0 and n2 == 0:
         raise ValueError("resultant of two constants is undefined here")
-    s = 1 + n2 * max(c.degree_x() for c in p) + n1 * max(c.degree_x() for c in q)
-
-    def enc(c):
-        z = [0] * (1 + max((i + s * j for i, j in c.terms), default=-1))
-        for (i, j), v in c.terms.items():
-            z[i + s * j] = v
-        return z
-
-    P, Q = [enc(c) for c in reversed(p)], [enc(c) for c in reversed(q)]
+    s = n2 + 1
+    P = [_trim([-f, g]) for f, g in x.rows]
+    Q = [_trim([-f] + [0] * (s - 1) + [g]) for f, g in y.rows]
     M = [[[]] * r + P + [[]] * (n2 - 1 - r) for r in range(n2)] + \
         [[[]] * r + Q + [[]] * (n1 - 1 - r) for r in range(n1)]
-    return BiPoly({(k % s, k // s): c for k, c in enumerate(_det(M))})
+    return _decode(_det(M), s)
 
 
 # -- implicit equation as an exact power root ---------------------------------
@@ -170,31 +129,30 @@ def _iroot(n: int, k: int):
         x = y
 
 
-def _power_root(R: BiPoly, k: int):
-    """H with H^k == R, found term by term in lex order (X > Y), or None.
+def _power_root(r: list, k: int):
+    """h in Z[Z] with h^k == r (nonzero, ascending), term by term from the
+    top, or None.
 
-    If H^k = R, R's first and last terms in lex order are the k-th powers
-    of H's, and the leading term of R - (H's leading terms)^k is
-    k lt(H)^(k-1) times H's next term, so each term is forced.  Only an
-    exact H^k == R accepts H.
+    If h^k = r, r's top and lowest terms are the k-th powers of h's, and
+    the top term of r - (h's top terms)^k is k lt(h)^(k-1) times h's next
+    term, so each term is forced and its exponent falls.  Only an exact
+    h^k == r accepts h.
     """
-    (i0, j0), c0 = R.lex_leading()
-    low, c_low = min(R.terms.items())       # lex-last term: H's last, ^k
-    c = _iroot(c0, k)
-    if any(e % k for e in (i0, j0) + low) or None in (c, _iroot(c_low, k)):
+    low = next(e for e, c in enumerate(r) if c)
+    c = _iroot(r[-1], k)
+    if (len(r) - 1) % k or low % k or None in (c, _iroot(r[low], k)):
         return None
-    top_y = R.degree_y() // k
-    H = BiPoly.monomial(i0 // k, j0 // k, c)
-    di, dj, dc = (k - 1) * (i0 // k), (k - 1) * (j0 // k), k * c ** (k - 1)
+    d = (len(r) - 1) // k
+    h, shift, lead = [0] * d + [c], (k - 1) * d, k * c ** (k - 1)
     while True:
-        rem = R - reduce(BiPoly.__mul__, [H] * k)
-        if rem.is_zero():
-            return H
-        (a, b), r = rem.lex_leading()
-        q, m = divmod(r, dc)
-        if a < di or b < dj or b - dj > top_y or m:
+        rem = _add(r, [-v for v in reduce(_mul, [h] * k)])
+        if not rem:
+            return h
+        e = len(rem) - 1 - shift            # the exponent of h's next term
+        q, m = divmod(rem[-1], lead)
+        if m or e < low // k:
             return None
-        H = H + BiPoly.monomial(a - di, b - dj, q)
+        h[e] = q
 
 
 def square_free_part(G: BiPoly) -> BiPoly:
@@ -210,8 +168,26 @@ def square_free_part(G: BiPoly) -> BiPoly:
     If H^k = R, unique factorization in Z[X, Y] makes H = +-P^(k0/k), so k
     divides k0.  Hence the largest divisor k > 1 of g with an exact k-th
     root is k0, and that root is +-P; with none, k0 = 1 and P = R.
+
+    The roots are taken in Z[Z]: r is R under X -> Z, Y -> Z^s with
+    s = deg_X R + 1, which is injective on polynomials of X-degree below s.
+    A root H in Z[X, Y] maps to a root h = enc(H) of r, and the k-th root
+    of r with a given leading coefficient is unique, so the root _power_root
+    finds is +-enc(H), decoding to +-H; the same k and +-P are found.  A
+    root h of r that has no bivariate counterpart is caught on decoding:
+    H = dec(h) is accepted only if k deg_X H <= deg_X R.  Then H^k and R
+    both have X-degree below s, and enc(H^k) = h^k = r = enc(R) gives
+    H^k = R.
     """
     R = G.normalized()
-    g = math.gcd(R.degree_x(), R.degree_y())
-    roots = (_power_root(R, k) for k in range(g, 1, -1) if g % k == 0)
-    return next((H.normalized() for H in roots if H is not None), R)
+    dx, s = R.degree_x(), R.degree_x() + 1
+    g = math.gcd(dx, R.degree_y())
+    r = [0] * (1 + max((i + s * j for i, j in R.terms), default=-1))
+    for (i, j), c in R.terms.items():
+        r[i + s * j] = c
+    for k in (k for k in range(g, 1, -1) if g % k == 0):
+        h = _power_root(r, k)
+        H = None if h is None else _decode(h, s)
+        if H is not None and k * H.degree_x() <= dx:
+            return H.normalized()
+    return R

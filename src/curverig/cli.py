@@ -150,8 +150,7 @@ def cmd_estimate_exponent(args) -> Outcome:
         res = count_distinct_values(pset, quantity, mode)
         runs.append((pset, res.count))
     fit = fit_exponent(runs)
-    rows = [[n, c] for n, c in fit.samples]
-    return Outcome(fit.to_dict(), csv=(["N", "count"], rows))
+    return Outcome(fit.to_dict(), csv=(["N", "count"], fit.samples))
 
 
 def cmd_elekes_analyze(args) -> Outcome:
@@ -252,7 +251,7 @@ _SELF_TESTS = {
         ["--curve", "line", "--scheme", "arith:0:1", "--sizes", "8,16,32",
          "--mode", "exact"],
         [("N line points give N-1 distances",
-          lambda r: r["samples"] == [[8, 7], [16, 15], [32, 31]])]),
+          lambda r: r["samples"] == ((8, 7), (16, 15), (32, 31)))]),
     "elekes-analyze": (
         ["--curve", "parabola", "--points", "1/4,1/2,3/4", "--pairs", "3",
          "--grid", "8"],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -18,7 +18,6 @@ import numpy as np
 from .curves import CurveSpec, HelixCurve, is_exact_data
 from .errors import (DomainError, ExactnessUnavailable, InsufficientSamples,
                      SchemeMismatch)
-from .parallel import parallel_chunked
 from .quantity import (GeneralPolynomial, QuantitySpec, SquaredEuclidean,
                        check_dimension)
 from .rational import as_fraction, is_exact
@@ -155,13 +154,16 @@ def parse_scheme(text: str) -> Scheme:
 def parse_param(v):
     """A parameter as the exact pipelines want it: ints, Fractions and
     strings that parse as a Fraction ("1/7", "0.25") become Fractions,
-    other strings floats; floats stay as they are."""
-    if isinstance(v, str):
-        try:
-            return as_fraction(v)
-        except ValueError:
-            return float(v)
-    return as_fraction(v) if is_exact(v) else v
+    other strings floats; floats stay as they are.  Anything else (None,
+    a bool, a list) raises ValueError."""
+    if isinstance(v, float):
+        return v
+    if not (isinstance(v, str) or is_exact(v)):
+        raise ValueError(f"bad parameter {v!r}: need a number or a string")
+    try:
+        return as_fraction(v)
+    except ValueError:
+        return float(v)
 
 
 # -- distinct-value counting -----------------------------------------------
@@ -452,26 +454,25 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
                            n_pairs=n_pairs, mode="exact",
                            value_min=lo, value_max=hi)
 
-    P = pset.points_array()
-
-    def worker(a, b):
-        out = []
-        for i in range(a, b):
-            if i + 1 < n:
-                out.append(q.eval_batch(P[i], P[i + 1:]))
-        return out
-
-    parts = parallel_chunked(worker, n, chunk_size=32)
-    vals = np.sort(np.concatenate(parts)) if parts else np.array([])
-    if vals.size == 0:
-        return CountResult(0, n, n_pairs, "tolerance")
-    gaps = np.diff(vals)
-    scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
-    boundary = gaps > (mode.rel_eps * scale + _ABS_FLOOR)
-    reps = vals[np.concatenate([[True], boundary])]
-    return CountResult(count=len(reps), n_points=n, n_pairs=n_pairs,
-                       mode=f"tolerance({mode.rel_eps:g})",
-                       value_min=reps[0], value_max=reps[-1])
+    if n_pairs == 0:
+        return CountResult(0, n, 0, "tolerance")
+    P, vals, k = pset.points_array(), np.empty(n_pairs), 0
+    for i in range(n - 1):
+        vals[k:k + n - 1 - i] = q.eval_batch(P[i], P[i + 1:])
+        k += n - 1 - i
+    vals.sort()
+    # a run ends where the gap exceeds rel_eps * max(|ends|) + _ABS_FLOOR;
+    # scale and gaps are the only other arrays of the pairs' size
+    scale, gaps = np.abs(vals[:-1]), np.abs(vals[1:])
+    np.maximum(scale, gaps, out=scale)
+    scale *= mode.rel_eps
+    scale += _ABS_FLOOR
+    boundary = np.subtract(vals[1:], vals[:-1], out=gaps) > scale
+    # value_max is the first value of the last run
+    last = n_pairs - 1 - int(np.argmax(boundary[::-1])) if boundary.any() else 0
+    return CountResult(count=1 + int(np.count_nonzero(boundary)), n_points=n,
+                       n_pairs=n_pairs, mode=f"tolerance({mode.rel_eps:g})",
+                       value_min=vals[0], value_max=vals[last])
 
 
 # -- growth-exponent fitting ------------------------------------------------
@@ -487,9 +488,7 @@ class ExponentFit:
     r_squared: float
 
     def to_dict(self) -> dict:
-        return {"samples": [[int(n), int(c)] for n, c in self.samples],
-                "slope": self.slope, "intercept": self.intercept,
-                "r_squared": self.r_squared}
+        return asdict(self)
 
 
 def fit_exponent(runs: Sequence) -> ExponentFit:

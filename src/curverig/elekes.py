@@ -30,24 +30,20 @@ from .rational import RationalFunction, is_exact
 def implicitize_rational(x: RationalFunction, y: RationalFunction) -> BiPoly:
     """The irreducible implicit equation G(X, Y) of t -> (x(t), y(t)).
 
-    The resultant Res_t(g1(t) X - f1(t), g2(t) Y - f2(t)) of each
-    coordinate's RationalFunction.rows, a Bareiss determinant of the
-    Sylvester matrix on the integer core (sylvester_resultant), is c G^k
-    for the parametrization's index k; G is its exact k-th root
-    (square_free_part), normalized.
-    Raises DegenerateParametrization when the resultant is zero or constant.
+    One integer pipeline: the Sylvester matrix of g1(t) X - f1(t) and
+    g2(t) Y - f2(t) is built from the coordinates' RationalFunction.rows
+    in Z[Z] under X -> Z, Y -> Z^s, and its Bareiss determinant decoded
+    into the resultant c G^k (sylvester_resultant), k the
+    parametrization's index; G is its exact k-th root, taken in Z[Z] and
+    decoded once (square_free_part), normalized.
+    Raises DegenerateParametrization when both coordinates are constant.
+    Otherwise G is never constant: the resultant is nonzero (a common
+    factor of g1 X - f1 and g2 Y - f2 would be free of X and Y, so divide
+    the coprime f1 and g1) and vanishes at every point of the curve.
     """
     if x.is_constant() and y.is_constant():
         raise DegenerateParametrization("both coordinates are constant")
-    p = [BiPoly({(1, 0): g, (0, 0): -f}) for f, g in x.rows[::-1]]
-    q = [BiPoly({(0, 1): g, (0, 0): -f}) for f, g in y.rows[::-1]]
-    res = sylvester_resultant(p, q)
-    if res.is_zero():
-        raise DegenerateParametrization("resultant vanishes identically")
-    G = square_free_part(res)
-    if G.is_constant():
-        raise DegenerateParametrization("resultant has no curve factor")
-    return G
+    return square_free_part(sylvester_resultant(x, y))
 
 
 def implicit_to_dict(G: BiPoly) -> dict:

@@ -38,7 +38,8 @@ class InsufficientSamples(CurverigError):
 
 
 class DegenerateParametrization(CurverigError):
-    """Implicitization failed: the resultant vanishes identically."""
+    """No Elekes curve to implicitize: the data are not exact, D does not
+    depend on gamma(t), or both coordinates are constant."""
 
 
 class SingularH(CurverigError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -239,10 +239,7 @@ class DerivativeNormProfile:
     arc_length: float
 
     def to_dict(self) -> dict:
-        return {"orders": self.orders, "samples": self.samples,
-                "norms": self.norms, "variations": self.variations,
-                "helix_candidate": self.helix_candidate,
-                "arc_length": self.arc_length}
+        return asdict(self)
 
 
 _HELIX_VARIATION_TOL = 1e-4
@@ -287,9 +284,7 @@ class RatioCertificate:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {"index": self.index, "ratio": self.ratio,
-                "numerator": self.numerator, "denominator": self.denominator,
-                "ok": self.ok}
+        return asdict(self)
 
 
 @dataclass
@@ -299,10 +294,7 @@ class HelixClassification:
     ratio_certificates: list
 
     def to_dict(self) -> dict:
-        return {"is_generalized": self.is_generalized,
-                "is_algebraic": self.is_algebraic,
-                "ratio_certificates": [c.to_dict()
-                                       for c in self.ratio_certificates]}
+        return asdict(self)
 
 
 def _reconstruct_rational(value: float, max_den: int, tol: float):

@@ -10,7 +10,7 @@ data, by exact elimination over Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -260,12 +260,7 @@ class DegeneracyReport:
     observed_sign_changes: int = 0
 
     def to_dict(self) -> dict:
-        return {"is_degenerate_candidate": self.is_degenerate_candidate,
-                "max_H_variation": self.max_H_variation, "tol": self.tol,
-                "witness": list(self.witness) if self.witness else None,
-                "pairs_scanned": self.pairs_scanned,
-                "tau_grid_size": self.tau_grid_size,
-                "observed_sign_changes": self.observed_sign_changes}
+        return asdict(self)
 
 
 _FACTOR_MASK_REL = 1e-4  # keeps per-node H error ~1e-12, far under scan tols

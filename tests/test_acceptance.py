@@ -34,9 +34,9 @@ F = Fraction
 RF = RationalFunction.from_coeffs
 SQ = SquaredEuclidean()
 
-X = BiPoly.monomial(1, 0)
-Y = BiPoly.monomial(0, 1)
-ONE = BiPoly.const(1)
+PARABOLA = BiPoly({(2, 0): 1, (0, 1): -1})             # X^2 - Y
+CIRCLE = BiPoly({(2, 0): 1, (0, 2): 1, (0, 0): -1})    # X^2 + Y^2 - 1
+HYPERBOLA = BiPoly({(1, 1): 1, (0, 0): -1})            # XY - 1
 
 
 def _report(num, name, elapsed, limit, ok, detail=""):
@@ -274,12 +274,10 @@ def test_criterion_08_algebraic_helix_classification():
 
 def test_criterion_09_implicitization():
     t0 = time.perf_counter()
-    ok = implicitize_rational(RF([0, 1]), RF([0, 0, 1])) == X * X - Y
+    ok = implicitize_rational(RF([0, 1]), RF([0, 0, 1])) == PARABOLA
     ok = ok and implicitize_rational(
-        RF([1, 0, -1], [1, 0, 1]), RF([0, 2], [1, 0, 1])) == \
-        X * X + Y * Y - ONE
-    ok = ok and implicitize_rational(RF([0, 1]), RF([1], [0, 1])) == \
-        X * Y - ONE
+        RF([1, 0, -1], [1, 0, 1]), RF([0, 2], [1, 0, 1])) == CIRCLE
+    ok = ok and implicitize_rational(RF([0, 1]), RF([1], [0, 1])) == HYPERBOLA
     rng = random.Random(99)
     built = 0
     while built < 10:

@@ -5,33 +5,32 @@ import pytest
 
 from curverig import (Interval, RationalCurve, RationalFunction,
                       SquaredEuclidean)
-from curverig.bipoly import BiPoly, square_free_part, sylvester_resultant
+from curverig.bipoly import (BiPoly, _power_root, square_free_part,
+                             sylvester_resultant)
 from curverig.elekes import ElekesCurve, implicitize_rational
 from curverig.rational import _det
 
-X = BiPoly.monomial(1, 0)
-Y = BiPoly.monomial(0, 1)
-ONE = BiPoly.const(1)
+RF = RationalFunction.from_coeffs
 
 
-def C(c):
-    return BiPoly.const(c)
+def _bp(text: str) -> BiPoly:
+    """The BiPoly of a polynomial in X and Y written as sympy text."""
+    sympy = pytest.importorskip("sympy")
+    return BiPoly({k: int(c) for k, c in sympy.Poly(
+        sympy.sympify(text), *sympy.symbols("X Y")).as_dict().items()})
 
 
-def power(p, k):
-    out = ONE
-    for _ in range(k):
-        out = out * p
-    return out
-
-
-def test_arithmetic_and_eval():
-    p = X * X + Y * C(-1)          # X^2 - Y
+def test_eval_and_degrees():
+    p = BiPoly({(2, 0): 1, (0, 1): -1, (1, 1): 0})     # X^2 - Y
+    assert p.terms == {(2, 0): 1, (0, 1): -1}
     assert p.eval_exact(3, 9) == 0
     assert p.eval_exact(2, 1) == 3
+    assert p.eval_exact(Fraction(1, 2), 0) == Fraction(1, 4)
     assert p.degree_x() == 2 and p.degree_y() == 1 and p.total_degree() == 2
-    q = (X + Y) * (X - Y)
-    assert q == X * X - Y * Y
+    assert p == BiPoly({(0, 1): -1, (2, 0): 1}) and hash(p) == hash(
+        BiPoly({(0, 1): -1, (2, 0): 1}))
+    assert repr(p) == "BiPoly(1*X^2 + -1*Y)"
+    assert BiPoly({(0, 0): 0}) == BiPoly() and repr(BiPoly()) == "BiPoly(0)"
 
 
 def _fraction_det(m):
@@ -84,72 +83,97 @@ def test_bareiss_singular_matrix_is_zero():
 
 
 def test_sylvester_resultant_univariate_oracle():
-    # Res_t(t^2 - 1, t - 2) = q-leading^2 * p(2) = 3; encode constants
-    p = [C(-1), C(0), C(1)]
-    q = [C(-2), C(1)]
-    assert sylvester_resultant(p, q).eval_exact(0, 0) == 3
-    # Res_t(a t + b, c t + d) = ad - bc up to sign: use (t - X), (t - Y)
-    p2 = [X * C(-1), ONE]
-    q2 = [Y * C(-1), ONE]
-    res = sylvester_resultant(p2, q2)
-    assert res in (Y - X, X - Y) or res == Y * C(-1) + X
+    # x = t, y = t^2: Res_t(X - t, Y - t^2) = +-(X^2 - Y), a 3 x 3 matrix
+    res = sylvester_resultant(RF([0, 1]), RF([0, 0, 1]))
+    assert res in (BiPoly({(2, 0): 1, (0, 1): -1}),
+                   BiPoly({(2, 0): -1, (0, 1): 1}))
+    # x = t, y = 1/t: Res_t(X - t, t Y - 1) = +-(XY - 1)
+    res = sylvester_resultant(RF([0, 1]), RF([1], [0, 1]))
+    assert res.normalized() == BiPoly({(1, 1): 1, (0, 0): -1})
+    assert res.eval_exact(Fraction(2, 3), Fraction(3, 2)) == 0
 
 
 def test_sylvester_degenerate_cases():
     with pytest.raises(ValueError):
-        sylvester_resultant([C(2)], [C(3)])
-    # constant p: Res = p^(deg q); constant q: Res = q^(deg p)
-    assert sylvester_resultant([C(2)], [C(1), C(0), C(1)]) == C(4)
-    assert sylvester_resultant([C(1), C(0), C(1)], [C(2)]) == C(4)
-
-
-def _random_bipoly(rng):
-    return BiPoly({(rng.randrange(3), rng.randrange(3)): rng.randrange(-5, 6)
-                   for _ in range(rng.randrange(1, 4))})
+        sylvester_resultant(RF([2]), RF([3], [7]))
+    # a constant side c: Res_t(X - c, q) = (X - c)^(deg_t q), and alike in Y
+    assert sylvester_resultant(RF([2]), RF([1, 0, 1])) == \
+        BiPoly({(2, 0): 1, (1, 0): -4, (0, 0): 4})
+    assert sylvester_resultant(RF([1, 0, 1]), RF([2])) == \
+        BiPoly({(0, 2): 1, (0, 1): -4, (0, 0): 4})
 
 
 def test_sylvester_resultant_matches_sympy():
-    # X- and Y-degrees up to 2 in every coefficient, so the Kronecker
-    # stride s matters; a zero leading coefficient is trimmed, and a side
-    # may be a constant in t
+    # random coordinate rows against sympy's Sylvester determinant of
+    # g1 X - f1 and g2 Y - f2, which is +- sympy's resultant (that sign
+    # differs from the determinant's on some draws).  The draws include a
+    # constant side, denominators with zero coefficients and a top row with
+    # g = 0 (deg num > deg den), and the stride s = len(y.rows) varies
     sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.subresultants_qq_zz import sylvester
     x, y, t = sympy.symbols("x y t")
 
-    def expr(cs):
-        return sum(c * x ** i * y ** j * t ** k
-                   for k, b in enumerate(cs) for (i, j), c in b.terms.items())
+    def draw():
+        num = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 5))]
+        den = [rng.choice([0, 0, 1, -2, 3]) for _ in range(rng.randrange(1, 4))]
+        den[-1] = den[-1] or 1
+        return RF(num, den)
+
+    def side(rf, var):
+        return sum((g * var - f) * t ** k for k, (f, g) in enumerate(rf.rows[::-1]))
 
     rng = random.Random(11)
-    shapes = [(3, 2), (2, 3), (4, 2), (1, 3), (3, 1)]
-    for trial in range(60):
-        n1, n2 = shapes[trial % len(shapes)]
-        p = [_random_bipoly(rng) for _ in range(n1)]
-        q = [_random_bipoly(rng) for _ in range(n2)]
-        if trial % 3 == 0:
-            p.append(BiPoly.zero())
-        if sympy.Poly(expr(p), t).degree() < 1 and sympy.Poly(expr(q), t).degree() < 1:
+    seen = {"constant side": 0, "zero den coefficient": 0, "top g = 0": 0}
+    for _ in range(80):
+        a, b = draw(), draw()
+        if a.is_constant() and b.is_constant():
             continue
-        want = sympy.Poly(sympy.resultant(expr(p), expr(q), t), x, y)
-        assert sylvester_resultant(p, q) == BiPoly(
-            {k: int(c) for k, c in want.as_dict().items()})
+        rows = a.rows + b.rows
+        seen["constant side"] += a.is_constant() or b.is_constant()
+        seen["zero den coefficient"] += any(g == 0 for _, g in rows)
+        seen["top g = 0"] += a.rows[0][1] == 0 or b.rows[0][1] == 0
+        p, q = side(a, x), side(b, y)
+        det = DomainMatrix.from_Matrix(sylvester(p, q, t)).det().as_expr()
+        assert sympy.expand(sympy.resultant(p, q, t) ** 2 - det ** 2) == 0
+        assert sylvester_resultant(a, b) == BiPoly(
+            {k: int(c) for k, c in sympy.Poly(det, x, y).as_dict().items()})
+    assert min(seen.values()) >= 5, seen
 
 
 def test_square_free_part():
-    sq = (Y - X * X)
-    assert square_free_part(sq * sq) == sq.normalized()
+    sq = _bp("Y - X**2")
+    assert square_free_part(_bp("(Y - X**2)**2")) == sq.normalized()
     # already square-free stays put
-    g = X * X + Y * Y - ONE
+    g = _bp("X**2 + Y**2 - 1")
     assert square_free_part(g) == g.normalized()
-    assert square_free_part(C(-6)) == ONE
-    assert square_free_part(BiPoly.zero()).is_zero()
+    assert square_free_part(BiPoly({(0, 0): -6})) == BiPoly({(0, 0): 1})
+    assert square_free_part(BiPoly()) == BiPoly()
+
+
+def test_kronecker_root_that_does_not_decode_is_rejected():
+    # Under X -> Z, Y -> Z^3 (s = deg_X R + 1), R below encodes to
+    # (Z^3 + Z^2 + Z + 1)^2, but that root decodes to H = Y + X^2 + X + 1,
+    # and H^2 has X-degree 4 > deg_X R = 2: H^2 != R, and R is kept
+    R = _bp("Y**2 + 2*X**2*Y + 3*X*Y + 4*Y + 3*X**2 + 2*X + 1")
+    assert R == R.normalized() and R.degree_x() == 2
+    assert _power_root([1, 2, 3, 4, 3, 2, 1], 2) == [1, 1, 1, 1]
+    assert _bp("(Y + X**2 + X + 1)**2") != R
+    assert square_free_part(R) == R
+    # -2X^2Y + 3X^2 - XY + Y^2 + 2X + 1 encodes to (Z^3 - Z^2 - Z - 1)^2,
+    # whose root decodes to Y - X^2 - X - 1; normalized, R encodes to
+    # minus a square and has no square root in Z[Z] at all
+    R = _bp("-2*X**2*Y + 3*X**2 - X*Y + Y**2 + 2*X + 1")
+    assert _power_root([1, 2, 3, 0, -1, -2, 1], 2) == [-1, -1, -1, 1]
+    assert square_free_part(R) == R.normalized()
 
 
 # Irreducible in Z[X, Y]: Y^2 - X and the last have degree 1 in X or Y with
 # coprime coefficients; the circle has no linear factor over C.
 _IRREDUCIBLE = {
-    "lex-lead-negative": Y * Y - X,
-    "circle": X * X + Y * Y - ONE,
-    "2000-bit": X * Y * C(2 ** 2000 + 1) - X * X * C(3 ** 1300) + C(5),
+    "lex-lead-negative": "Y**2 - X",
+    "circle": "X**2 + Y**2 - 1",
+    "2000-bit": f"{2 ** 2000 + 1}*X*Y - {3 ** 1300}*X**2 + 5",
 }
 
 
@@ -158,25 +182,23 @@ _IRREDUCIBLE = {
 def test_square_free_part_is_the_exact_power_root(name, c):
     H = _IRREDUCIBLE[name]
     for k in range(1, 5):
-        assert square_free_part(C(c) * power(H, k)) == H.normalized()
+        assert square_free_part(_bp(f"{c}*({H})**{k}")) == _bp(H).normalized()
 
 
 @pytest.mark.parametrize("var", ["X", "Y"])
 def test_square_free_certificate_tests_both_variables(var):
     # (V^2 + 1)^k involves V only, so its degree in the other variable is 0
     # and the power root has to be read off the degree in V
-    V = X if var == "X" else Y
-    sq = V * V + ONE
-    assert square_free_part(power(sq, 2)) == sq
-    assert square_free_part(power(sq, 3) * C(-5)) == sq
+    sq = _bp(f"{var}**2 + 1")
+    assert square_free_part(_bp(f"({var}**2 + 1)**2")) == sq
+    assert square_free_part(_bp(f"-5*({var}**2 + 1)**3")) == sq
 
 
 def test_normalized_sign_and_content():
-    p = C(-2) * (Y - X * X)      # -2Y + 2X^2 -> leading X^2 positive
-    n = p.normalized()
-    assert n.content() == 1
-    assert n.graded_leading_sign() == 1
-    assert n == X * X - Y
+    p = BiPoly({(0, 1): -2, (2, 0): 2}).normalized()   # -2(Y - X^2)
+    assert p.content() == 1
+    assert p.graded_leading_sign() == 1
+    assert p == BiPoly({(2, 0): 1, (0, 1): -1})
 
 
 # -- sympy oracle -------------------------------------------------------------
@@ -190,7 +212,6 @@ def _from_sympy(expr, x, y) -> BiPoly:
 def test_cubic_implicitization_matches_sympy_resultant():
     sympy = pytest.importorskip("sympy")
     x, y, t = sympy.symbols("x y t")
-    RF = RationalFunction.from_coeffs
     cubic = RationalCurve([RF([0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2))
     rng = random.Random(5)
     for _ in range(3):
@@ -233,7 +254,7 @@ def test_implicitize_improper_parametrizations_matches_sympy():
 
 
 def test_implicitize_constant_coordinate():
-    RF = RationalFunction.from_coeffs
-    assert implicitize_rational(RF([2]), RF([0, 0, 1])) == X - C(2)
+    assert implicitize_rational(RF([2]), RF([0, 0, 1])) == \
+        BiPoly({(1, 0): 1, (0, 0): -2})
     assert implicitize_rational(RF([0, 1, 1]), RF([-3], [2])) == \
-        (Y * C(2) + C(3)).normalized()
+        BiPoly({(0, 1): 2, (0, 0): 3})

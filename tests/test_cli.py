@@ -111,14 +111,17 @@ _FRAMEWORK = {"curve": "rational_circle", "quantity": "sq_euclidean",
     *(["flex", "--framework", "@" + json.dumps({**_FRAMEWORK, **change})]
       for change in ({"edges": [0, 1]}, {"edges": 5}, {"params": 5},
                      {"params": "012"}, {"edges": [[0.5, 1], [0, 2], [1, 2]]},
-                     {"edges": [[True, 2], [0, 2]]}, {"edges": [[0, -1]]})),
+                     {"edges": [[True, 2], [0, 2]]}, {"edges": [[0, -1]]},
+                     {"params": [None, "1/2", "2"]}, {"params": [[1], "1/2", "2"]},
+                     {"params": [True, "1/2", "2"]})),
 ], ids=["curve-list", "quantity-list", "apex-int", "helix-dim-4.5",
         "framework-list", "framework-curve-int", "framework-quantity-list",
         "terms-int", "term-int", "exponents-int", "exponent-0.5",
         "exponent-negative", "exponent-bool", "exponent-string", "poly-dim-2.5",
         "dim-1.5", "dim-1.7", "dim-bool", "poly-dim-bool",
         "edges-flat", "edges-int", "params-int", "params-string",
-        "edge-0.5", "edge-bool", "edge-negative"])
+        "edge-0.5", "edge-bool", "edge-negative", "param-null", "param-list",
+        "param-bool"])
 def test_json_of_the_wrong_shape_exits_2(argv, tmp_path, capsys):
     # "@doc" is written to a file and passed as its path
     def file_of(i, text):

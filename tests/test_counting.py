@@ -296,6 +296,24 @@ def test_tolerance_result_values(sq):
     assert (doc["value_min"], doc["value_max"]) == (brute[0], brute[-1])
 
 
+def test_tolerance_value_max_is_the_first_value_of_the_last_run(sq):
+    # values 1e-24, 1, 4, 4 + 4e-12, 9, 9 + 6e-12: the last two runs merge,
+    # and value_max is 9.0, the last run's first value, not its maximum
+    pset = ParamPointSet(make_line(), (0.0, 1.0, 3.0, 3.0 + 1e-12))
+    res = count_distinct_values(pset, sq, Tolerance(1e-9))
+    assert res.count == 4 and res.n_pairs == 6
+    assert res.value_min == 1.0001778090679956e-24
+    assert res.value_max == 9.0 < (3.0 + 1e-12) ** 2
+    # one pair; and a merged first run (1 and (1 + 1e-12)^2) before a
+    # one-value last run
+    res = count_distinct_values(ParamPointSet(make_line(), (0.5, 0.75)), sq,
+                                Tolerance(1e-9))
+    assert (res.count, res.value_min, res.value_max) == (1, 0.0625, 0.0625)
+    res = count_distinct_values(
+        ParamPointSet(make_line(), (0.0, 1.0, 2.0 + 1e-12)), sq, Tolerance(1e-3))
+    assert (res.count, res.value_min, res.value_max) == (2, 1.0, 4.000000000004)
+
+
 def test_circle_equally_spaced_counts(sq):
     # brute-force oracle with angle arithmetic, frozen: floor(N/2)
     circ = make_unit_circle()

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -23,9 +25,9 @@ from conftest import (make_circular_helix, make_parabola, make_rational_circle,
 F = Fraction
 RF = RationalFunction.from_coeffs
 
-X = BiPoly.monomial(1, 0)
-Y = BiPoly.monomial(0, 1)
-ONE = BiPoly.const(1)
+PARABOLA = BiPoly({(2, 0): 1, (0, 1): -1})             # X^2 - Y
+HYPERBOLA = BiPoly({(1, 1): 1, (0, 0): -1})            # XY - 1
+CIRCLE = BiPoly({(2, 0): 1, (0, 2): 1, (0, 0): -1})    # X^2 + Y^2 - 1
 
 
 # -- implicitization -----------------------------------------------------------
@@ -34,13 +36,13 @@ ONE = BiPoly.const(1)
 def test_implicitize_parabola_hand_oracle():
     # 3x3 Sylvester determinant by hand: X^2 - Y up to normalization
     G = implicitize_rational(RF([0, 1]), RF([0, 0, 1]))
-    assert G == X * X - Y
+    assert G == PARABOLA
 
 
 def test_implicitize_hyperbola_hand_oracle():
     # 2x2 resultant by hand: XY - 1 up to normalization
     G = implicitize_rational(RF([0, 1]), RF([1], [0, 1]))
-    assert G == X * Y - ONE
+    assert G == HYPERBOLA
 
 
 def _exact_nullspace(rows):
@@ -88,7 +90,41 @@ def test_implicitize_circle_sampling_oracle():
     oracle = BiPoly({m: int(c / lead) for m, c in zip(monos, v) if c != 0})
     G = implicitize_rational(x, y)
     assert G == oracle.normalized()
-    assert G == X * X + Y * Y - ONE
+    assert G == CIRCLE
+
+
+# The implicit equations of 63 fixed Elekes curves, hashed: a change to the
+# resultant or the power root that alters any coefficient fails here.
+_GOLDEN_CURVES = {
+    "line": builtin_curve("line"),
+    "parabola": builtin_curve("parabola"),
+    "rect_hyperbola": builtin_curve("rect_hyperbola"),
+    "rational_circle": builtin_curve("rational_circle"),
+    "cubic": RationalCurve([RF([0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2)),
+    "sheared_parabola": RationalCurve([RF([0, 1, 1]), RF([0, 0, 1])],
+                                      Interval(0, 1)),
+    "fractional": RationalCurve([RF([F(1, 3), 2], [F(5, 2), 1]),
+                                 RF([F(-1, 2), 0, F(3, 4)], [1, F(1, 7), 1])],
+                                Interval(0, 4)),
+}
+_GOLDEN_QUANTITIES = {
+    "sq": SquaredEuclidean(),
+    "pinned": PinnedAreaSquared(apex=(F(1, 2), F(-1, 5))),
+    "poly": GeneralPolynomial(2, (((2, 0, 0, 0), 1), ((1, 0, 0, 1), -2),
+                                  ((0, 0, 0, 2), 1), ((0, 1, 1, 0), F(3, 2)))),
+}
+_GOLDEN_SHA256 = "c79be3985ba40d97d63f0ee9d33b94c5dbb241374cf4a9c762ae02a50dcfacc4"
+
+
+def test_implicit_equations_match_their_golden_hash():
+    doc = {f"{cn}/{qn}/{p}/{r}": implicit_to_dict(ElekesCurve(c, q, p, r).implicit())
+           for cn, c in _GOLDEN_CURVES.items()
+           for qn, q in _GOLDEN_QUANTITIES.items()
+           for p, r in [(F(1, 3), F(2, 3)), (F(1, 7), F(5, 6)), (F(3, 4), F(1, 5))]}
+    assert len(doc) == 63
+    assert max(d["degree"] for d in doc.values()) >= 6
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == _GOLDEN_SHA256
 
 
 def test_implicitize_soundness_random_rational_curves():

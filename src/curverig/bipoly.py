@@ -5,7 +5,9 @@ substitution X -> Z, Y -> Z^s: sylvester_resultant builds the Sylvester
 matrix of g1 X - f1 and g2 Y - f2 straight from the coordinates' integer
 rows, takes its Bareiss determinant (rational._det) and decodes it once
 into R = c G^k; square_free_part takes the exact k-th root G of R, again
-as one int list, decoded once.  BiPoly only holds such a result, as a dict
+as one int list, decoded once.  first_subresultant gives the curve's
+rational inverse from the same rows, and compose substitutes a rational
+curve into a result.  BiPoly only holds such a result, as a dict
 {(deg_x, deg_y): int}; it has no arithmetic.
 """
 
@@ -15,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 
-from .rational import RationalFunction, _add, _det, _mul, _trim
+from .rational import RationalFunction, _add, _det, _minors, _mul, _parts, _trim
 
 
 class BiPoly:
@@ -70,10 +72,15 @@ class BiPoly:
         return BiPoly({k: v // c for k, v in self.terms.items()})
 
     def eval_exact(self, x, y) -> Fraction:
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * Fraction(x) ** i * Fraction(y) ** j
-        return total
+        """G(x, y) at ints or Fractions x = a/b, y = c/d, as one integer
+        sum of coeff a^i b^(m - i) c^j d^(n - j) over b^m d^n, m and n the
+        degrees in X and Y."""
+        (a, b), (c, d) = (Fraction(v).as_integer_ratio() for v in (x, y))
+        m, n = self.degree_x(), self.degree_y()
+        xs = [a ** i * b ** (m - i) for i in range(m + 1)]
+        ys = [c ** j * d ** (n - j) for j in range(n + 1)]
+        return Fraction(sum(v * xs[i] * ys[j] for (i, j), v in self.terms.items()),
+                        b ** m * d ** n)
 
 
 def _decode(z: list, s: int) -> BiPoly:
@@ -85,30 +92,88 @@ def _decode(z: list, s: int) -> BiPoly:
 # -- resultants -------------------------------------------------------------
 
 
+def _kronecker_rows(x: RationalFunction, y: RationalFunction) -> tuple:
+    """(P, Q, s): the coefficients of g1 X - f1 and g2 Y - f2 in t,
+    highest degree first, as Z[Z] entries under X -> Z, Y -> Z^s, with
+    s = len(y.rows): a row (f, g) of x is g Z - f, one of y g Z^s - f."""
+    s = len(y.rows)
+    return ([_trim([-f, g]) for f, g in x.rows],
+            [_trim([-f] + [0] * (s - 1) + [g]) for f, g in y.rows], s)
+
+
+def _sylvester_matrix(P: list, Q: list, j: int) -> list:
+    """The j-th subresultant matrix of the polynomials with coefficient
+    rows P and Q (degrees n1 = len(P) - 1 and n2): n2 - j shifted copies
+    of P over n1 - j of Q, n1 + n2 - j columns; j = 0 is Sylvester's."""
+    w = len(P) + len(Q) - 2 - j
+    return [[[]] * r + P + [[]] * (w - len(P) - r) for r in range(len(Q) - 1 - j)] + \
+        [[[]] * r + Q + [[]] * (w - len(Q) - r) for r in range(len(P) - 1 - j)]
+
+
 def sylvester_resultant(x: RationalFunction, y: RationalFunction) -> BiPoly:
     """Res_t(g1(t) X - f1(t), g2(t) Y - f2(t)) for x = f1/g1, y = f2/g2.
 
     The Sylvester matrix is built straight from the coordinates' integer
-    rows (highest degree first) under the Kronecker substitution X -> Z,
-    Y -> Z^s (von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4),
-    s = len(y.rows): a row (f, g) of x is the entry g Z - f, one of y
-    g Z^s - f.  Its determinant is a Bareiss determinant in Z[Z]
-    (rational._det).  Only the n2 = deg_t y rows holding x's entries
-    involve X, each linearly, so every Bareiss entry, +- a Sylvester minor,
-    has X-degree at most n2 < s.  The substitution, a ring map, is thus
-    injective on every entry, each exact division by the previous pivot
-    maps to an exact division in Z[Z], and Z^e decodes to X^(e mod s)
-    Y^(e div s).  Raises ValueError when both coordinates are constant.
+    rows under the Kronecker substitution X -> Z, Y -> Z^s (von zur Gathen
+    and Gerhard, *Modern Computer Algebra*, 8.4; _kronecker_rows).  Its
+    determinant is a Bareiss determinant in Z[Z] (rational._det).  Only
+    the n2 = deg_t y rows holding x's entries involve X, each linearly, so
+    every Bareiss entry, +- a Sylvester minor, has X-degree at most
+    n2 < s.  The substitution, a ring map, is thus injective on every
+    entry, each exact division by the previous pivot maps to an exact
+    division in Z[Z], and Z^e decodes to X^(e mod s) Y^(e div s).  Raises
+    ValueError when both coordinates are constant.
     """
-    n1, n2 = len(x.rows) - 1, len(y.rows) - 1
-    if n1 == 0 and n2 == 0:
+    if len(x.rows) == len(y.rows) == 1:
         raise ValueError("resultant of two constants is undefined here")
-    s = n2 + 1
-    P = [_trim([-f, g]) for f, g in x.rows]
-    Q = [_trim([-f] + [0] * (s - 1) + [g]) for f, g in y.rows]
-    M = [[[]] * r + P + [[]] * (n2 - 1 - r) for r in range(n2)] + \
-        [[[]] * r + Q + [[]] * (n1 - 1 - r) for r in range(n1)]
-    return _decode(_det(M), s)
+    P, Q, s = _kronecker_rows(x, y)
+    return _decode(_det(_sylvester_matrix(P, Q, 0)), s)
+
+
+def first_subresultant(x: RationalFunction, y: RationalFunction) -> tuple:
+    """(sigma1, sigma0): the first subresultant sigma1 t + sigma0 in t of
+    g1 X - f1 and g2 Y - f2, the rational inverse t = -sigma0 / sigma1 of
+    the curve t -> (x, y).
+
+    sigma1 t + sigma0 = U (g1 X - f1) + V (g2 Y - f2) identically, so
+    every t the curve maps to a point (X, Y) gives sigma1 t + sigma0 = 0
+    there.  Read as binary forms of the formal degrees, two forms with
+    two or more common roots have S_1 = 0, and with one, S_1 is their
+    gcd; so at a point of the curve where sigma1 != 0 the parameter is
+    unique, t = -sigma0 / sigma1, and maps to the point (Collins, *J. ACM*
+    14, 1967; Rouillier, *AAECC* 9, 1999).  The two coefficients are
+    Bareiss minors of _sylvester_matrix(P, Q, 1) on sylvester_resultant's
+    Kronecker rows, with the same degree bound.  With a degree-1
+    coordinate they are lc^k times that coordinate's own row; with a
+    constant coordinate both are 0: there is no rational inverse to use.
+    """
+    P, Q, s = _kronecker_rows(x, y)
+    if min(len(P), len(Q)) < 2:
+        return BiPoly(), BiPoly()
+    sigma1, sigma0 = _minors(_sylvester_matrix(P, Q, 1) or [P])
+    return _decode(sigma1, s), _decode(sigma0, s)
+
+
+def compose(G: BiPoly, x: RationalFunction, y: RationalFunction,
+            m: int, n: int) -> list:
+    """The numerator of G(x(s), y(s)) over den(x)^m den(y)^n, for m and n
+    at least G's degrees in X and Y, as an int list: the sum of
+    coeff num(x)^i den(x)^(m - i) num(y)^j den(y)^(n - j)."""
+    (a, b), (c, d) = _parts(x), _parts(y)
+    xs, ys = _homogeneous_powers(a, b, m), _homogeneous_powers(c, d, n)
+    rows: dict = {}
+    for (i, j), v in G.terms.items():
+        rows[j] = _add(rows.get(j, []), [v * e for e in xs[i]])
+    return reduce(_add, (_mul(r, ys[j]) for j, r in rows.items()), [])
+
+
+def _homogeneous_powers(a: list, b: list, m: int) -> list:
+    """[a^i b^(m - i) for i in 0..m] for int lists a and b."""
+    up, down = [[1]], [[1]]
+    for _ in range(m):
+        up.append(_mul(up[-1], a))
+        down.append(_mul(down[-1], b))
+    return [_mul(u, v) for u, v in zip(up, reversed(down))]
 
 
 # -- implicit equation as an exact power root ---------------------------------

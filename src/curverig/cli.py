@@ -125,7 +125,12 @@ def _emit(args, doc: dict, outcome: Outcome) -> None:
     if args.format == "csv" and csv_text is not None:
         _write(csv_text, args.out)
     else:
-        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write(_json_text(doc), args.out)
+
+
+def _json_text(doc: dict) -> str:
+    """The JSON report as printed, and as the self-tests read it back."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -162,7 +167,8 @@ def cmd_elekes_analyze(args) -> Outcome:
         pset = ParamPointSet(
             curve, tuple(sorted(map(parse_param, args.points.split(",")))))
     curves = elekes_family(pset, quantity)
-    incidence = verify_incidence_invariant(pset, quantity, curves)
+    incidence = verify_incidence_invariant(pset, quantity, curves,
+                                           check_implicit=True)
     scan = admissibility_scan(pset, quantity, sample_pairs=args.pairs,
                               n=args.grid, tol=args.tol, seed=args.seed,
                               curves=curves)
@@ -242,7 +248,7 @@ _CIRCLE_TRIANGLE = ('{"curve": "rational_circle", "quantity": "sq_euclidean", '
 
 # Each subcommand's self-test: flags for a small fixed input, and checks of
 # report fields known in closed form.  It runs through `_execute`, like a
-# normal invocation.
+# normal invocation, and checks the printed JSON read back (_json_text).
 _SELF_TESTS = {
     "count-distances": (
         ["--curve", "line", "--scheme", "arith:0:1:10", "--mode", "exact"],
@@ -251,7 +257,7 @@ _SELF_TESTS = {
         ["--curve", "line", "--scheme", "arith:0:1", "--sizes", "8,16,32",
          "--mode", "exact"],
         [("N line points give N-1 distances",
-          lambda r: r["samples"] == ((8, 7), (16, 15), (32, 31)))]),
+          lambda r: r["samples"] == [[8, 7], [16, 15], [32, 31]])]),
     "elekes-analyze": (
         ["--curve", "parabola", "--points", "1/4,1/2,3/4", "--pairs", "3",
          "--grid", "8"],
@@ -262,7 +268,12 @@ _SELF_TESTS = {
          ("6 Elekes curves meet within Bezout 4*4",
           lambda r: r["admissibility"]["n_curves"] == 6
           and r["admissibility"]["pairs_checked"] == 3
-          and r["admissibility"]["max_pairwise_intersections"] <= 16)]),
+          and r["admissibility"]["max_pairwise_intersections"] <= 16),
+         # the 3 sampled pairs meet 2, 2 and 3 times (a sympy resultant
+         # and mpmath roots agree), each count exact
+         ("3 pairs meet 2, 2 and 3 times, counted exactly",
+          lambda r: r["admissibility"]["histogram"] == {"2": 2, "3": 1}
+          and r["admissibility"]["count_methods"] == {"exact": 3})]),
     "test-degeneracy": (
         ["--curve", "unit_circle", "--pairs", "8", "--tau-grid", "64"],
         [("circle H is constant",
@@ -297,8 +308,9 @@ _SELF_TESTS = {
 def _run_self_test(command: str) -> int:
     flags, checks = _SELF_TESTS[command]
     doc, outcome = _execute(build_parser().parse_args([command] + flags))
+    result = json.loads(_json_text(doc))["result"]
     results = [("exit code 0", outcome.code == 0)] + \
-        [(name, bool(check(doc["result"]))) for name, check in checks]
+        [(name, bool(check(result))) for name, check in checks]
     for name, passed in results:
         print(f"[{command}] {'ok' if passed else 'FAIL'}: {name}")
     return 0 if all(passed for _, passed in results) else 1

@@ -111,7 +111,7 @@ class RationalCurve:
 
     Each coordinate is stored as integer rows over Q (floats convert
     exactly), and every denominator is certified root-free on the domain
-    by Sturm real-root counting.
+    by Descartes real-root isolation (rational.real_roots).
 
     Every float array evaluation is one pass over a cached jet matrix per
     range of derivative orders, e.g. gamma and gamma' together: one row per

@@ -1,9 +1,14 @@
 """Elekes curves t -> (D(gamma(t), p), D(gamma(t), q)) and their analysis.
 
 For rational base curves with rational data the two components are cached
-as univariate rational functions and the curve is implicitized exactly as
-a Sylvester resultant; intersection counting is numerical (grid seeds plus
-Newton refinement): an estimate, not a bound (see intersect_elekes_pair).
+as univariate rational functions, the curve is implicitized exactly as a
+Sylvester resultant, and its rational inverse comes from the first
+subresultant.  Two such curves' intersections are counted exactly, by
+isolating the real roots of one curve's implicit equation along the other
+and mapping each back through the inverse (see _exact_count); where the
+inverse is undefined at a root the count is a proven upper bound.  On
+other data (the helix, float parameters) the count is a numeric estimate
+from grid seeds and Newton refinement, neither a lower nor an upper bound.
 A Newton seed leaves the loop as soon as its iterates repeat bitwise with
 a period of at most 4, taking the value the full 40 steps would end on, so
 the exit saves evaluations without changing any result.
@@ -18,13 +23,15 @@ from typing import Optional
 
 import numpy as np
 
-from .bipoly import BiPoly, square_free_part, sylvester_resultant
+from .bipoly import (BiPoly, compose, first_subresultant, square_free_part,
+                     sylvester_resultant)
 from .counting import ParamPointSet
 from .curves import CurveSpec, RationalCurve, is_exact_data
 from .errors import DegenerateParametrization
 from .parallel import parallel_chunked
 from .quantity import QuantitySpec, pairings, quantity_degree
-from .rational import RationalFunction, is_exact
+from .rational import (RationalFunction, _add, _gcd, as_fraction, is_exact,
+                       real_roots, root_float, root_sign, vanishes_at)
 
 
 def implicitize_rational(x: RationalFunction, y: RationalFunction) -> BiPoly:
@@ -69,6 +76,7 @@ class ElekesCurve:
         self._components: Optional[tuple] = None
         self._base_points: Optional[np.ndarray] = None
         self._implicit: Optional[BiPoly] = None
+        self._inverse: Optional[tuple] = None
 
     def __repr__(self):
         return f"ElekesCurve(p={self.p_param}, q={self.q_param})"
@@ -97,6 +105,14 @@ class ElekesCurve:
             A, B = self.components()
             self._implicit = implicitize_rational(A, B)
         return self._implicit
+
+    def inverse(self) -> tuple[BiPoly, BiPoly]:
+        """Cached (sigma1, sigma0) of first_subresultant(A, B): at a point
+        of the curve where sigma1 != 0, t = -sigma0 / sigma1 is its only
+        parameter."""
+        if self._inverse is None:
+            self._inverse = first_subresultant(*self.components())
+        return self._inverse
 
     def degree_bound(self) -> int:
         """deg D * deg gamma; deg D * 2 when gamma has no algebraic degree."""
@@ -201,6 +217,7 @@ class IntersectionReport:
     n_seeds: int = 0
     n_converged: int = 0
     n_unconverged: int = 0
+    count_method: str = "newton"
 
     @property
     def count(self) -> int:
@@ -282,6 +299,73 @@ def _newton(e1: ElekesCurve, e2: ElekesCurve, t: np.ndarray,
 
 def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
                           tol: float = 1e-5) -> IntersectionReport:
+    """The intersection points of xi1 and xi2 on their open domains.
+
+    same_algebraic_curve short-circuits both paths.  On exact data the
+    count is exact, or a proven upper bound (_exact_count).  Otherwise it
+    is a numeric estimate from an n x n Newton seed grid (_newton_count).
+    """
+    if e1.pair() == e2.pair() and e1.curve is e2.curve:
+        raise ValueError("intersection needs two distinct Elekes curves")
+    same, method = same_algebraic_curve(e1, e2)
+    if same:
+        return IntersectionReport([], True, method)
+    if method == "exact":
+        return _exact_count(e1, e2)
+    return _newton_count(e1, e2, method, n, tol)
+
+
+def _endpoint_row(S0: list, S1: list, x) -> list:
+    """The numerator of sigma0 + x sigma1 over x's denominator for a
+    finite endpoint x, and x's sign times sigma1 for x = +-inf."""
+    if x in (-math.inf, math.inf):
+        return [c if x > 0 else -c for c in S1]
+    a, b = as_fraction(x).as_integer_ratio()
+    return _add([b * c for c in S0], [a * c for c in S1])
+
+
+def _exact_count(e1: ElekesCurve, e2: ElekesCurve) -> IntersectionReport:
+    """Count the points xi2(s) = xi1(t), s and t in the open domains, of
+    two exact Elekes curves that are not one algebraic curve.
+
+    The s are the real roots in xi2's domain of N(s), the numerator of
+    G1(A2(s), B2(s)), isolated by real_roots.  xi1's inverse
+    t = -sigma0 / sigma1 at the point xi2(s) is its only parameter when
+    sigma1 != 0 there, so the root counts iff t lies in xi1's domain:
+    (t - lo) (hi - t) = -(sigma0 + lo sigma1)(sigma0 + hi sigma1) / sigma1^2
+    > 0, read from the signs at s of those numerators, composed with xi2
+    over one common denominator.  Two roots map to one point only where
+    xi2's own sigma1 vanishes.  If xi1's sigma1 or xi2's own vanishes at
+    some root, the report gives the number of roots, a proven upper bound,
+    with count_method "upper".  points are the float images xi2(s) of the
+    counted roots (of every root for "upper").
+    """
+    A2, B2 = e2.components()
+    G, (s1, s0), own = e1.implicit(), e1.inverse(), e2.inverse()[0]
+    N = compose(G, A2, B2, G.degree_x(), G.degree_y())
+    roots = real_roots(N, e2.curve.domain.lo, e2.curve.domain.hi)
+    m, k = max(s1.degree_x(), s0.degree_x()), max(s1.degree_y(), s0.degree_y())
+    S1, S0 = compose(s1, A2, B2, m, k), compose(s0, A2, B2, m, k)
+    node = compose(own, A2, B2, own.degree_x(), own.degree_y())
+    below, above = (_endpoint_row(S0, S1, x)
+                    for x in (e1.curve.domain.lo, e1.curve.domain.hi))
+    g_node, g1, g_lo, g_hi = (_gcd(N, h) for h in (node, S1, below, above))
+    counted, method = [], "exact"
+    for root in roots:
+        if vanishes_at(node, root, g_node) or vanishes_at(S1, root, g1):
+            counted, method = roots, "upper"
+            break
+        lo_sign, root = root_sign(below, root, g_lo)
+        hi_sign, root = root_sign(above, root, g_hi)
+        if lo_sign * hi_sign < 0:
+            counted.append(root)
+    s = np.array([root_float(root) for root in counted])
+    points = [(float(a), float(b)) for a, b in e2.eval_batch(s)]
+    return IntersectionReport(points, False, "exact", count_method=method)
+
+
+def _newton_count(e1: ElekesCurve, e2: ElekesCurve, method: str, n: int = 64,
+                  tol: float = 1e-5) -> IntersectionReport:
     """Solve xi1(t) = xi2(s) from an n x n seed grid with Newton refinement.
 
     Each seed takes at most 40 Newton steps.  It leaves the loop once its
@@ -291,15 +375,8 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
     lexicographic order (a point is dropped when an earlier kept point lies
     within tol * scale).  The count is a numeric estimate, neither a lower
     nor an upper bound: a tangential intersection can survive the merge as
-    two points, and a root no seed converges to is dropped (ROADMAP item 2
-    plans exact counts).  same_algebraic_curve short-circuits the search.
+    two points, and a root no seed converges to is dropped.
     """
-    if e1.pair() == e2.pair() and e1.curve is e2.curve:
-        raise ValueError("intersection needs two distinct Elekes curves")
-    same, method = same_algebraic_curve(e1, e2)
-    if same:
-        return IntersectionReport([], True, method)
-
     t0 = e1.curve.domain.uniform_grid(n)
     s0 = e2.curve.domain.uniform_grid(n)
     t, s = _newton(e1, e2, *[a.ravel() for a in np.meshgrid(t0, s0)])
@@ -354,18 +431,23 @@ def elekes_family(pset: ParamPointSet, q: QuantitySpec) -> list:
 
 
 def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec,
-                               curves: Optional[list] = None) -> IncidenceReport:
+                               curves: Optional[list] = None,
+                               check_implicit: bool = False) -> IncidenceReport:
     """Check xi_pq(r) = (D(r, p), D(r, q)) for every ordered pair and every
     third point r, and count the distinct product points on each Elekes
     curve.  On exact data xi_pq(r) comes from its symbolic components, so a
-    wrong component fails; on other data (helix, float parameters) both
-    sides evaluate D at the same points, and the check compares D with
-    itself.  `curves` is elekes_family(pset, q), built here when omitted."""
+    wrong component fails, and with check_implicit each (i, j, r) also
+    fails unless G_pq(D(r, p), D(r, q)) = 0, G_pq the curve's implicit
+    equation, which the exact intersection counts rely on.  On other data
+    (helix, float parameters) both sides evaluate D at the same points,
+    and the check compares D with itself.  `curves` is elekes_family(pset,
+    q), built here when omitted."""
     params = pset.params
     n = len(params)
     if n < 3:
         raise ValueError("incidence check needs at least 3 points")
     curve, checked, failures = pset.curve, 0, []
+    implicit = check_implicit and is_exact_data(curve, params, q)
     incident = {}
     points = {t: curve.evaluate(t) for t in params}
     family = iter(elekes_family(pset, q) if curves is None else curves)
@@ -374,6 +456,7 @@ def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec,
             if i == j:
                 continue
             e = next(family)
+            G = e.implicit() if implicit else None
             hits = set()
             for r in range(n):
                 if r == i or r == j:
@@ -382,7 +465,7 @@ def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec,
                 via_curve = e.eval(params[r])
                 direct = (q.eval(points[params[r]], points[params[i]]),
                           q.eval(points[params[r]], points[params[j]]))
-                if via_curve != direct:
+                if via_curve != direct or (G is not None and G.eval_exact(*direct)):
                     failures.append((i, j, r, via_curve, direct))
                 hits.add(direct)
             incident[(i, j)] = len(hits)
@@ -400,6 +483,7 @@ class AdmissibilityReport:
     n_classes: int
     detection_method: str
     class_implicits: list = field(default_factory=list)
+    count_methods: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"pairs_checked": self.pairs_checked,
@@ -410,7 +494,8 @@ class AdmissibilityReport:
                      for cls in self.duplicate_curve_classes],
                 "class_implicits": [implicit_to_dict(g) for g in self.class_implicits],
                 "n_curves": self.n_curves, "n_classes": self.n_classes,
-                "detection_method": self.detection_method}
+                "detection_method": self.detection_method,
+                "count_methods": dict(sorted(self.count_methods.items()))}
 
 
 def _unrank_pair(k: int, n: int) -> tuple[int, int]:
@@ -426,10 +511,11 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
     """Empirical admissibility of the Elekes family of a point set.
 
     Groups curves sharing one algebraic curve (exact implicit equality when
-    available, else a flagged fingerprint over the sampled pairs), then runs
-    the numeric intersector over `sample_pairs` sampled unordered pairs of
-    curves from distinct classes and histograms the counts.  `curves` is
-    elekes_family(pset, q), built here when omitted.
+    available, else a flagged fingerprint over the sampled pairs), then
+    counts the intersections of `sample_pairs` sampled unordered pairs of
+    curves from distinct classes (intersect_elekes_pair) and histograms
+    the counts; count_methods tallies how each count was found.  `curves`
+    is elekes_family(pset, q), built here when omitted.
     """
     if curves is None:
         curves = elekes_family(pset, q)
@@ -466,17 +552,19 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
             if rep.same_algebraic_curve:
                 out.append(("same", e1.pair(), e2.pair()))
             else:
-                out.append(("count", rep.count))
+                out.append(("count", rep.count, rep.count_method))
         return out
 
     results = parallel_chunked(worker, len(chosen), chunk_size=8)
 
     histogram: dict = {}
+    count_methods: dict = {}
     max_int = 0
     merged: list = []
     for item in results:
         if item[0] == "count":
             histogram[item[1]] = histogram.get(item[1], 0) + 1
+            count_methods[item[2]] = count_methods.get(item[2], 0) + 1
             max_int = max(max_int, item[1])
         else:
             merged.append((item[1], item[2]))
@@ -505,4 +593,4 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
         pairs_checked=take, max_pairwise_intersections=max_int,
         histogram=histogram, duplicate_curve_classes=dup,
         n_curves=len(curves), n_classes=len(classes), detection_method=method,
-        class_implicits=dup_implicits)
+        class_implicits=dup_implicits, count_methods=count_methods)

@@ -1,11 +1,14 @@
 """Exact univariate polynomials and rational functions over Q, on integers.
 
-One core on ascending int lists (no trailing zeros, [] for zero): _prem,
-the primitive remainder sequence _gcd and the exact quotient _quo reduce
-rational functions and build Sturm chains, and _det takes Bareiss
-determinants (bipoly's resultants).  Poly and RationalFunction are
-immutable and exact-only: they evaluate at int or Fraction arguments, else
-raise TypeError.
+One core on ascending int lists (no trailing zeros, [] for zero): _gcd
+(the heuristic GCDHEU, checked by exact division, with the primitive
+remainder sequence _prem as its fallback) and the checked quotient _quo
+reduce rational functions; _det and _minors take Bareiss determinants
+(bipoly's resultants and subresultants); real_roots isolates real roots
+by Descartes' rule of signs with bisection, and vanishes_at and root_sign
+read a polynomial's sign at such a root.
+Poly and RationalFunction are immutable and exact-only: they evaluate at
+int or Fraction arguments, else raise TypeError.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def _primitive(a) -> list:
 
 def _prem(a, b) -> list:
     """Pseudo-remainder of a by nonzero b scaled by a power of |lc(b)|: a
-    positive multiple of the remainder, so a Sturm chain keeps its signs."""
+    positive multiple of the remainder."""
     r, lc, m = list(a), b[-1], abs(b[-1])
     while len(r) >= len(b):
         f, k = r[-1] * m // lc, len(r) - len(b)  # lc(r) sign(lc(b))
@@ -90,45 +93,90 @@ def _prem(a, b) -> list:
     return r
 
 
+def _heuristic_gcd(a, b):
+    """gcd of primitive nonconstant a and b by GCDHEU (Char, Geddes and
+    Gonnet, *J. Symbolic Comput.* 7, 1989), or None after six failed xi.
+
+    The integer gcd of a(xi) and b(xi), read as balanced xi-adic digits,
+    is a polynomial h; with xi >= 2 min(|a|, |b|) + 2 (max-norms), h's
+    primitive part is the gcd iff it divides both a and b, so only that
+    exact division accepts it.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(6):
+        h, digits = math.gcd(_at(a, xi), _at(b, xi)), []
+        while h:
+            d = h % xi
+            d -= xi if 2 * d > xi else 0
+            digits.append(d)
+            h = (h - d) // xi
+        h = _primitive(digits)
+        if _quo(a, h) is not None and _quo(b, h) is not None:
+            return h
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
 def _gcd(a, b) -> list:
-    """gcd over Z, primitive and up to sign ([] when both are zero), by the
-    primitive remainder sequence."""
+    """gcd over Z, primitive and up to sign ([] when both are zero): by
+    _heuristic_gcd, else by the primitive remainder sequence."""
+    if len(a) > 1 and len(b) > 1:
+        a, b = _primitive(a), _primitive(b)
+        h = _heuristic_gcd(a, b)
+        if h is not None:
+            return h
     while len(b) > 1:
         a, b = b, _primitive(_prem(a, b))
     return [1] if b else _primitive(a)
 
 
-def _quo(a, b) -> list:
-    """Quotient a / b of integer polynomials that b divides over Z."""
+def _quo(a, b):
+    """Quotient a / b of integer polynomials (b nonzero), or None when b
+    does not divide a over Z."""
     a, n = list(a), len(b) - 1
-    q = [0] * (len(a) - n)
+    q = [0] * max(len(a) - n, 0)
     for k in reversed(range(len(q))):
         q[k] = a[k + n] // b[-1]
         for i, c in enumerate(b):
             a[k + i] -= q[k] * c
-    return q
+    return None if any(a) else q  # a holds the remainder, and any rounding
+
+
+def _at(a, x):
+    """a(x) by Horner's scheme: exact at an int x, rounded at a float."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def _det(M) -> list:
     """Determinant of a square matrix of integer polynomials ([] if it is
-    singular) by fraction-free Bareiss elimination: each new entry is a
-    minor, so its division by the previous pivot is exact (Bareiss, *Math.
-    Comp.* 22, 1968).  The pivot is the first nonzero entry at or below
-    the diagonal; a row swap flips the sign."""
-    M, sign, prev = [list(row) for row in M], 1, [1]
-    for k in range(len(M) - 1):
-        p = next((r for r in range(k, len(M)) if M[r][k]), None)
+    singular), by _minors."""
+    return _minors(M)[0] if M else [1]
+
+
+def _minors(M) -> list:
+    """For an r x c matrix of integer polynomials, r <= c, the c - r + 1
+    determinants of its first r - 1 columns bordered by each later column,
+    by fraction-free Bareiss elimination: each new entry is a minor, so
+    its division by the previous pivot is exact (Bareiss, *Math. Comp.*
+    22, 1968).  The pivot is the first nonzero entry at or below the
+    diagonal; a row swap flips the sign.  All are [] if those r - 1
+    columns are dependent."""
+    M, sign, prev, r = [list(row) for row in M], 1, [1], len(M)
+    for k in range(r - 1):
+        p = next((i for i in range(k, r) if M[i][k]), None)
         if p is None:
-            return []
+            return [[]] * (len(M[0]) - r + 1)
         M[k], M[p], sign = M[p], M[k], sign if p == k else -sign
         a = M[k][k]
         for row in M[k + 1:]:
             b = [-c for c in row[k]]
-            for j in range(k + 1, len(M)):
+            for j in range(k + 1, len(row)):
                 row[j] = _quo(_add(_mul(a, row[j]), _mul(b, M[k][j])), prev)
         prev = a
-    det = M[-1][-1] if M else [1]
-    return det if sign > 0 else [-c for c in det]
+    return [e if sign > 0 else [-c for c in e] for e in M[-1][r - 1:]]
 
 
 class Poly:
@@ -318,39 +366,131 @@ class RationalFunction:
         return Fraction(num, den)
 
 
-# -- real-root certification (Sturm) ------------------------------------
+# -- real-root isolation (Descartes) -------------------------------------
 
 
-def _sign_variations(chain: list[Poly], x) -> int:
-    """Sign changes along a chain of nonzero Polys at x, a Fraction or +-inf."""
-    if x in (NEG_INF, POS_INF):
-        vals = [p.ints[-1] * (-1 if x < 0 else 1) ** p.degree for p in chain]
-    else:
-        vals = [p(x) for p in chain]
-    signs = [v > 0 for v in vals if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+def _shift(a, h: int) -> list:
+    """a(x + h) for an integer h, by Horner's scheme."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += h * a[j + 1]
+    return a
+
+
+def _sign(a, x: Fraction) -> int:
+    """Sign of a(x), by homogeneous integer Horner."""
+    n, d, acc, dk = x.numerator, x.denominator, 0, 1
+    for c in reversed(a):
+        acc, dk = acc * n + c * dk, dk * d
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(a, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1 + y)^n a((lo + hi y) / (1 + y)): by Descartes'
+    rule an upper bound on the roots of a in (lo, hi), exact when 0 or 1."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    u, v = int(lo * d), int(hi * d)
+    b = _shift([c * d ** (len(a) - 1 - i) for i, c in enumerate(a)], u)
+    b = _shift([c * (v - u) ** i for i, c in enumerate(b)][::-1], 1)
+    signs = [c > 0 for c in b if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def real_roots(p, lo, hi) -> list:
+    """Isolating intervals of the distinct real roots of an int list p in
+    the open interval (lo, hi), ascending.
+
+    Endpoints may be +-inf; a finite endpoint is taken at its exact value,
+    a float at its binary value.  The roots are those of the square-free
+    part f = p / gcd(p, p'), with a root at a finite endpoint divided out
+    and infinite endpoints replaced by Cauchy's bound.  Descartes' rule of
+    signs with bisection (Collins and Akritas, SYMSAC 1976) splits (lo, hi)
+    until each piece has 0 or 1 sign variations.  A root is (l, r, g): g
+    divides f, has exactly that one root in (l, r), a simple one, and is
+    nonzero at l and r; a bisection point that is a root is (m, m, None),
+    and g drops its factor in both halves.
+    """
+    lo, hi = (x if x in (NEG_INF, POS_INF) else as_fraction(x) for x in (lo, hi))
+    if not p:
+        raise ValueError("zero polynomial vanishes everywhere")
+    f = _quo(p, _gcd(p, _diff(p)))
+    bound = Fraction(1 + max(map(abs, f)) // abs(f[-1]) + 1)
+    lo, hi = max(lo, -bound), min(hi, bound)
+    for x in (lo, hi):
+        if len(f) > 1 and not _sign(f, x):
+            f = _quo(f, [-x.numerator, x.denominator])
+    out, todo = [], [(lo, hi, f)] if lo < hi and len(f) > 1 else []
+    while todo:
+        l, r, g = todo.pop()
+        v = _variations(g, l, r)
+        if v == 1:
+            out.append((l, r, g))
+        elif v > 1:
+            m = (l + r) / 2
+            if not _sign(g, m):
+                out.append((m, m, None))
+                g = _quo(g, [-m.numerator, m.denominator])
+            todo += [(m, r, g), (l, m, g)]
+    return sorted(out, key=lambda root: root[0])
+
+
+def vanishes_at(a, root: tuple, g) -> bool:
+    """Whether a is zero at a root (l, r, f) of real_roots, with g =
+    gcd(a, p) for the p whose roots real_roots isolated: a root of g in
+    (l, r) can only be that root."""
+    l, r, f = root
+    if f is None:
+        return not _sign(a, l)
+    return len(g) > 1 and bool(real_roots(g, l, r))
+
+
+def root_sign(a, root: tuple, g) -> tuple[int, tuple]:
+    """(sign of a at a root (l, r, f) of real_roots, the root refined),
+    with g as for vanishes_at.  A nonzero sign comes from bisecting (l, r)
+    by the sign of f until a has no root in it, by Descartes' rule, and
+    is that at the midpoint."""
+    if vanishes_at(a, root, g):
+        return 0, root
+    l, r, f = root
+    if f is None:
+        return _sign(a, l), root
+    sl = _sign(f, l)
+    while _variations(a, l, r):
+        m = (l + r) / 2
+        sm = _sign(f, m)
+        if not sm:
+            return _sign(a, m), (m, m, None)
+        l, r = (m, r) if sm == sl else (l, m)
+    return _sign(a, (l + r) / 2), (l, r, f)
+
+
+def root_float(root: tuple) -> float:
+    """A float near a root (l, r, f) of real_roots, for display: Newton's
+    method on f's coefficients scaled to floats, safeguarded by bisection
+    of [l, r] on the float sign of f."""
+    l, r, f = root
+    if f is None:
+        return float(l)
+    top = max(map(abs, f))
+    c = [v / top for v in f]
+    dc = [i * v for i, v in enumerate(c)][1:]
+    a, b, up = float(l), float(r), _sign(f, l) < 0
+    x = (a + b) / 2
+    for _ in range(100):
+        fx, dx = _at(c, x), _at(dc, x)
+        if not fx:
+            break
+        a, b = (x, b) if (fx < 0) == up else (a, x)
+        nx = x - fx / dx if dx else x
+        nx = nx if a < nx < b else (a + b) / 2
+        if nx == x:
+            break
+        x = nx
+    return x
 
 
 def count_real_roots(p: Poly, lo, hi) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi).
-
-    Endpoints may be +-inf; a finite endpoint is taken at its exact value,
-    a float at its binary value.  Multiple roots count once: the chain is
-    that of the square-free part f = p / gcd(p, p') over Z, f, f', then
-    negated primitive pseudo-remainders, positive multiples of Sturm's.
-    """
-    lo, hi = (x if x in (NEG_INF, POS_INF) else as_fraction(x) for x in (lo, hi))
-    if p.is_zero():
-        raise ValueError("zero polynomial vanishes everywhere")
-    if p.is_constant():
-        return 0
-    f = _quo(p.ints, _gcd(p.ints, _diff(p.ints)))
-    chain = [f, _diff(f)]
-    while chain[-1]:
-        chain.append([-c for c in _primitive(_prem(chain[-2], chain[-1]))])
-    chain = [Poly(c) for c in chain[:-1]]
-    n = _sign_variations(chain, lo) - _sign_variations(chain, hi)
-    # Sturm counts roots in (lo, hi]; drop hi if it is a root.
-    if hi not in (NEG_INF, POS_INF) and chain[0](hi) == 0:
-        n -= 1
-    return n
+    """Number of distinct real roots of p in the open interval (lo, hi),
+    from real_roots."""
+    return len(real_roots(list(p.ints), lo, hi))

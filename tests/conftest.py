@@ -1,6 +1,8 @@
 """Shared curve/quantity fixtures for the test suite."""
 
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,23 @@ from curverig import (HelixCurve, Interval, PinnedAreaSquared, RationalCurve,
                       RationalFunction, SquaredEuclidean, trig_ellipse)
 
 RF = RationalFunction.from_coeffs
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the main thread once `seconds` have passed, so
+    a search that never ends (a root isolation that bisects forever) fails
+    its test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def polyval_array(curve, ts, order):

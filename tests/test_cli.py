@@ -276,6 +276,18 @@ def test_elekes_analyze(tmp_path, capsys):
     assert doc["result"]["incidence"]["n_failures"] == 0
     assert doc["result"]["incidence"]["min_incident"] == 3
     assert doc["result"]["admissibility"]["max_pairwise_intersections"] <= 16
+    assert doc["result"]["admissibility"]["count_methods"] == {"exact": 10}
+
+
+def test_elekes_analyze_helix_counts_by_newton(tmp_path, capsys):
+    out = tmp_path / "helix.json"
+    code, _, _ = run_cli(["elekes-analyze", "--curve", "circular_helix(0.5)",
+                          "--points", "rand:3:4", "--pairs", "3", "--grid", "16",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    adm = read_json(out)["result"]["admissibility"]
+    assert adm["detection_method"] == "fingerprint"
+    assert adm["count_methods"] == {"newton": sum(adm["histogram"].values())}
 
 
 def test_output_determinism_repeat_runs(tmp_path, capsys):
@@ -322,11 +334,8 @@ _README_BLOCKS = re.findall(
     flags=re.S)
 _README_FRAMEWORK = next(b for b in _README_BLOCKS if '"edges"' in b)
 _README_COMMANDS = next(b for b in _README_BLOCKS if b.startswith("curverig "))
-# elekes-analyze is left out: its 200-pair instance takes tens of seconds,
-# and acceptance criterion 11 already runs that size
 _README_EXAMPLES = {argv[1]: argv[1:] for argv in map(
-    shlex.split, _README_COMMANDS.replace("\\\n", " ").splitlines())
-    if argv[1] != "elekes-analyze"}
+    shlex.split, _README_COMMANDS.replace("\\\n", " ").splitlines())}
 
 
 @pytest.mark.parametrize("command", sorted(_README_EXAMPLES))
@@ -347,3 +356,10 @@ def test_readme_example_exits_zero(command, tmp_path, monkeypatch, capsys):
         "csv_out")}
     assert doc["config"] == expected
     assert all(type(n) is int for n in doc["config"].get("sizes", []))
+    if command == "elekes-analyze":
+        # exact counts of all 190 pairs of the 20 curves: the mirrored pair
+        # (4/7, 5/7), (5/7, 4/7) meets 3 times, where Newton read 5
+        adm = doc["result"]["admissibility"]
+        assert adm["histogram"] == {"1": 16, "2": 164, "3": 10}
+        assert adm["max_pairwise_intersections"] == 3
+        assert adm["count_methods"] == {"exact": 190}

@@ -14,13 +14,16 @@ from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
                       intersect_elekes_pair, same_algebraic_curve,
                       verify_incidence_invariant)
 import curverig.elekes as elekes_module
+from curverig.bipoly import compose
+from curverig.rational import real_roots
 from curverig.curves import Interval, RationalCurve, builtin_curve
 from curverig.elekes import (IntersectionReport, _merge_points, _newton,
-                             _tangents, _unrank_pair, elekes_family)
+                             _newton_count, _tangents, _unrank_pair,
+                             elekes_family)
 from curverig.quantity import pairings
-from conftest import (make_circular_helix, make_parabola, make_rational_circle,
-                      make_rect_hyperbola, make_unit_circle, polyval_array,
-                      rational_rotation_circle_params)
+from conftest import (deadline, make_circular_helix, make_parabola,
+                      make_rational_circle, make_rect_hyperbola, make_unit_circle,
+                      polyval_array, rational_rotation_circle_params)
 
 F = Fraction
 RF = RationalFunction.from_coeffs
@@ -403,6 +406,180 @@ def test_generic_parabola_pair_respects_bezout(sq):
     assert rep.count <= (2 * 2) ** 2
 
 
+# -- exact counts against an independent oracle ----------------------------------
+
+
+def _sympy_components(coords, D, p, q):
+    """(A, B) of the Elekes curve t -> (D(g(t), g(p)), D(g(t), g(q))) as
+    sympy expressions in t, for coords sympy expressions in t."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    at = [[c.subs(t, sympy.Rational(v)) for c in coords] for v in (p, q)]
+    return tuple(sympy.cancel(D(coords, b)) for b in at)
+
+
+def _sq(x, y):
+    return sum((a - b) ** 2 for a, b in zip(x, y))
+
+
+def _oracle_count(c1, c2) -> int:
+    """|xi1(I1) & xi2(I2)| from sympy and mpmath alone, for c = (A, B, lo,
+    hi) with A, B sympy rational functions of t and I = (lo, hi) rational.
+
+    The real roots s in I2 of the square-free part of Res_t(num(A1(t) -
+    A2(s)), num(B1(t) - B2(s))) are isolated and refined by sympy.  At
+    each, xi2(s) is a common point iff num(A1(t) - A2(s)) has a real root
+    t in I1, found by mpmath at 60 digits, with B1(t) = B2(s); equal
+    points count once."""
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    t, s = sympy.symbols("t s")
+    (A1, B1, lo1, hi1), (A2, B2, lo2, hi2) = c1, c2
+    A2, B2 = A2.subs(t, s), B2.subs(t, s)
+    res = sympy.resultant(sympy.numer(sympy.together(A1 - A2)),
+                          sympy.numer(sympy.together(B1 - B2)), t)
+    sqf = sympy.Poly(sympy.sqf_part(res), s)
+    a1, b1 = (sympy.lambdify(t, e, "mpmath") for e in (A1, B1))
+    a2, b2 = (sympy.lambdify(s, e, "mpmath") for e in (A2, B2))
+    num, den = (sympy.Poly(e, t) for e in sympy.fraction(sympy.together(A1)))
+    points = []
+    with mpmath.workdps(60):
+        mp = lambda v: mpmath.mpf(sympy.Rational(v).p) / sympy.Rational(v).q
+        eps, lo1, hi1 = mpmath.mpf(10) ** -25, mp(F(lo1)), mp(F(hi1))
+        for (l, r), _ in sqf.intervals():
+            if l != r:
+                if r <= lo2 or l >= hi2:
+                    continue
+                l, r = sqf.refine_root(l, r, eps=sympy.Rational(1, 10 ** 45))
+                assert lo2 < l and r < hi2, "a root sits too close to an endpoint"
+            elif not lo2 < l < hi2:
+                continue
+            X, Y = a2(mp((l + r) / 2)), b2(mp((l + r) / 2))
+            ns, ds = ([mp(c) for c in p.all_coeffs()] for p in (num, den))
+            width = max(len(ns), len(ds))
+            poly = [n - X * d for n, d in zip([0] * (width - len(ns)) + ns,
+                                              [0] * (width - len(ds)) + ds)]
+            while abs(poly[0]) < eps:
+                poly = poly[1:]
+            ts = [mpmath.re(z) for z in mpmath.polyroots(poly, maxsteps=400,
+                                                          extraprec=400)
+                  if abs(mpmath.im(z)) < eps]
+            hit = any(lo1 < tz < hi1 and abs(a1(tz) - X) + abs(b1(tz) - Y)
+                      < eps * (1 + abs(X) + abs(Y)) for tz in ts)
+            if hit and not any(abs(X - u) + abs(Y - v) < eps for u, v in points):
+                points.append((X, Y))
+    return len(points)
+
+
+def _parabola_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    return [t, t ** 2]
+
+
+@pytest.mark.parametrize("p, q", [
+    (F(4, 7), F(5, 7)),                          # the README example
+    (F(486, 997), F(595, 997)),                  # criterion 11
+    (F(595, 997), F(641, 997)),
+    (F(3840086223, 2 ** 32), F(968905725, 2 ** 30)),   # elekes seed 1401
+], ids=["readme", "c11-486-595", "c11-595-641", "seed1401"])
+def test_mirrored_parabola_pairs_meet_three_times(sq, p, q):
+    # xi_pq and xi_qp touch at (0, D(p, q)) and (D(p, q), 0), where Newton
+    # kept two points each (5, or 17 above Bezout's 16); with the crossing
+    # on X = Y they meet 3 times
+    par = make_parabola(0, 1)
+    e1, e2 = ElekesCurve(par, sq, p, q), ElekesCurve(par, sq, q, p)
+    coords = _parabola_sympy()
+    want = _oracle_count((*_sympy_components(coords, _sq, p, q), 0, 1),
+                         (*_sympy_components(coords, _sq, q, p), 0, 1))
+    assert want == 3
+    with deadline(30):
+        for a, b in ((e1, e2), (e2, e1)):
+            rep = intersect_elekes_pair(a, b)
+            assert (rep.count, rep.count_method) == (3, "exact")
+            assert (rep.n_seeds, rep.n_converged) == (0, 0)
+            assert sum(abs(x - y) < 1e-9 for x, y in rep.points) == 1
+
+
+def _oracle_pairs():
+    """Seeded pairs on the parabola, the rational circle and the cubic
+    (t, t^3 - t): a generic pair and a mirrored one of each, with each
+    curve's domain and sympy coordinates."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    cases = [("parabola", make_parabola(0, 1), [t, t ** 2]),
+             ("rational_circle", make_rational_circle(),
+              [(1 - t ** 2) / (1 + t ** 2), 2 * t / (1 + t ** 2)]),
+             ("cubic", _cubic(), [t, t ** 3 - t])]
+    rng = random.Random(21)
+    for name, curve, coords in cases:
+        lo, hi = curve.domain.lo, curve.domain.hi
+        draw = [lo + (hi - lo) * F(rng.randrange(1, 97), 97) for _ in range(6)]
+        yield name, curve, coords, (draw[0], draw[1]), (draw[2], draw[3])
+        yield name, curve, coords, (draw[4], draw[5]), (draw[5], draw[4])
+
+
+def test_exact_counts_match_the_oracle_both_ways(sq):
+    checked = 0
+    for name, curve, coords, (p1, q1), (p2, q2) in _oracle_pairs():
+        e1, e2 = ElekesCurve(curve, sq, p1, q1), ElekesCurve(curve, sq, p2, q2)
+        lo, hi = curve.domain.lo, curve.domain.hi
+        with deadline(60):
+            reps = [intersect_elekes_pair(e1, e2), intersect_elekes_pair(e2, e1)]
+        if reps[0].same_algebraic_curve:   # mirrored circle pairs
+            assert name == "rational_circle" and reps[1].same_algebraic_curve
+            continue
+        want = _oracle_count((*_sympy_components(coords, _sq, p1, q1), lo, hi),
+                             (*_sympy_components(coords, _sq, p2, q2), lo, hi))
+        for rep in reps:
+            assert (rep.count, rep.count_method) == (want, "exact"), name
+            assert rep.count <= (2 * curve.degree) ** 2
+        checked += 1
+    assert checked == 5
+
+
+def test_a_root_with_its_parameter_outside_the_domain_is_not_counted(sq):
+    # N has 2 roots s in (0, 1), but xi1 reaches one of those points only
+    # at a t outside (0, 1): 1 point
+    par = make_parabola(0, 1)
+    e1 = ElekesCurve(par, sq, F(1, 7), F(2, 7))
+    e2 = ElekesCurve(par, sq, F(3, 7), F(6, 7))
+    G, (A2, B2) = e1.implicit(), e2.components()
+    assert len(real_roots(compose(G, A2, B2, G.degree_x(), G.degree_y()), 0, 1)) == 2
+    coords = _parabola_sympy()
+    want = _oracle_count((*_sympy_components(coords, _sq, F(1, 7), F(2, 7)), 0, 1),
+                         (*_sympy_components(coords, _sq, F(3, 7), F(6, 7)), 0, 1))
+    with deadline(30):
+        assert intersect_elekes_pair(e1, e2).count == want == 1
+
+
+def test_a_node_on_the_other_curve_gives_the_proven_bound():
+    # (t^2 - 1, t^3 - t) passes through the origin at t = -1 and t = 1, so
+    # each of its Elekes curves xi2 has a node P = xi2(1) = xi2(-1); the
+    # line xi1(t) = (t, t + 35/8) (D = x1 + y1 on the X axis) crosses it
+    # there and once more, 2 points in all.  Counted on xi2 the two roots
+    # s = +-1 share one point, xi2's own sigma1 vanishes there, and the
+    # report is the proven bound 3; counted on the line, xi2's sigma1
+    # vanishes at P again, and the bound is 2
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    nodal = RationalCurve([RF([-1, 0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2))
+    line = RationalCurve([RF([0, 1]), RF([0])], Interval(-10, 10))
+    plus = GeneralPolynomial(2, (((1, 0, 0, 0), 1), ((0, 0, 1, 0), 1)))
+    e2 = ElekesCurve(nodal, SquaredEuclidean(), F(1, 2), F(3, 2))
+    e1 = ElekesCurve(line, plus, 0, F(35, 8))
+    assert e2.eval(F(1)) == e2.eval(F(-1)) == (F(45, 64), F(325, 64))
+    assert e1.eval(F(45, 64)) == e2.eval(F(1))
+    want = _oracle_count((t, t + F(35, 8), -10, 10),
+                         (*_sympy_components([t ** 2 - 1, t ** 3 - t], _sq,
+                                             F(1, 2), F(3, 2)), -2, 2))
+    assert want == 2
+    with deadline(30):
+        assert [(r.count, r.count_method) for r in (intersect_elekes_pair(e1, e2),
+                                                    intersect_elekes_pair(e2, e1))] \
+            == [(3, "upper"), (2, "upper")]
+
+
 # -- the intersector against its previous, unpruned form ------------------------
 
 
@@ -514,6 +691,14 @@ def _cubic():
     return RationalCurve([RF([0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2))
 
 
+def _newton_pair(e1, e2):
+    """intersect_elekes_pair with the Newton count on every data, exact
+    data included: the routine the helix and float data still use."""
+    same, method = same_algebraic_curve(e1, e2)
+    return IntersectionReport([], True, method) if same else \
+        _newton_count(e1, e2, method)
+
+
 def _count_evaluations(monkeypatch) -> list:
     """Count the seeds each Newton step evaluates, one per curve, through
     the step's two-sided evaluation."""
@@ -542,7 +727,7 @@ def test_active_set_newton_matches_full_iteration(sq, make_curve, params,
     expected = [_intersect_reference(e1, e2) for e1, e2 in pairs]
 
     evaluated = _count_evaluations(monkeypatch)
-    got = [intersect_elekes_pair(e1, e2) for e1, e2 in pairs]
+    got = [_newton_pair(e1, e2) for e1, e2 in pairs]
     assert any(rep.count for rep in expected)
     for rep, ref in zip(got, expected):
         assert rep.points == ref.points
@@ -626,6 +811,25 @@ def test_incidence_invariant_catches_wrong_component(sq, make_curve, monkeypatch
     pset = ParamPointSet(make_curve(), tuple(F(k, 7) for k in range(1, 6)))
     rep = verify_incidence_invariant(pset, sq)
     assert rep.checked == len(rep.failures) == 60
+
+
+@pytest.mark.parametrize("make_curve", [make_parabola, make_rational_circle],
+                         ids=["parabola", "rational_circle"])
+def test_incidence_invariant_catches_a_wrong_implicit(sq, make_curve):
+    # G_pq(D(r, p), D(r, q)) = 0 for each r: one coefficient of one cached
+    # implicit changed by 1 fails its 3 checks and no other
+    pset = ParamPointSet(make_curve(), tuple(F(k, 7) for k in range(1, 6)))
+    curves = elekes_family(pset, sq)
+    rep = verify_incidence_invariant(pset, sq, curves, check_implicit=True)
+    assert (rep.checked, rep.failures) == (60, [])
+    G = curves[5].implicit()
+    key = min(G.terms)
+    curves[5]._implicit = BiPoly({**G.terms, key: G.terms[key] + 1})
+    rep = verify_incidence_invariant(pset, sq, curves, check_implicit=True)
+    assert rep.checked == 60 and rep.to_dict()["n_failures"] == 3
+    assert {f[:2] for f in rep.failures} == {(1, 2)}   # curve 5: (p_1, p_2)
+    # without check_implicit only the components are compared
+    assert verify_incidence_invariant(pset, sq, curves).failures == []
 
 
 # -- admissibility -------------------------------------------------------------------

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from curverig import (PoleError, Poly, RationalFunction, builtin_curve,
                       count_real_roots)
-from conftest import polyval_array
+import curverig.rational as rational_module
+from curverig.rational import (_gcd, _heuristic_gcd, _mul, _primitive,
+                               real_roots, root_sign, vanishes_at)
+from conftest import deadline, polyval_array
 
 F = Fraction
 
@@ -199,7 +202,8 @@ def test_sturm_counts_match_sympy(factors, lead, lo, hi):
              for x in (lo, hi)]
     want = sp.count_roots(*bound) - sum(1 for x in bound
                                         if x is not None and sp.eval(x) == 0)
-    assert count_real_roots(p, lo, hi) == want
+    with deadline(10):
+        assert count_real_roots(p, lo, hi) == want
 
 
 def _bits(a):
@@ -233,3 +237,128 @@ def test_poly_and_rational_function_are_exact_only():
             with pytest.raises(TypeError):
                 f(t)
         assert type(f(F(1, 2))) is Fraction and type(f(2)) is Fraction
+
+
+# -- the exact core: GCDHEU and Descartes isolation on big coefficients -------
+
+
+def _product(factors) -> list:
+    """prod (b t - r)^m as an ascending int list."""
+    out = [1]
+    for r, b, m in factors:
+        for _ in range(m):
+            out = _mul(out, [-r, b])
+    return out
+
+
+def _to_sympy(sympy, t, ints):
+    return sympy.Poly(list(reversed(ints)) or [0], t, domain="ZZ")
+
+
+def _up_to_sign(a, b) -> bool:
+    return a == b or a == [-c for c in b]
+
+
+big_linear = st.tuples(st.integers(-2 ** 400, 2 ** 400), st.integers(1, 2 ** 400),
+                       st.integers(1, 3))
+
+
+@given(st.lists(big_linear, min_size=1, max_size=3),
+       st.lists(big_linear, max_size=2), st.lists(big_linear, max_size=2),
+       st.sampled_from([[1], [1, 0, 1], [-3, 0, 7], [5, -1, 0, 2]]))
+@settings(max_examples=60, deadline=None)
+def test_gcd_matches_sympy_on_big_repeated_factors(common, only_a, only_b, extra):
+    # a and b share `common` (repeated factors included), each has its own
+    # factors, and a also an extra factor: coefficients of thousands of bits
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    a = _mul(_mul(_product(common), _product(only_a)), extra)
+    b = _product(common + only_b)
+    want = _to_sympy(sympy, t, a).gcd(_to_sympy(sympy, t, b)).primitive()[1]
+    got = _gcd(a, b)
+    assert _up_to_sign(got, [int(c) for c in reversed(want.all_coeffs())])
+    assert _up_to_sign(_gcd(b, a), got)
+
+
+def test_gcd_heuristic_rejects_a_false_first_candidate():
+    # xi = 4: t - 1 and t + 2 take 3 and 6 there, whose gcd 3 reads back as
+    # t - 1; it divides t - 1 but not t + 2, so the division check rejects
+    # it and the next xi (10: 9 and 12, gcd 3, the constant 1) is right
+    assert _heuristic_gcd([-1, 1], [2, 1]) == [1]
+    assert _gcd([-1, 1], [2, 1]) == [1]
+
+
+@pytest.mark.parametrize("a, b", [
+    ([-1, 1], [2, 1]),
+    (_product([(1, 3, 2), (-2, 5, 1)]), _product([(1, 3, 1), (7, 2, 2)])),
+    (_product([(2 ** 300 + 1, 3, 3)]), _product([(2 ** 300 + 1, 3, 2), (5, 1, 1)])),
+    ([2, 0, 2], [4, 4]),
+])
+def test_gcd_remainder_sequence_fallback_matches_sympy(a, b, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    want = _to_sympy(sympy, t, a).gcd(_to_sympy(sympy, t, b)).primitive()[1]
+    monkeypatch.setattr(rational_module, "_heuristic_gcd", lambda a, b: None)
+    assert _up_to_sign(_gcd(a, b), [int(c) for c in reversed(want.all_coeffs())])
+
+
+@given(st.lists(big_linear, min_size=1, max_size=4),
+       st.sampled_from([[-1], [1, 0, 1], [-2, 0, 1], [-1, 1, 1]]),
+       st.sampled_from(["root", "inf", "int"]), st.sampled_from(["root", "inf", "int"]))
+@settings(max_examples=60, deadline=None)
+def test_root_counts_match_sympy_on_big_coefficients(factors, lead, lo_kind, hi_kind):
+    # repeated factors with 400-bit roots r/b (coefficients of thousands of
+    # bits); an endpoint of kind "root" sits on a root, which the open
+    # interval excludes
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    p = _mul(lead, _product(factors))
+    roots = sorted(Fraction(r, b) for r, b, _ in factors)
+    lo = {"root": roots[0], "inf": float("-inf"), "int": math.floor(roots[0]) - 1}[lo_kind]
+    hi = {"root": roots[-1], "inf": float("inf"), "int": math.ceil(roots[-1]) + 1}[hi_kind]
+    if not lo < hi:
+        return
+    sp = _to_sympy(sympy, t, p)
+    bound = [None if x in (float("-inf"), float("inf")) else sympy.Rational(x)
+             for x in (lo, hi)]
+    want = sp.count_roots(*bound) - sum(1 for x in bound
+                                        if x is not None and sp.eval(x) == 0)
+    with deadline(10):
+        got = real_roots(p, lo, hi)
+    assert len(got) == want == count_real_roots(Poly(p), lo, hi)
+    for l, r, f in got:   # isolating: an exact root, or a sign change of f
+        assert lo <= l <= r <= hi
+        assert f is None if l == r else _sign_at(f, l) * _sign_at(f, r) < 0
+    assert [l for l, _, _ in got] == sorted(l for l, _, _ in got)
+
+
+def _sign_at(f, x):
+    v = Poly(f)(Fraction(x))
+    return (v > 0) - (v < 0)
+
+
+@pytest.mark.parametrize("p, a", [
+    # (t^2 - 2)(3t - 1)(t - 1/2) against t^2 - 1/9 (zero at 1/3, the
+    # others of both signs), against t - 1/2 (zero at a bisection point)
+    (_mul([-2, 0, 1], _product([(1, 3, 1), (1, 2, 1)])), [-1, 0, 9]),
+    (_mul([-2, 0, 1], _product([(1, 3, 1), (1, 2, 1)])), [-1, 2]),
+    # a root of a polynomial with repeated factors, and a near miss
+    (_product([(7, 5, 2), (-3, 4, 3)]), [-1401, 1000]),
+    (_mul([-2, 0, 1], [-5, 0, 1]), _mul([-3, 0, 1], [-5, 0, 1])),
+])
+def test_root_signs_match_sympy(p, a):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    sp, sa = _to_sympy(sympy, t, p), _to_sympy(sympy, t, a)
+    want = [int(sympy.sign(sa.as_expr().subs(t, r).expand()))
+            for r in sympy.Poly(sympy.sqf_part(sp.as_expr()), t).real_roots()
+            if -10 < r < 10]
+    g = _gcd(p, a)
+    got = []
+    with deadline(10):
+        for root in real_roots(p, -10, 10):
+            sign, refined = root_sign(a, root, g)
+            assert vanishes_at(a, root, g) == (sign == 0)
+            assert vanishes_at(a, refined, g) == (sign == 0)
+            got.append(sign)
+    assert got == want

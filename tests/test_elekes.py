@@ -866,6 +866,18 @@ def test_admissibility_circle_orbit_has_duplicates(sq):
     assert rep.n_classes < rep.n_curves
 
 
+def test_exact_pairs_never_reach_newton(sq, monkeypatch):
+    # the README set: all 190 pairs of its 20 curves counted exactly
+    def refuse(*args):
+        raise AssertionError("Newton ran on exact data")
+
+    monkeypatch.setattr(elekes_module, "_newton", refuse)
+    pset = ParamPointSet(make_parabola(0, 1), tuple(F(k, 7) for k in range(1, 6)))
+    rep = admissibility_scan(pset, sq, sample_pairs=200)
+    assert rep.count_methods == {"exact": 190}
+    assert rep.histogram == {1: 16, 2: 164, 3: 10}
+
+
 def test_unrank_pair_matches_combinations():
     for n in range(2, 41):
         assert [_unrank_pair(k, n) for k in range(n * (n - 1) // 2)] \

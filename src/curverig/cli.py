@@ -167,11 +167,11 @@ def cmd_elekes_analyze(args) -> Outcome:
         pset = ParamPointSet(
             curve, tuple(sorted(map(parse_param, args.points.split(",")))))
     curves = elekes_family(pset, quantity)
-    incidence = verify_incidence_invariant(pset, quantity, curves,
-                                           check_implicit=True)
+    # the scan first, so that the incidence check finds every implicit cached
     scan = admissibility_scan(pset, quantity, sample_pairs=args.pairs,
                               n=args.grid, tol=args.tol, seed=args.seed,
                               curves=curves)
+    incidence = verify_incidence_invariant(pset, quantity, curves)
     return Outcome({"incidence": incidence.to_dict(),
                     "admissibility": scan.to_dict()})
 

@@ -431,23 +431,22 @@ def elekes_family(pset: ParamPointSet, q: QuantitySpec) -> list:
 
 
 def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec,
-                               curves: Optional[list] = None,
-                               check_implicit: bool = False) -> IncidenceReport:
+                               curves: Optional[list] = None) -> IncidenceReport:
     """Check xi_pq(r) = (D(r, p), D(r, q)) for every ordered pair and every
     third point r, and count the distinct product points on each Elekes
     curve.  On exact data xi_pq(r) comes from its symbolic components, so a
-    wrong component fails, and with check_implicit each (i, j, r) also
-    fails unless G_pq(D(r, p), D(r, q)) = 0, G_pq the curve's implicit
-    equation, which the exact intersection counts rely on.  On other data
-    (helix, float parameters) both sides evaluate D at the same points,
-    and the check compares D with itself.  `curves` is elekes_family(pset,
-    q), built here when omitted."""
+    wrong component fails, and on a curve that already holds its implicit
+    equation G_pq (admissibility_scan computes every one on exact data)
+    each (i, j, r) also fails unless G_pq(D(r, p), D(r, q)) = 0, which the
+    exact intersection counts rely on.  On other data (helix, float
+    parameters) both sides evaluate D at the same points, and the check
+    compares D with itself.  `curves` is elekes_family(pset, q), built
+    here when omitted."""
     params = pset.params
     n = len(params)
     if n < 3:
         raise ValueError("incidence check needs at least 3 points")
     curve, checked, failures = pset.curve, 0, []
-    implicit = check_implicit and is_exact_data(curve, params, q)
     incident = {}
     points = {t: curve.evaluate(t) for t in params}
     family = iter(elekes_family(pset, q) if curves is None else curves)
@@ -456,7 +455,7 @@ def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec,
             if i == j:
                 continue
             e = next(family)
-            G = e.implicit() if implicit else None
+            G = e._implicit
             hits = set()
             for r in range(n):
                 if r == i or r == j:

@@ -816,20 +816,21 @@ def test_incidence_invariant_catches_wrong_component(sq, make_curve, monkeypatch
 @pytest.mark.parametrize("make_curve", [make_parabola, make_rational_circle],
                          ids=["parabola", "rational_circle"])
 def test_incidence_invariant_catches_a_wrong_implicit(sq, make_curve):
-    # G_pq(D(r, p), D(r, q)) = 0 for each r: one coefficient of one cached
+    # G_pq(D(r, p), D(r, q)) = 0 for each r on the curves whose implicit is
+    # cached, as after admissibility_scan: one coefficient of one cached
     # implicit changed by 1 fails its 3 checks and no other
     pset = ParamPointSet(make_curve(), tuple(F(k, 7) for k in range(1, 6)))
     curves = elekes_family(pset, sq)
-    rep = verify_incidence_invariant(pset, sq, curves, check_implicit=True)
+    admissibility_scan(pset, sq, sample_pairs=0, curves=curves)
+    assert all(e._implicit is not None for e in curves)
+    rep = verify_incidence_invariant(pset, sq, curves)
     assert (rep.checked, rep.failures) == (60, [])
     G = curves[5].implicit()
     key = min(G.terms)
     curves[5]._implicit = BiPoly({**G.terms, key: G.terms[key] + 1})
-    rep = verify_incidence_invariant(pset, sq, curves, check_implicit=True)
+    rep = verify_incidence_invariant(pset, sq, curves)
     assert rep.checked == 60 and rep.to_dict()["n_failures"] == 3
     assert {f[:2] for f in rep.failures} == {(1, 2)}   # curve 5: (p_1, p_2)
-    # without check_implicit only the components are compared
-    assert verify_incidence_invariant(pset, sq, curves).failures == []
 
 
 # -- admissibility -------------------------------------------------------------------

@@ -7,7 +7,10 @@ rows, takes its Bareiss determinant (rational._det) and decodes it once
 into R = c G^k; square_free_part takes the exact k-th root G of R, again
 as one int list, decoded once.  first_subresultant gives the curve's
 rational inverse from the same rows, and compose substitutes a rational
-curve into a result.  BiPoly only holds such a result, as a dict
+curve into a result.  An Elekes curve (A, B) is eliminated in the frame
+(A, B - A) where that lowers the degree (elekes.ElekesCurve.frame), and
+unshear maps the implicit equation G'(X, Y) found there back to
+G'(X, Y - X), that of (A, B).  BiPoly only holds such a result, as a dict
 {(deg_x, deg_y): int}; it has no arithmetic.
 """
 
@@ -165,6 +168,18 @@ def compose(G: BiPoly, x: RationalFunction, y: RationalFunction,
     for (i, j), v in G.terms.items():
         rows[j] = _add(rows.get(j, []), [v * e for e in xs[i]])
     return reduce(_add, (_mul(r, ys[j]) for j, r in rows.items()), [])
+
+
+def unshear(G: BiPoly) -> BiPoly:
+    """G(X, Y - X), term by term from c X^i (Y - X)^j = sum over k of
+    c C(j, k) (-X)^(j - k) X^i Y^k.  The substitution is unimodular, so
+    the content is G's; only the graded leading sign can change."""
+    terms: dict = {}
+    for (i, j), c in G.terms.items():
+        for k in range(j + 1):
+            key = (i + j - k, k)
+            terms[key] = terms.get(key, 0) + (-1) ** (j - k) * math.comb(j, k) * c
+    return BiPoly(terms)
 
 
 def _homogeneous_powers(a: list, b: list, m: int) -> list:

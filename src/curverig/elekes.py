@@ -1,14 +1,19 @@
 """Elekes curves t -> (D(gamma(t), p), D(gamma(t), q)) and their analysis.
 
-For rational base curves with rational data the two components are cached
-as univariate rational functions, the curve is implicitized exactly as a
-Sylvester resultant, and its rational inverse comes from the first
-subresultant.  Two such curves' intersections are counted exactly, by
-isolating the real roots of one curve's implicit equation along the other
-and mapping each back through the inverse (see _exact_count); where the
-inverse is undefined at a root the count is a proven upper bound.  On
-other data (the helix, float parameters) the count is a numeric estimate
-from grid seeds and Newton refinement, neither a lower nor an upper bound.
+For rational base curves with rational data the two components (A, B)
+are cached as univariate rational functions, and every exact stage runs
+in one cached elimination frame per curve: (A, B - A) when the reduced
+B - A is non-constant and of lower degree than B (for squared distance
+it has the degree of gamma, half B's), else (A, B).  In that frame the
+curve is implicitized as a Sylvester resultant, sheared back to the
+implicit equation G of (A, B), and its rational inverse comes from the
+first subresultant.  Two such curves' intersections are counted exactly,
+by isolating the real roots of one curve's implicit equation along the
+other and mapping each back through the inverse (see _exact_count);
+where the inverse is undefined at a root in both orders the count is a
+proven upper bound.  On other data (the helix, float parameters) the
+count is a numeric estimate from grid seeds and Newton refinement,
+neither a lower nor an upper bound.
 A Newton seed leaves the loop as soon as its iterates repeat bitwise with
 a period of at most 4, taking the value the full 40 steps would end on, so
 the exit saves evaluations without changing any result.
@@ -24,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .bipoly import (BiPoly, compose, first_subresultant, square_free_part,
-                     sylvester_resultant)
+                     sylvester_resultant, unshear)
 from .counting import ParamPointSet
 from .curves import CurveSpec, RationalCurve, is_exact_data
 from .errors import DegenerateParametrization
@@ -75,6 +80,8 @@ class ElekesCurve:
         self.q_param = q_param
         self._components: Optional[tuple] = None
         self._base_points: Optional[np.ndarray] = None
+        self._frame: Optional[tuple] = None
+        self._frame_implicit: Optional[BiPoly] = None
         self._implicit: Optional[BiPoly] = None
         self._inverse: Optional[tuple] = None
 
@@ -100,19 +107,55 @@ class ElekesCurve:
             self._components = (A, B)
         return self._components
 
-    def implicit(self) -> BiPoly:
-        if self._implicit is None:
+    def frame(self) -> tuple:
+        """Cached elimination frame (x, y, sheared): (A, B - A, True) when
+        the reduced B - A is non-constant and of lower degree than B, else
+        (A, B, False).  The shear (X, Y) -> (X, Y - X) is a bijection of
+        the plane taking the curve (A, B) to (x, y), so the implicit
+        equation, the inverse and the intersections of either are those
+        of the other under it."""
+        if self._frame is None:
             A, B = self.components()
-            self._implicit = implicitize_rational(A, B)
+            C = B - A
+            self._frame = (A, C, True) if 0 < C.degree < B.degree else (A, B, False)
+        return self._frame
+
+    def frame_implicit(self) -> BiPoly:
+        """Cached implicit equation G' of the frame curve (x, y)."""
+        if self._frame_implicit is None:
+            self._frame_implicit = implicitize_rational(*self.frame()[:2])
+        return self._frame_implicit
+
+    def implicit(self) -> BiPoly:
+        """Cached implicit equation G of (A, B): G'(X, Y - X) normalized on
+        a sheared frame, else G'.  G'(x, y) = 0 iff G'(A, B - A) = 0, and
+        the shear is invertible and unimodular, so G'(X, Y - X) is
+        irreducible, vanishes on (A, B) and is the normalized G up to
+        sign (Sendra, Winkler and Perez-Diaz, *Rational Algebraic Curves*,
+        2008, ch. 4)."""
+        if self._implicit is None:
+            G = self.frame_implicit()
+            self._implicit = unshear(G).normalized() if self.frame()[2] else G
         return self._implicit
 
     def inverse(self) -> tuple[BiPoly, BiPoly]:
-        """Cached (sigma1, sigma0) of first_subresultant(A, B): at a point
-        of the curve where sigma1 != 0, t = -sigma0 / sigma1 is its only
-        parameter."""
+        """Cached (sigma1, sigma0) of first_subresultant on the frame
+        curve (x, y): at a point (x, y) of it where sigma1 != 0,
+        t = -sigma0 / sigma1 is its only parameter.  The shear is a
+        bijection, so on a sheared frame -sigma0 / sigma1 at (X, Y - X)
+        is the inverse of (A, B) at (X, Y)."""
         if self._inverse is None:
-            self._inverse = first_subresultant(*self.components())
+            self._inverse = first_subresultant(*self.frame()[:2])
         return self._inverse
+
+    def in_frame(self, sheared: bool) -> tuple:
+        """(A, B - A) if sheared else (A, B): the components in the frame
+        of a polynomial composed with them."""
+        x, y, own = self.frame()
+        if own == sheared:
+            return x, y
+        A, B = self.components()
+        return (A, B - A) if sheared else (A, B)
 
     def degree_bound(self) -> int:
         """deg D * deg gamma; deg D * 2 when gamma has no algebraic degree."""
@@ -302,7 +345,8 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
     """The intersection points of xi1 and xi2 on their open domains.
 
     same_algebraic_curve short-circuits both paths.  On exact data the
-    count is exact, or a proven upper bound (_exact_count).  Otherwise it
+    count is exact (_exact_count, in either order), or else the smaller of
+    the two orders' proven upper bounds.  Otherwise it
     is a numeric estimate from an n x n Newton seed grid (_newton_count).
     """
     if e1.pair() == e2.pair() and e1.curve is e2.curve:
@@ -310,9 +354,15 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
     same, method = same_algebraic_curve(e1, e2)
     if same:
         return IntersectionReport([], True, method)
-    if method == "exact":
-        return _exact_count(e1, e2)
-    return _newton_count(e1, e2, method, n, tol)
+    if method != "exact":
+        return _newton_count(e1, e2, method, n, tol)
+    rep = _exact_count(e1, e2)
+    if rep.count_method == "upper":
+        # the swapped count sees the same intersections: its exact count,
+        # or else the smaller of the two bounds
+        rep = min(rep, _exact_count(e2, e1),
+                  key=lambda r: (r.count_method == "upper", r.count))
+    return rep
 
 
 def _endpoint_row(S0: list, S1: list, x) -> list:
@@ -328,25 +378,33 @@ def _exact_count(e1: ElekesCurve, e2: ElekesCurve) -> IntersectionReport:
     """Count the points xi2(s) = xi1(t), s and t in the open domains, of
     two exact Elekes curves that are not one algebraic curve.
 
-    The s are the real roots in xi2's domain of N(s), the numerator of
-    G1(A2(s), B2(s)), isolated by real_roots.  xi1's inverse
-    t = -sigma0 / sigma1 at the point xi2(s) is its only parameter when
-    sigma1 != 0 there, so the root counts iff t lies in xi1's domain:
+    Each polynomial of a curve is composed with xi2's components in that
+    curve's frame (ElekesCurve.frame): xi1's G' and (sigma1, sigma0) with
+    xi2.in_frame(xi1's), xi2's own sigma1 with xi2's frame.  On a sheared
+    xi1, G'(A2, B2 - A2) = +-G1(A2, B2) as rational functions, so their
+    numerators differ by a constant and powers of xi2's denominators,
+    which have no zeros in the open domain: the roots there are the same.
+    The s are the real roots in xi2's domain of N(s), that numerator,
+    isolated by real_roots.  xi1's inverse t = -sigma0 / sigma1 at the
+    point xi2(s) is its only parameter when sigma1 != 0 there, so the root
+    counts iff t lies in xi1's domain:
     (t - lo) (hi - t) = -(sigma0 + lo sigma1)(sigma0 + hi sigma1) / sigma1^2
     > 0, read from the signs at s of those numerators, composed with xi2
-    over one common denominator.  Two roots map to one point only where
-    xi2's own sigma1 vanishes.  If xi1's sigma1 or xi2's own vanishes at
-    some root, the report gives the number of roots, a proven upper bound,
-    with count_method "upper".  points are the float images xi2(s) of the
-    counted roots (of every root for "upper").
+    over one common denominator; S0 + lo S1 and S0 + hi S1 share that one
+    factor, so the product of their signs is the same in either frame.
+    Two roots map to one point only where xi2's own sigma1 vanishes.  If
+    xi1's sigma1 or xi2's own vanishes at some root, the report gives the
+    number of roots, a proven upper bound, with count_method "upper".
+    points are the float images xi2(s) of the counted roots (of every root
+    for "upper").
     """
-    A2, B2 = e2.components()
-    G, (s1, s0), own = e1.implicit(), e1.inverse(), e2.inverse()[0]
-    N = compose(G, A2, B2, G.degree_x(), G.degree_y())
+    x2, y2 = e2.in_frame(e1.frame()[2])
+    G, (s1, s0), own = e1.frame_implicit(), e1.inverse(), e2.inverse()[0]
+    N = compose(G, x2, y2, G.degree_x(), G.degree_y())
     roots = real_roots(N, e2.curve.domain.lo, e2.curve.domain.hi)
     m, k = max(s1.degree_x(), s0.degree_x()), max(s1.degree_y(), s0.degree_y())
-    S1, S0 = compose(s1, A2, B2, m, k), compose(s0, A2, B2, m, k)
-    node = compose(own, A2, B2, own.degree_x(), own.degree_y())
+    S1, S0 = compose(s1, x2, y2, m, k), compose(s0, x2, y2, m, k)
+    node = compose(own, *e2.frame()[:2], own.degree_x(), own.degree_y())
     below, above = (_endpoint_row(S0, S1, x)
                     for x in (e1.curve.domain.lo, e1.curve.domain.hi))
     g_node, g1, g_lo, g_hi = (_gcd(N, h) for h in (node, S1, below, above))
@@ -440,15 +498,17 @@ def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec,
     each (i, j, r) also fails unless G_pq(D(r, p), D(r, q)) = 0, which the
     exact intersection counts rely on.  On other data (helix, float
     parameters) both sides evaluate D at the same points, and the check
-    compares D with itself.  `curves` is elekes_family(pset, q), built
-    here when omitted."""
+    compares D with itself.  D is evaluated once per ordered pair of
+    points, into a table.  `curves` is elekes_family(pset, q), built here
+    when omitted."""
     params = pset.params
     n = len(params)
     if n < 3:
         raise ValueError("incidence check needs at least 3 points")
-    curve, checked, failures = pset.curve, 0, []
-    incident = {}
-    points = {t: curve.evaluate(t) for t in params}
+    checked, failures, incident = 0, [], {}
+    points = [pset.curve.evaluate(t) for t in params]
+    D = {(r, i): q.eval(points[r], points[i])
+         for r in range(n) for i in range(n) if r != i}
     family = iter(elekes_family(pset, q) if curves is None else curves)
     for i in range(n):
         for j in range(n):
@@ -462,8 +522,7 @@ def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec,
                     continue
                 checked += 1
                 via_curve = e.eval(params[r])
-                direct = (q.eval(points[params[r]], points[params[i]]),
-                          q.eval(points[params[r]], points[params[j]]))
+                direct = (D[r, i], D[r, j])
                 if via_curve != direct or (G is not None and G.eval_exact(*direct)):
                     failures.append((i, j, r, via_curve, direct))
                 hits.add(direct)

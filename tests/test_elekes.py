@@ -14,7 +14,7 @@ from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
                       intersect_elekes_pair, same_algebraic_curve,
                       verify_incidence_invariant)
 import curverig.elekes as elekes_module
-from curverig.bipoly import compose
+from curverig.bipoly import compose, unshear
 from curverig.rational import real_roots
 from curverig.curves import Interval, RationalCurve, builtin_curve
 from curverig.elekes import (IntersectionReport, _merge_points, _newton,
@@ -128,6 +128,94 @@ def test_implicit_equations_match_their_golden_hash():
     assert max(d["degree"] for d in doc.values()) >= 6
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == _GOLDEN_SHA256
+
+
+def _golden_elekes_curves():
+    for cn, c in _GOLDEN_CURVES.items():
+        for qn, q in _GOLDEN_QUANTITIES.items():
+            for p, r in [(F(1, 3), F(2, 3)), (F(1, 7), F(5, 6)), (F(3, 4), F(1, 5))]:
+                yield f"{cn}/{qn}/{p}/{r}", ElekesCurve(c, q, p, r)
+
+
+def test_sheared_frame_gives_the_plain_implicit():
+    # implicit() in the frame (A, B - A), sheared back and normalized, is
+    # the implicit equation of (A, B) computed directly; on one golden
+    # curve the shear flips the graded leading sign
+    frames, flipped = {True: 0, False: 0}, 0
+    for name, e in _golden_elekes_curves():
+        x, y, sheared = e.frame()
+        frames[sheared] += 1
+        assert e.implicit() == implicitize_rational(*e.components()), name
+        if sheared:
+            assert (x, y) == (e.components()[0], e.components()[1] - x)
+            assert y.degree < e.components()[1].degree
+            flipped += unshear(e.frame_implicit()) != e.implicit()
+    assert frames == {True: 36, False: 27} and flipped == 1
+
+
+def test_unshear_substitutes_y_minus_x():
+    # X^2 - Y -> X^2 - (Y - X); XY^2 -> X (Y - X)^2
+    assert unshear(PARABOLA) == BiPoly({(2, 0): 1, (0, 1): -1, (1, 0): 1})
+    assert unshear(BiPoly({(1, 2): 1})) == BiPoly({(1, 2): 1, (2, 1): -2, (3, 0): 1})
+
+
+def test_sheared_inverse_recovers_the_parameter():
+    # on a sheared frame, -sigma0 / sigma1 at (A(t), B(t) - A(t)) is t
+    checked = 0
+    for name, e in _golden_elekes_curves():
+        x, y, sheared = e.frame()
+        if not sheared:
+            continue
+        s1, s0 = e.inverse()
+        lo, hi = e.curve.domain.lo, e.curve.domain.hi
+        for t in (lo + (hi - lo) * F(k, 11) for k in (1, 4, 6, 9)):
+            den = s1.eval_exact(x(t), y(t))
+            assert den, (name, t)
+            assert -s0.eval_exact(x(t), y(t)) / den == t, (name, t)
+            checked += 1
+    assert checked == 36 * 4
+
+
+def test_rational_circle_takes_the_plain_frame(sq):
+    # B - A = -2 <gamma(t), gamma(q) - gamma(p)> keeps B's degree 2
+    e = ElekesCurve(make_rational_circle(), sq, F(1, 3), F(2, 3))
+    A, B = e.components()
+    assert (B - A).degree == B.degree == 2
+    assert e.frame() == (A, B, False)
+    assert e.implicit() == e.frame_implicit() == implicitize_rational(A, B)
+
+
+def test_nodal_cubic_with_equal_base_points_takes_the_plain_frame(sq):
+    # gamma(-1) = gamma(1) = 0 on (t^2 - 1, t^3 - t): A = B, B - A = 0,
+    # and xi is the line X = Y
+    nodal = RationalCurve([RF([-1, 0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2))
+    e = ElekesCurve(nodal, sq, F(-1), F(1))
+    A, B = e.components()
+    assert A == B and (B - A).is_constant()
+    assert e.frame() == (A, B, False)
+    assert e.implicit() == BiPoly({(1, 0): 1, (0, 1): -1})
+
+
+def test_one_resultant_and_one_root_per_implicit(sq, monkeypatch):
+    calls = {"sylvester_resultant": 0, "square_free_part": 0}
+
+    def counted(name):
+        f = getattr(elekes_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(elekes_module, name, counted(name))
+    curves = [ElekesCurve(make_parabola(0, 1), sq, F(1, 3), F(2, 3)),
+              ElekesCurve(make_rational_circle(), sq, F(1, 3), F(2, 3))]
+    assert [e.frame()[2] for e in curves] == [True, False]
+    for k, e in enumerate(curves, start=1):
+        e.implicit()
+        e.implicit()
+        assert calls == {"sylvester_resultant": k, "square_free_part": k}
 
 
 def test_implicitize_soundness_random_rational_curves():
@@ -559,8 +647,9 @@ def test_a_node_on_the_other_curve_gives_the_proven_bound():
     # line xi1(t) = (t, t + 35/8) (D = x1 + y1 on the X axis) crosses it
     # there and once more, 2 points in all.  Counted on xi2 the two roots
     # s = +-1 share one point, xi2's own sigma1 vanishes there, and the
-    # report is the proven bound 3; counted on the line, xi2's sigma1
-    # vanishes at P again, and the bound is 2
+    # bound is 3; counted on the line, xi2's sigma1 vanishes at P again,
+    # and the bound is 2.  Neither order is exact, so both report the
+    # smaller proven bound, 2
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
     nodal = RationalCurve([RF([-1, 0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2))
@@ -577,6 +666,9 @@ def test_a_node_on_the_other_curve_gives_the_proven_bound():
     with deadline(30):
         assert [(r.count, r.count_method) for r in (intersect_elekes_pair(e1, e2),
                                                     intersect_elekes_pair(e2, e1))] \
+            == [(2, "upper"), (2, "upper")]
+        assert [(r.count, r.count_method) for r in (elekes_module._exact_count(e1, e2),
+                                                    elekes_module._exact_count(e2, e1))] \
             == [(3, "upper"), (2, "upper")]
 
 

@@ -8,10 +8,11 @@ into R = c G^k; square_free_part takes the exact k-th root G of R, again
 as one int list, decoded once.  first_subresultant gives the curve's
 rational inverse from the same rows, and compose substitutes a rational
 curve into a result.  An Elekes curve (A, B) is eliminated in the frame
-(A, B - A) where that lowers the degree (elekes.ElekesCurve.frame), and
-unshear maps the implicit equation G'(X, Y) found there back to
-G'(X, Y - X), that of (A, B).  BiPoly only holds such a result, as a dict
-{(deg_x, deg_y): int}; it has no arithmetic.
+(A, B - A) where that lowers the degree (elekes.ElekesCurve.frame):
+shear(G', -1) maps the implicit equation G'(X, Y) found there to
+G'(X, Y - X), that of (A, B), and shear(G, 1) maps G back.  BiPoly only
+holds such a result, as a dict {(deg_x, deg_y): int}; it has no
+arithmetic.
 """
 
 from __future__ import annotations
@@ -170,15 +171,16 @@ def compose(G: BiPoly, x: RationalFunction, y: RationalFunction,
     return reduce(_add, (_mul(r, ys[j]) for j, r in rows.items()), [])
 
 
-def unshear(G: BiPoly) -> BiPoly:
-    """G(X, Y - X), term by term from c X^i (Y - X)^j = sum over k of
-    c C(j, k) (-X)^(j - k) X^i Y^k.  The substitution is unimodular, so
-    the content is G's; only the graded leading sign can change."""
+def shear(G: BiPoly, k: int) -> BiPoly:
+    """G(X, Y + kX), term by term from c X^i (Y + kX)^j = sum over m of
+    c C(j, m) (kX)^(j - m) X^i Y^m.  For an integer k the substitution is
+    unimodular, undone by shear(., -k), so the content is G's; only the
+    graded leading sign can change."""
     terms: dict = {}
     for (i, j), c in G.terms.items():
-        for k in range(j + 1):
-            key = (i + j - k, k)
-            terms[key] = terms.get(key, 0) + (-1) ** (j - k) * math.comb(j, k) * c
+        for m in range(j + 1):
+            key = (i + j - m, m)
+            terms[key] = terms.get(key, 0) + k ** (j - m) * math.comb(j, m) * c
     return BiPoly(terms)
 
 

@@ -14,6 +14,9 @@ where the inverse is undefined at a root in both orders the count is a
 proven upper bound.  On other data (the helix, float parameters) the
 count is a numeric estimate from grid seeds and Newton refinement,
 neither a lower nor an upper bound.
+The curves of one elekes_family share one D evaluation per base point;
+through the swap (X, Y) -> (Y, X) a curve and its mirror (q, p) share
+one resultant, and two mirrored pairs of curves one exact count.
 A Newton seed leaves the loop as soon as its iterates repeat bitwise with
 a period of at most 4, taking the value the full 40 steps would end on, so
 the exit saves evaluations without changing any result.
@@ -28,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bipoly import (BiPoly, compose, first_subresultant, square_free_part,
-                     sylvester_resultant, unshear)
+from .bipoly import (BiPoly, compose, first_subresultant, shear,
+                     square_free_part, sylvester_resultant)
 from .counting import ParamPointSet
 from .curves import CurveSpec, RationalCurve, is_exact_data
 from .errors import DegenerateParametrization
@@ -84,6 +87,8 @@ class ElekesCurve:
         self._frame_implicit: Optional[BiPoly] = None
         self._implicit: Optional[BiPoly] = None
         self._inverse: Optional[tuple] = None
+        self._legs: dict = {}  # base parameter -> leg; elekes_family shares one
+        self._mirror: Optional[ElekesCurve] = None  # see implicit()
 
     def __repr__(self):
         return f"ElekesCurve(p={self.p_param}, q={self.q_param})"
@@ -95,16 +100,21 @@ class ElekesCurve:
         return is_exact_data(self.curve, self.pair(), self.quantity)
 
     def components(self) -> tuple[RationalFunction, RationalFunction]:
-        """Cached rational components (A(t), B(t)); exact path only."""
+        """Cached rational components (A(t), B(t)) = (L_p, L_q); exact path
+        only.  The leg L_p(t) = D(gamma(t), gamma(p)) depends on its base
+        parameter alone, so the curves of one elekes_family share one dict
+        of legs and evaluate D once per base point, not twice per curve."""
         if self._components is None:
             if not self.is_exactable():
                 raise DegenerateParametrization(
                     "rational components need a rational curve and exact data")
-            A, B = (self.quantity.eval(self.curve.coords, self.curve.evaluate(t))
-                    for t in self.pair())
-            if not all(isinstance(c, RationalFunction) for c in (A, B)):
-                raise DegenerateParametrization("D does not depend on gamma(t)")
-            self._components = (A, B)
+            for t in self.pair():
+                if t not in self._legs:
+                    L = self.quantity.eval(self.curve.coords, self.curve.evaluate(t))
+                    if not isinstance(L, RationalFunction):
+                        raise DegenerateParametrization("D does not depend on gamma(t)")
+                    self._legs[t] = L
+            self._components = (self._legs[self.p_param], self._legs[self.q_param])
         return self._components
 
     def frame(self) -> tuple:
@@ -121,21 +131,39 @@ class ElekesCurve:
         return self._frame
 
     def frame_implicit(self) -> BiPoly:
-        """Cached implicit equation G' of the frame curve (x, y)."""
+        """Cached implicit equation G' of the frame curve (x, y):
+        implicitize_rational on the frame, or on a mirrored curve (see
+        implicit()) G(X, Y + X) normalized on a sheared frame, else G."""
         if self._frame_implicit is None:
-            self._frame_implicit = implicitize_rational(*self.frame()[:2])
+            if self._mirror is None:
+                self._frame_implicit = implicitize_rational(*self.frame()[:2])
+            else:
+                G = self.implicit()
+                self._frame_implicit = shear(G, 1).normalized() if self.frame()[2] else G
         return self._frame_implicit
 
     def implicit(self) -> BiPoly:
-        """Cached implicit equation G of (A, B): G'(X, Y - X) normalized on
-        a sheared frame, else G'.  G'(x, y) = 0 iff G'(A, B - A) = 0, and
-        the shear is invertible and unimodular, so G'(X, Y - X) is
-        irreducible, vanishes on (A, B) and is the normalized G up to
-        sign (Sendra, Winkler and Perez-Diaz, *Rational Algebraic Curves*,
-        2008, ch. 4)."""
+        """Cached implicit equation G of (A, B).
+
+        Computed, it is G'(X, Y - X) normalized on a sheared frame, else
+        G'.  G'(x, y) = 0 iff G'(A, B - A) = 0, and the shear is invertible
+        and unimodular, so G'(X, Y - X) is irreducible, vanishes on (A, B)
+        and is the normalized G up to sign (Sendra, Winkler and Perez-Diaz,
+        *Rational Algebraic Curves*, 2008, ch. 4).
+
+        A mirrored curve xi_qp of an elekes_family derives it from its
+        partner xi_pq: (L_q, L_p) is (L_p, L_q) under the swap
+        (X, Y) -> (Y, X), an invertible linear map, so G_pq(Y, X) is
+        irreducible and vanishes on xi_qp.  The normalized irreducible
+        implicit equation is unique, so G_pq(Y, X) normalized is G_qp."""
         if self._implicit is None:
-            G = self.frame_implicit()
-            self._implicit = unshear(G).normalized() if self.frame()[2] else G
+            if self._mirror is not None:
+                G = self._mirror.implicit()
+                self._implicit = BiPoly(
+                    {(j, i): c for (i, j), c in G.terms.items()}).normalized()
+            else:
+                G = self.frame_implicit()
+                self._implicit = shear(G, -1).normalized() if self.frame()[2] else G
         return self._implicit
 
     def inverse(self) -> tuple[BiPoly, BiPoly]:
@@ -344,7 +372,8 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
                           tol: float = 1e-5) -> IntersectionReport:
     """The intersection points of xi1 and xi2 on their open domains.
 
-    same_algebraic_curve short-circuits both paths.  On exact data the
+    same_algebraic_curve short-circuits both paths, with count_method
+    "same" and no points.  On exact data the
     count is exact (_exact_count, in either order), or else the smaller of
     the two orders' proven upper bounds.  Otherwise it
     is a numeric estimate from an n x n Newton seed grid (_newton_count).
@@ -353,7 +382,7 @@ def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
         raise ValueError("intersection needs two distinct Elekes curves")
     same, method = same_algebraic_curve(e1, e2)
     if same:
-        return IntersectionReport([], True, method)
+        return IntersectionReport([], True, method, count_method="same")
     if method != "exact":
         return _newton_count(e1, e2, method, n, tol)
     rep = _exact_count(e1, e2)
@@ -482,10 +511,20 @@ def elekes_family(pset: ParamPointSet, q: QuantitySpec) -> list:
     """The Elekes curve of every ordered pair (a, b) of distinct parameters,
     a-major in parameter order.  Each curve caches its components and
     implicit equation, so the incidence check and the admissibility scan
-    of one point set share one list."""
-    params = pset.params
-    return [ElekesCurve(pset.curve, q, a, b)
-            for a in params for b in params if a != b]
+    of one point set share one list.  The family shares its work, lazily:
+    one dict of legs L_a (ElekesCurve.components), so D is evaluated once
+    per point; and the curve of (a, b) with a > b takes its implicit
+    equation from that of (b, a) through the swap (X, Y) -> (Y, X)
+    (ElekesCurve.implicit), so n points need n(n - 1) / 2 resultants, not
+    n(n - 1)."""
+    params, legs = pset.params, {}
+    family = {(a, b): ElekesCurve(pset.curve, q, a, b)
+              for a in params for b in params if a != b}
+    for (a, b), e in family.items():
+        e._legs = legs
+        if a > b:
+            e._mirror = family[b, a]
+    return list(family.values())
 
 
 def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec,
@@ -574,6 +613,16 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
     curves from distinct classes (intersect_elekes_pair) and histograms
     the counts; count_methods tallies how each count was found.  `curves`
     is elekes_family(pset, q), built here when omitted.
+
+    On exact data a pair {xi_ab, xi_cd} whose mirror {xi_ba, xi_dc} was
+    already counted reuses its result if it was an "exact" count or a
+    same-curve verdict.  The swap (X, Y) -> (Y, X) maps xi_ab(t) to
+    xi_ba(t), so it maps the points xi_ab(t) = xi_cd(s) one to one onto
+    the points xi_ba(t) = xi_dc(s): the exact counts agree.  It maps one
+    curve's implicit equation to the other's (ElekesCurve.implicit), so
+    G_ab = G_cd iff G_ba = G_dc.  An "upper" bound depends on the order
+    and frame it was found in, and a fingerprint or Newton result is
+    numeric: those pairs are counted afresh.
     """
     if curves is None:
         curves = elekes_family(pset, q)
@@ -601,16 +650,21 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
     take = min(sample_pairs, n_pairs)
     chosen = sorted(rng.sample(range(n_pairs), take))
 
+    reusable: dict = {}  # exact data: {pair, pair} of two curves -> result
+
     def worker(a, b):
         out = []
         for k in chosen[a:b]:
             i, j = _unrank_pair(k, len(curves))
             e1, e2 = curves[i], curves[j]
-            rep = intersect_elekes_pair(e1, e2, n=n, tol=tol)
-            if rep.same_algebraic_curve:
-                out.append(("same", e1.pair(), e2.pair()))
-            else:
-                out.append(("count", rep.count, rep.count_method))
+            found = reusable.get(frozenset((e1.pair()[::-1], e2.pair()[::-1])))
+            if found is None:
+                rep = intersect_elekes_pair(e1, e2, n=n, tol=tol)
+                found = rep.same_algebraic_curve, rep.count, rep.count_method
+                if exact and found[2] in ("exact", "same"):
+                    reusable[frozenset((e1.pair(), e2.pair()))] = found
+            same, count, how = found
+            out.append(("same", e1.pair(), e2.pair()) if same else ("count", count, how))
         return out
 
     results = parallel_chunked(worker, len(chosen), chunk_size=8)

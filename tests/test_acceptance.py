@@ -19,7 +19,8 @@ from curverig import (ArithmeticProgression, EquallySpacedAngle, Exact,
                       Framework, HelixCurve, ParamPointSet, PinnedAreaSquared,
                       SquaredEuclidean, Tolerance, UniformRandom,
                       admissibility_scan, classify_helix, complete_framework,
-                      count_distinct_values, derivative_norm_profile, eval_H,
+                      count_distinct_values, derivative_norm_profile,
+                      elekes_family, eval_H,
                       fit_exponent, generate_point_set, implicitize_rational,
                       infinitesimal_nullity, scan_T_degeneracy,
                       trace_framework_motion, trace_triangle_motion, triangle,
@@ -313,11 +314,17 @@ def test_criterion_10_incidence_invariant():
         curve = zoo[i % len(zoo)]
         n = 5 + (i % 8)  # 5..12 points
         pset = generate_point_set(curve, UniformRandom(seed=500 + i, n=n))
-        rep = verify_incidence_invariant(pset, SQ)
-        ok = ok and rep.failures == [] \
+        # every implicit cached, so each check also tests
+        # G_pq(D(r, p), D(r, q)) = 0
+        curves = elekes_family(pset, SQ)
+        for e in curves:
+            e.implicit()
+        rep = verify_incidence_invariant(pset, SQ, curves)
+        ok = ok and rep.failures == [] and rep.checked == n * (n - 1) * (n - 2) \
             and rep.min_incident == rep.max_incident == n - 2
     _report(10, "incidence invariant", time.perf_counter() - t0, 5.0, ok,
-            "10 point sets, exact identity, N-2 product points each")
+            "10 point sets, exact identity and implicit equations, "
+            "N-2 product points each")
 
 
 def test_criterion_11_elekes_intersection_bound():

@@ -10,11 +10,11 @@ import pytest
 from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
                       GeneralPolynomial, ParamPointSet, PinnedAreaSquared,
                       RationalFunction, SquaredEuclidean, admissibility_scan,
-                      implicit_to_dict, implicitize_rational,
-                      intersect_elekes_pair, same_algebraic_curve,
+                      generate_point_set, implicit_to_dict, implicitize_rational,
+                      intersect_elekes_pair, parse_scheme, same_algebraic_curve,
                       verify_incidence_invariant)
 import curverig.elekes as elekes_module
-from curverig.bipoly import compose, unshear
+from curverig.bipoly import compose, shear
 from curverig.rational import real_roots
 from curverig.curves import Interval, RationalCurve, builtin_curve
 from curverig.elekes import (IntersectionReport, _merge_points, _newton,
@@ -149,14 +149,19 @@ def test_sheared_frame_gives_the_plain_implicit():
         if sheared:
             assert (x, y) == (e.components()[0], e.components()[1] - x)
             assert y.degree < e.components()[1].degree
-            flipped += unshear(e.frame_implicit()) != e.implicit()
+            flipped += shear(e.frame_implicit(), -1) != e.implicit()
     assert frames == {True: 36, False: 27} and flipped == 1
 
 
-def test_unshear_substitutes_y_minus_x():
-    # X^2 - Y -> X^2 - (Y - X); XY^2 -> X (Y - X)^2
-    assert unshear(PARABOLA) == BiPoly({(2, 0): 1, (0, 1): -1, (1, 0): 1})
-    assert unshear(BiPoly({(1, 2): 1})) == BiPoly({(1, 2): 1, (2, 1): -2, (3, 0): 1})
+def test_shear_substitutes_y_plus_k_x():
+    # X^2 - Y -> X^2 - (Y - X); XY^2 -> X (Y - X)^2, X (Y + X)^2, X (Y + 2X)^2
+    assert shear(PARABOLA, -1) == BiPoly({(2, 0): 1, (0, 1): -1, (1, 0): 1})
+    assert shear(BiPoly({(1, 2): 1}), -1) == BiPoly({(1, 2): 1, (2, 1): -2, (3, 0): 1})
+    assert shear(BiPoly({(1, 2): 1}), 1) == BiPoly({(1, 2): 1, (2, 1): 2, (3, 0): 1})
+    assert shear(BiPoly({(1, 2): 1}), 2) == BiPoly({(1, 2): 1, (2, 1): 4, (3, 0): 4})
+    for name, e in _golden_elekes_curves():
+        G = e.implicit()
+        assert shear(shear(G, 1), -1) == G, name
 
 
 def test_sheared_inverse_recovers_the_parameter():
@@ -216,6 +221,71 @@ def test_one_resultant_and_one_root_per_implicit(sq, monkeypatch):
         e.implicit()
         e.implicit()
         assert calls == {"sylvester_resultant": k, "square_free_part": k}
+
+
+def _family_of_two(curve, q, p, r):
+    """The two mirrored curves of a two-point family: (lo, hi) eliminated,
+    (hi, lo) derived through the swap."""
+    return elekes_family(ParamPointSet(curve, tuple(sorted((p, r)))), q)
+
+
+def test_mirrored_implicits_match_their_own_elimination(sq):
+    # both orders of every golden pair, the nodal cubic's line X = Y, and a
+    # rational circle pair: the implicit and the frame implicit of each
+    # curve are those implicitize_rational finds on it
+    nodal = RationalCurve([RF([-1, 0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2))
+    cases = [(c, q, p, r) for c in _GOLDEN_CURVES.values()
+             for q in _GOLDEN_QUANTITIES.values()
+             for p, r in [(F(1, 3), F(2, 3)), (F(1, 7), F(5, 6)), (F(3, 4), F(1, 5))]]
+    cases += [(nodal, sq, F(-1), F(1)), (make_rational_circle(), sq, F(1, 3), F(2, 3))]
+    frames = {True: 0, False: 0}
+    for c, q, p, r in cases:
+        computed, mirrored = _family_of_two(c, q, p, r)
+        assert computed._mirror is None and mirrored._mirror is computed
+        frames[mirrored.frame()[2]] += 1
+        for e in (mirrored, computed):
+            assert e.frame_implicit() == implicitize_rational(*e.frame()[:2]), e
+            assert e.implicit() == implicitize_rational(*e.components()), e
+    assert frames == {True: 36, False: 29}
+
+
+def test_family_evaluates_d_once_per_point_and_half_the_resultants(sq, monkeypatch):
+    # n legs and n(n - 1) / 2 resultants for the n(n - 1) curves of a
+    # family, across implicits, frame implicits and a scan of every pair
+    calls = {"eval": 0, "sylvester_resultant": 0}
+    real_eval, real_resultant = SquaredEuclidean.eval, elekes_module.sylvester_resultant
+
+    def counted_eval(self, *args):
+        calls["eval"] += 1
+        return real_eval(self, *args)
+
+    def counted_resultant(*args):
+        calls["sylvester_resultant"] += 1
+        return real_resultant(*args)
+
+    monkeypatch.setattr(SquaredEuclidean, "eval", counted_eval)
+    monkeypatch.setattr(elekes_module, "sylvester_resultant", counted_resultant)
+    for curve, n in [(make_parabola(0, 1), 5), (make_rational_circle(), 4), (_cubic(), 4)]:
+        calls.update(eval=0, sylvester_resultant=0)
+        pset = ParamPointSet(curve, tuple(F(k, 7) for k in range(1, n + 1)))
+        curves = elekes_family(pset, sq)
+        for e in curves:
+            e.implicit()
+            e.frame_implicit()
+        assert curves[0].components()[0] is curves[1].components()[0]
+        assert calls == {"eval": n, "sylvester_resultant": n * (n - 1) // 2}
+        admissibility_scan(pset, sq, sample_pairs=10 ** 4, curves=curves)
+        assert calls == {"eval": n, "sylvester_resultant": n * (n - 1) // 2}
+
+
+def test_helix_family_builds_no_components(sq):
+    helix = make_circular_helix(0.5)
+    pset = ParamPointSet(helix, (-613.25, -17.5, 2.0, 401.75))
+    curves = elekes_family(pset, sq)
+    admissibility_scan(pset, sq, sample_pairs=4, n=16, curves=curves)
+    verify_incidence_invariant(pset, sq, curves)
+    assert curves[0]._legs == {} and all(e._legs is curves[0]._legs for e in curves)
+    assert all(e._components is None and e._implicit is None for e in curves)
 
 
 def test_implicitize_soundness_random_rational_curves():
@@ -452,7 +522,8 @@ def test_same_curve_detection_exact_on_circle_orbit(sq):
     same, method = same_algebraic_curve(e1, e2)
     assert same and method == "exact"
     rep = intersect_elekes_pair(e1, e2)
-    assert rep.same_algebraic_curve and rep.count == 0
+    # no Newton ran: the report says so
+    assert (rep.same_algebraic_curve, rep.count, rep.count_method) == (True, 0, "same")
     # different gaps -> different curves
     e3 = ElekesCurve(circ, sq, ts[0], ts[2])
     same, _ = same_algebraic_curve(e1, e3)
@@ -479,6 +550,8 @@ def test_same_curve_detection_fingerprint_on_trig_circle(sq):
     e2 = ElekesCurve(circ, sq, 0.7, 1.5)   # same angular gap 0.8
     same, method = same_algebraic_curve(e1, e2)
     assert same and method == "fingerprint"
+    rep = intersect_elekes_pair(e1, e2)
+    assert (rep.detection_method, rep.count_method) == ("fingerprint", "same")
     e3 = ElekesCurve(circ, sq, 0.2, 1.7)
     same, _ = same_algebraic_curve(e1, e3)
     assert not same
@@ -787,7 +860,7 @@ def _newton_pair(e1, e2):
     """intersect_elekes_pair with the Newton count on every data, exact
     data included: the routine the helix and float data still use."""
     same, method = same_algebraic_curve(e1, e2)
-    return IntersectionReport([], True, method) if same else \
+    return IntersectionReport([], True, method, count_method="same") if same else \
         _newton_count(e1, e2, method)
 
 
@@ -969,6 +1042,89 @@ def test_exact_pairs_never_reach_newton(sq, monkeypatch):
     rep = admissibility_scan(pset, sq, sample_pairs=200)
     assert rep.count_methods == {"exact": 190}
     assert rep.histogram == {1: 16, 2: 164, 3: 10}
+
+
+def _scan_recording(pset, q, monkeypatch, **kwargs):
+    """admissibility_scan with every visited pair and every counted pair
+    recorded: (report, visited [(e1, e2)], counted {(pair1, pair2): report})."""
+    visited, counted = [], {}
+    curves = elekes_family(pset, q)
+    unrank, intersect = elekes_module._unrank_pair, elekes_module.intersect_elekes_pair
+
+    def visiting(k, n):
+        i, j = unrank(k, n)
+        visited.append((curves[i], curves[j]))
+        return i, j
+
+    def counting(e1, e2, **kw):
+        rep = intersect(e1, e2, **kw)
+        counted[e1.pair(), e2.pair()] = rep
+        return rep
+
+    monkeypatch.setattr(elekes_module, "_unrank_pair", visiting)
+    monkeypatch.setattr(elekes_module, "intersect_elekes_pair", counting)
+    rep = admissibility_scan(pset, q, curves=curves, **kwargs)
+    monkeypatch.undo()
+    return rep, visited, counted
+
+
+def _outcome(rep):
+    return rep.same_algebraic_curve, rep.count, rep.count_method
+
+
+_REUSE_SETS = {
+    "readme": (make_parabola(0, 1), tuple(F(k, 7) for k in range(1, 6))),
+    "parabola": (make_parabola(0, 1), "rand:4:5"),
+    "rational_circle": (make_rational_circle(), "rand:5:5"),
+    "circle_orbit": (make_rational_circle(), rational_rotation_circle_params(4)),
+    "cubic": (_cubic(), "rand:6:4"),
+    "nodal_cubic": (RationalCurve([RF([-1, 0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2)),
+                    (F(-1, 2), F(1, 3), F(1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REUSE_SETS))
+def test_mirrored_pairs_reuse_only_exact_counts_and_same_verdicts(sq, name, monkeypatch):
+    # every pair of the family is sampled; a pair whose mirror was counted
+    # "exact" or found on one curve reuses that result, which is what a
+    # fresh count of the pair itself gives; every other pair is counted
+    curve, points = _REUSE_SETS[name]
+    pset = generate_point_set(curve, parse_scheme(points)) if isinstance(points, str) \
+        else ParamPointSet(curve, points)
+    rep, visited, counted = _scan_recording(pset, sq, monkeypatch, sample_pairs=10 ** 4)
+    n = len(pset.params) * (len(pset.params) - 1)
+    assert len(visited) == rep.pairs_checked == n * (n - 1) // 2
+    position = {(e1.pair(), e2.pair()): k for k, (e1, e2) in enumerate(visited)}
+    methods, reused = {}, {}
+    for e1, e2 in visited:
+        key = (e1.pair(), e2.pair())
+        mirror = next(m for m in [(e1.pair()[::-1], e2.pair()[::-1]),
+                                  (e2.pair()[::-1], e1.pair()[::-1])] if m in position)
+        first = counted[mirror] if position[mirror] < position[key] else None
+        if first is not None and first.count_method in ("exact", "same"):
+            assert key not in counted
+            reused[first.count_method] = reused.get(first.count_method, 0) + 1
+            own = intersect_elekes_pair(e1, e2)
+            assert _outcome(own) == _outcome(first), key
+        else:
+            own = counted[key]
+        methods[own.count_method] = methods.get(own.count_method, 0) + 1
+    assert {m: c for m, c in methods.items() if m != "same"} == rep.count_methods
+    assert reused.get("exact")
+    if name == "readme":
+        assert (len(counted), reused) == (100, {"exact": 90})
+    if name == "circle_orbit":
+        assert reused.get("same")
+    if name == "nodal_cubic":
+        assert methods["upper"] == 2
+
+
+def test_helix_scan_never_reuses(sq, monkeypatch):
+    pset = ParamPointSet(make_circular_helix(0.5), (-613.25, -17.5, 2.0, 401.75))
+    rep, visited, counted = _scan_recording(pset, sq, monkeypatch,
+                                            sample_pairs=10 ** 4, n=12)
+    assert len(visited) == len(counted) == rep.pairs_checked == 66
+    assert rep.detection_method == "fingerprint"
 
 
 def test_unrank_pair_matches_combinations():

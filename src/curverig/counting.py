@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .curves import CurveSpec, HelixCurve, is_exact_data
+from .curves import _BLOCK, CurveSpec, HelixCurve, is_exact_data
 from .errors import (DomainError, ExactnessUnavailable, InsufficientSamples,
                      SchemeMismatch)
 from .quantity import (GeneralPolynomial, QuantitySpec, SquaredEuclidean,
@@ -435,7 +435,8 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
     bound, evaluated exactly only where the bound leaves a doubt.
     Tolerance mode sorts all pair values and merges runs whose relative
     gap is below rel_eps (scale-free; adversarial near-collisions can
-    over- or under-merge).
+    over- or under-merge).  It takes the gaps in blocks of _BLOCK, so its
+    working set is the n(n-1)/2 sorted values plus O(_BLOCK).
     """
     n = len(pset)
     n_pairs = n * (n - 1) // 2
@@ -462,16 +463,22 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
         k += n - 1 - i
     vals.sort()
     # a run ends where the gap exceeds rel_eps * max(|ends|) + _ABS_FLOOR;
-    # scale and gaps are the only other arrays of the pairs' size
-    scale, gaps = np.abs(vals[:-1]), np.abs(vals[1:])
-    np.maximum(scale, gaps, out=scale)
-    scale *= mode.rel_eps
-    scale += _ABS_FLOOR
-    boundary = np.subtract(vals[1:], vals[:-1], out=gaps) > scale
-    # value_max is the first value of the last run
-    last = n_pairs - 1 - int(np.argmax(boundary[::-1])) if boundary.any() else 0
-    return CountResult(count=1 + int(np.count_nonzero(boundary)), n_points=n,
-                       n_pairs=n_pairs, mode=f"tolerance({mode.rel_eps:g})",
+    # the gaps go in blocks of _BLOCK, and value_max is vals[last], the
+    # first value of the last run
+    count, last = 1, 0
+    for s in range(0, n_pairs - 1, _BLOCK):
+        e = min(s + _BLOCK, n_pairs - 1)
+        lo, hi = vals[s:e], vals[s + 1:e + 1]
+        scale, gaps = np.abs(lo), np.abs(hi)
+        np.maximum(scale, gaps, out=scale)
+        scale *= mode.rel_eps
+        scale += _ABS_FLOOR
+        boundary = np.subtract(hi, lo, out=gaps) > scale
+        if boundary.any():
+            count += int(np.count_nonzero(boundary))
+            last = e - int(np.argmax(boundary[::-1]))
+    return CountResult(count=count, n_points=n, n_pairs=n_pairs,
+                       mode=f"tolerance({mode.rel_eps:g})",
                        value_min=vals[0], value_max=vals[last])
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (DomainError, JetOrderError, PoleError,
                      SingularParametrization)
-from .quantity import (_index, _json_list, check_dimension, pairings,
-                       quantity_is_rational)
+from .quantity import (SquaredEuclidean, _index, _json_list, check_dimension,
+                       pairings, quantity_is_rational)
 from .rational import (NEG_INF, POS_INF, Poly, RationalFunction, as_fraction,
                        count_real_roots, is_exact)
 
@@ -498,6 +498,22 @@ class SimplicityReport:
         }
 
 
+_BLOCK = 1 << 16  # elements per block array on the O(n^2) float paths
+
+
+def _first_min(best, block, r0, *at):
+    """The running minimum over row blocks: best, or this (R, n) block of
+    rows r0.. when its minimum beats best.  A result is (value, (i, j),
+    [a[i, j] for a in at]) at the first (i, j) in row-major order; NaN
+    wins, as in np.min and np.argmin.  Negate block for a maximum."""
+    k = int(np.argmin(block))
+    v = block.flat[k]
+    if best is None or v < best[0] or (v != v and best[0] == best[0]):
+        i, j = divmod(k, block.shape[1])
+        return v, (r0 + i, j), [a[i, j] for a in at]
+    return best
+
+
 def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
                      tol: float = 1e-9) -> SimplicityReport:
     """Sampled verification of the five simple-pair conditions.
@@ -509,6 +525,10 @@ def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
        base pairs (p, q);
     5. submersion: the (alpha, beta)-gradient of D(gamma(alpha), gamma(beta))
        has norm > tol at all off-diagonal grid pairs.
+
+    The n^2 grid pairs are visited once, in blocks of _BLOCK // n rows, so
+    the working set is O(_BLOCK * d) floats besides the O(n * d) samples.
+    Each reduction keeps its first extreme in row-major order.
     """
     if n < 32:
         raise ValueError("need grid size n >= 32")
@@ -516,12 +536,51 @@ def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
     ts = curve.domain.uniform_grid(n)
     P = curve.evaluate_array(ts)
     V = curve.derivative_array(ts, 1)
+    # condition 4's base pairs, with their columns D(., gamma(a)), D(., gamma(b))
+    fracs = [(0.15, 0.85), (0.3, 0.6), (0.45, 0.95), (0.05, 0.5), (0.25, 0.75)]
+    bases = [(ia, ib) for ia, ib in ((int(fa * (n - 1)), int(fb * (n - 1)))
+                                     for fa, fb in fracs) if ia != ib]
+    twos = [np.stack([quantity.eval_batch(P, P[ia]), quantity.eval_batch(P, P[ib])],
+                     axis=-1) for ia, ib in bases]
+    gap_scales = [np.maximum(1.0, np.abs(two).max()) for two in twos]
+
+    # one pass over row blocks feeds every reduction over grid pairs: the
+    # pair distance (1), the symmetry ratio, diagonal and off-diagonal |D|
+    # (3), the two-value gaps (4) and the gradient norm (5).  Entries that
+    # a reduction skips are set to +inf: j <= i for the pair reductions of
+    # 1, 3 and 4, the diagonal for 5.  A Euclidean norm is the square root
+    # of SquaredEuclidean, bitwise np.linalg.norm without its difference array
+    euclid = SquaredEuclidean()
+    near = sym = off = flat = None
+    gaps = [None] * len(twos)
+    diag = np.empty(n)
+    step = max(1, _BLOCK // n)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        Pr, Vr = P[r0:r1, None, :], V[r0:r1, None, :]
+        lower = np.arange(r0, r1)[:, None] >= np.arange(n)
+        k = np.arange(r1 - r0)
+        dist = np.sqrt(euclid.eval_batch(Pr, P[None, :, :]))
+        dist[lower] = np.inf
+        near = _first_min(near, dist, r0)
+        Dij, u, w = pairings(quantity, Pr, Vr, P[None, :, :], V[None, :, :])
+        sym_gap = np.abs(Dij - quantity.eval_batch(P[None, :, :], Pr))
+        sym = _first_min(sym, -(sym_gap / np.maximum(1.0, np.abs(Dij))), r0, sym_gap)
+        diag[r0:r1] = Dij[k, r0 + k]
+        off_d = np.abs(Dij)
+        off_d[lower] = np.inf
+        off = _first_min(off, off_d, r0, Dij)
+        for m, two in enumerate(twos):
+            gap = np.sqrt(euclid.eval_batch(two[r0:r1, None, :], two[None, :, :]))
+            gap /= gap_scales[m]
+            gap[lower] = np.inf
+            gaps[m] = _first_min(gaps[m], gap, r0)
+        gnorm = np.hypot(u, w)
+        gnorm[k, r0 + k] = np.inf
+        flat = _first_min(flat, gnorm, r0)
     conditions = []
 
     # 1: injectivity + nonvanishing first derivative
-    dist = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
-    iu = np.triu_indices(n, k=1)
-    pair_d = dist[iu]
     speeds = np.linalg.norm(V, axis=-1)
     witness = None
     detail = ""
@@ -530,11 +589,10 @@ def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
         i = int(np.argmin(speeds))
         ok, witness = False, (float(ts[i]),)
         detail = f"||gamma'({ts[i]:.6g})|| = {speeds[i]:.3e}"
-    elif pair_d.size and float(np.min(pair_d)) <= tol:
-        k = int(np.argmin(pair_d))
-        i, j = int(iu[0][k]), int(iu[1][k])
+    elif float(near[0]) <= tol:
+        (i, j), d_ij = near[1], near[0]
         ok, witness = False, (float(ts[i]), float(ts[j]))
-        detail = f"gamma({ts[i]:.6g}) ~ gamma({ts[j]:.6g}) within {pair_d[k]:.3e}"
+        detail = f"gamma({ts[i]:.6g}) ~ gamma({ts[j]:.6g}) within {d_ij:.3e}"
     conditions.append(ConditionResult(1, "injective immersion", ok, witness, detail))
 
     # 2: gamma'' does not vanish identically
@@ -546,48 +604,32 @@ def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
         None if ok else ("gamma'' ~ 0 on grid",),
         f"max ||gamma''|| = {float(np.max(acc_norms)):.3e}"))
 
-    # 3: distance-polynomial axioms on grid pairs; u and w serve condition 5
-    Dij, u, w = pairings(quantity, P[:, None, :], V[:, None, :],
-                         P[None, :, :], V[None, :, :])
-    sym_gap = np.abs(Dij - Dij.T)
-    scale = np.maximum(1.0, np.abs(Dij))
+    # 3: distance-polynomial axioms on grid pairs
     ok = True
     witness = None
     detail = ""
-    if float(np.max(sym_gap / scale)) > tol:
-        i, j = np.unravel_index(int(np.argmax(sym_gap / scale)), sym_gap.shape)
+    if float(-sym[0]) > tol:
+        (i, j), (gap_ij,) = sym[1], sym[2]
         ok, witness = False, (float(ts[i]), float(ts[j]))
-        detail = f"symmetry gap {sym_gap[i, j]:.3e}"
-    elif float(np.max(np.abs(np.diag(Dij)))) > tol:
-        i = int(np.argmax(np.abs(np.diag(Dij))))
+        detail = f"symmetry gap {gap_ij:.3e}"
+    elif float(np.max(np.abs(diag))) > tol:
+        i = int(np.argmax(np.abs(diag)))
         ok, witness = False, (float(ts[i]),)
-        detail = f"D(p,p) = {Dij[i, i]:.3e} != 0"
-    else:
-        off = np.abs(Dij[iu])
-        if off.size and float(np.min(off)) <= tol:
-            k = int(np.argmin(off))
-            i, j = int(iu[0][k]), int(iu[1][k])
-            ok, witness = False, (float(ts[i]), float(ts[j]))
-            detail = f"D vanishes off-diagonal: {Dij[i, j]:.3e}"
+        detail = f"D(p,p) = {diag[i]:.3e} != 0"
+    elif float(off[0]) <= tol:
+        (i, j), (d_ij,) = off[1], off[2]
+        ok, witness = False, (float(ts[i]), float(ts[j]))
+        detail = f"D vanishes off-diagonal: {d_ij:.3e}"
     conditions.append(ConditionResult(3, "distance-polynomial axioms", ok,
                                       witness, detail))
 
     # 4: two-value map injectivity for sampled base pairs
-    fracs = [(0.15, 0.85), (0.3, 0.6), (0.45, 0.95), (0.05, 0.5), (0.25, 0.75)]
     ok = True
     witness = None
     detail = ""
-    for fa, fb in fracs:
-        ia, ib = int(fa * (n - 1)), int(fb * (n - 1))
-        if ia == ib:
-            continue
-        two = np.stack([Dij[:, ia], Dij[:, ib]], axis=-1)
-        gap = np.linalg.norm(two[:, None, :] - two[None, :, :], axis=-1)
-        gap_scale = np.maximum(1.0, np.abs(two).max())
-        g = gap[iu] / gap_scale
-        if g.size and float(np.min(g)) <= tol:
-            k = int(np.argmin(g))
-            i, j = int(iu[0][k]), int(iu[1][k])
+    for (ia, ib), g in zip(bases, gaps):
+        if float(g[0]) <= tol:
+            i, j = g[1]
             ok = False
             witness = (float(ts[ia]), float(ts[ib]), float(ts[i]), float(ts[j]))
             detail = (f"(D(.,a),D(.,b)) collides at t={ts[i]:.6g}, t={ts[j]:.6g}")
@@ -596,14 +638,9 @@ def check_simplicity(curve: CurveSpec, quantity, n: int = 256,
                                       witness, detail))
 
     # 5: submersion off the diagonal
-    gnorm = np.hypot(u, w)
-    np.fill_diagonal(gnorm, np.inf)
-    ok = bool(np.min(gnorm) > tol)
-    witness = None
-    detail = f"min gradient norm = {float(np.min(gnorm)):.3e}"
-    if not ok:
-        i, j = np.unravel_index(int(np.argmin(gnorm)), gnorm.shape)
-        witness = (float(ts[i]), float(ts[j]))
+    ok = bool(flat[0] > tol)
+    witness = None if ok else tuple(float(ts[k]) for k in flat[1])
+    detail = f"min gradient norm = {float(flat[0]):.3e}"
     conditions.append(ConditionResult(5, "submersion off diagonal", ok,
                                       witness, detail))
 

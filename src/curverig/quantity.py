@@ -73,8 +73,18 @@ class SquaredEuclidean:
         return dx, dy
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        d = X - Y
-        return np.sum(np.square(d, out=d), axis=-1)
+        if X.shape[-1] >= 8:  # numpy sums 8 or more terms pairwise
+            d = X - Y
+            return np.sum(np.square(d, out=d), axis=-1)
+        # fewer terms numpy sums left to right, as this loop does: bitwise
+        # equal, without the (..., d) difference array.  Out of place,
+        # since one-point inputs give numpy scalars
+        c = X[..., 0] - Y[..., 0]
+        out = c * c
+        for k in range(1, X.shape[-1]):
+            c = X[..., k] - Y[..., k]
+            out = out + c * c
+        return out
 
     def grad_batch(self, X, Y, with_y=True):
         dx = X - Y

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -312,6 +313,48 @@ def test_tolerance_value_max_is_the_first_value_of_the_last_run(sq):
     res = count_distinct_values(
         ParamPointSet(make_line(), (0.0, 1.0, 2.0 + 1e-12)), sq, Tolerance(1e-3))
     assert (res.count, res.value_min, res.value_max) == (2, 1.0, 4.000000000004)
+
+
+# line points 0..4: sorted values 1 1 1 1 4 4 4 9 9 16, with run boundaries
+# at gaps 3, 6 and 8 of the 9 gaps between neighbours
+_AP5 = ParamPointSet(make_line(), (0.0, 1.0, 2.0, 3.0, 4.0))
+
+
+@pytest.mark.parametrize("block", [
+    2,  # the run of 1s crosses the edge after gap 1; gap 8 is a partial block
+    3,  # the boundaries at gaps 3 and 6 open a block each
+    4,  # the last boundary, gap 8, is alone in the final partial block
+    1, 9, 100])
+def test_tolerance_merge_in_blocks(sq, block, monkeypatch):
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    res = count_distinct_values(_AP5, sq, Tolerance(1e-9))
+    assert (res.count, res.value_min, res.value_max) == (4, 1.0, 16.0)
+
+
+@pytest.mark.parametrize("block", [1, 2, 100])
+def test_tolerance_merge_in_blocks_without_a_boundary(sq, block, monkeypatch):
+    # the three sides of an equilateral triangle: one run, value_max = vals[0]
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    pset = generate_point_set(make_unit_circle(), EquallySpacedAngle(3))
+    res = count_distinct_values(pset, sq, Tolerance(1e-9))
+    P = pset.points_array()
+    vals = sorted(sq.eval_batch(P[i], P[j]) for i, j in combinations(range(3), 2))
+    assert len(set(vals)) > 1
+    assert (res.count, res.value_min, res.value_max) == (1, vals[0], vals[0])
+
+
+def test_tolerance_count_memory_is_the_sorted_values(sq):
+    # N = 3000 has 4,498,500 pairs: 34.3 MiB of sorted values; the merge on
+    # whole arrays peaked at 111.6 MiB
+    pset = generate_point_set(make_parabola(0, 1), UniformRandom(seed=11, n=3000))
+    tracemalloc.start()
+    try:
+        res = count_distinct_values(pset, sq, Tolerance(1e-9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_pairs == 4_498_500
+    assert peak < 48 * 2 ** 20
 
 
 def test_circle_equally_spaced_counts(sq):

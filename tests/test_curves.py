@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curverig import (DomainError, HelixCurve, Interval, PoleError,
-                      RationalCurve, RationalFunction, SquaredEuclidean,
+from curverig import (AnalyticCurve, DomainError, GeneralPolynomial,
+                      HelixCurve, Interval, PoleError, RationalCurve,
+                      RationalFunction, SimplicityReport, SquaredEuclidean,
                       arc_length_reparametrize, builtin_curve, check_simplicity,
-                      curve_from_json, curve_to_json,
+                      curve_from_json, curve_to_json, pairings, trig_ellipse,
                       PinnedAreaSquared, SingularParametrization)
+from curverig import curves
+from curverig.curves import ConditionResult
 from conftest import (make_circular_helix, make_cubic, make_line, make_parabola,
                       make_rational_circle, make_unit_circle)
 
@@ -235,6 +239,179 @@ def test_simplicity_report_dict(sq):
 def test_simplicity_grid_minimum(sq):
     with pytest.raises(ValueError):
         check_simplicity(make_parabola(0, 1), sq, n=16)
+
+
+def _dense_check_simplicity(curve, quantity, n, tol=1e-9):
+    """check_simplicity on whole n x n (x d) arrays: the reference that the
+    row-block pass must equal report for report."""
+    ts = curve.domain.uniform_grid(n)
+    P = curve.evaluate_array(ts)
+    V = curve.derivative_array(ts, 1)
+    conditions = []
+    dist = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
+    iu = np.triu_indices(n, k=1)
+    pair_d = dist[iu]
+    speeds = np.linalg.norm(V, axis=-1)
+    ok, witness, detail = True, None, ""
+    if float(np.min(speeds)) <= tol:
+        i = int(np.argmin(speeds))
+        ok, witness = False, (float(ts[i]),)
+        detail = f"||gamma'({ts[i]:.6g})|| = {speeds[i]:.3e}"
+    elif float(np.min(pair_d)) <= tol:
+        k = int(np.argmin(pair_d))
+        i, j = int(iu[0][k]), int(iu[1][k])
+        ok, witness = False, (float(ts[i]), float(ts[j]))
+        detail = f"gamma({ts[i]:.6g}) ~ gamma({ts[j]:.6g}) within {pair_d[k]:.3e}"
+    conditions.append(ConditionResult(1, "injective immersion", ok, witness, detail))
+    acc_norms = np.linalg.norm(curve.derivative_array(ts, 2), axis=-1)
+    ok = bool(np.max(acc_norms) >= tol)
+    conditions.append(ConditionResult(
+        2, "second derivative not identically zero", ok,
+        None if ok else ("gamma'' ~ 0 on grid",),
+        f"max ||gamma''|| = {float(np.max(acc_norms)):.3e}"))
+    Dij, u, w = pairings(quantity, P[:, None, :], V[:, None, :],
+                         P[None, :, :], V[None, :, :])
+    sym_gap = np.abs(Dij - Dij.T)
+    scale = np.maximum(1.0, np.abs(Dij))
+    ok, witness, detail = True, None, ""
+    if float(np.max(sym_gap / scale)) > tol:
+        i, j = np.unravel_index(int(np.argmax(sym_gap / scale)), sym_gap.shape)
+        ok, witness = False, (float(ts[i]), float(ts[j]))
+        detail = f"symmetry gap {sym_gap[i, j]:.3e}"
+    elif float(np.max(np.abs(np.diag(Dij)))) > tol:
+        i = int(np.argmax(np.abs(np.diag(Dij))))
+        ok, witness = False, (float(ts[i]),)
+        detail = f"D(p,p) = {Dij[i, i]:.3e} != 0"
+    else:
+        off = np.abs(Dij[iu])
+        if float(np.min(off)) <= tol:
+            k = int(np.argmin(off))
+            i, j = int(iu[0][k]), int(iu[1][k])
+            ok, witness = False, (float(ts[i]), float(ts[j]))
+            detail = f"D vanishes off-diagonal: {Dij[i, j]:.3e}"
+    conditions.append(ConditionResult(3, "distance-polynomial axioms", ok,
+                                      witness, detail))
+    ok, witness, detail = True, None, ""
+    for fa, fb in [(0.15, 0.85), (0.3, 0.6), (0.45, 0.95), (0.05, 0.5), (0.25, 0.75)]:
+        ia, ib = int(fa * (n - 1)), int(fb * (n - 1))
+        two = np.stack([Dij[:, ia], Dij[:, ib]], axis=-1)
+        gap = np.linalg.norm(two[:, None, :] - two[None, :, :], axis=-1)
+        g = gap[iu] / np.maximum(1.0, np.abs(two).max())
+        if float(np.min(g)) <= tol:
+            k = int(np.argmin(g))
+            i, j = int(iu[0][k]), int(iu[1][k])
+            ok = False
+            witness = (float(ts[ia]), float(ts[ib]), float(ts[i]), float(ts[j]))
+            detail = f"(D(.,a),D(.,b)) collides at t={ts[i]:.6g}, t={ts[j]:.6g}"
+            break
+    conditions.append(ConditionResult(4, "two-value map injective", ok,
+                                      witness, detail))
+    gnorm = np.hypot(u, w)
+    np.fill_diagonal(gnorm, np.inf)
+    ok = bool(np.min(gnorm) > tol)
+    witness = None
+    if not ok:
+        i, j = np.unravel_index(int(np.argmin(gnorm)), gnorm.shape)
+        witness = (float(ts[i]), float(ts[j]))
+    conditions.append(ConditionResult(5, "submersion off diagonal", ok, witness,
+                                      f"min gradient norm = {float(np.min(gnorm)):.3e}"))
+    return SimplicityReport(conditions=conditions, grid_size=n, tol=tol)
+
+
+_SIMPLICITY_CURVES = {
+    "parabola": make_parabola(0, 1),
+    "sheared-parabola": RationalCurve([RF([0, 1]), RF([0, 1, 1])], Interval(-1, 2)),
+    "line": make_line(),
+    "helix": make_circular_helix(0.5),
+    "rational-circle": make_rational_circle(),
+    "unit-circle": make_unit_circle(),
+    "ellipse": trig_ellipse(2.0, 1.0),
+    # the condition-1 pair branch: every point is met twice
+    "double-circle": HelixCurve([1.0], [1.0], [], 2, Interval(0.0, 4 * math.pi)),
+    "cusp": RationalCurve([RF([0, 0, 1]), RF([0, 0, 0, 1])], Interval(-1, 1)),
+    "rect-hyperbola": builtin_curve("rect_hyperbola"),
+}
+_SIMPLICITY_QUANTITIES = [
+    SquaredEuclidean(), PinnedAreaSquared(apex=(F(1, 3), F(-1, 2))),
+    PinnedAreaSquared(apex=(0, 0)),
+    GeneralPolynomial(2, (((2, 0, 0, 0), 1), ((0, 0, 2, 0), 1), ((1, 0, 1, 0), -2),
+                          ((0, 3, 0, 0), 1), ((0, 0, 0, 3), -1), ((0, 1, 0, 1), F(1, 2)))),
+]
+
+
+@pytest.mark.parametrize("name", _SIMPLICITY_CURVES)
+def test_row_blocks_match_the_dense_reference(name, monkeypatch):
+    curve, n = _SIMPLICITY_CURVES[name], 64
+    for q in _SIMPLICITY_QUANTITIES:
+        if q.dimension not in (None, curve.dimension):
+            continue
+        want = _dense_check_simplicity(curve, q, n).to_dict()
+        # one row, 7 rows (which do not divide 64), and every row at once
+        for budget in (1, 7 * n, n * n):
+            monkeypatch.setattr(curves, "_BLOCK", budget)
+            assert check_simplicity(curve, q, n).to_dict() == want
+
+
+def test_simplicity_failures_across_the_reference_matrix():
+    # the matrix above fails each condition somewhere, and condition 3 by
+    # symmetry and off the diagonal; a shifted square fails it on the diagonal
+    failed = [c for curve in _SIMPLICITY_CURVES.values()
+              for q in _SIMPLICITY_QUANTITIES if q.dimension in (None, curve.dimension)
+              for c in check_simplicity(curve, q, 64).failures()]
+    assert {c.index for c in failed} == {1, 2, 3, 4, 5}
+    cond3 = [c.detail for c in failed if c.index == 3]
+    assert any(d.startswith("symmetry gap") for d in cond3)
+    assert any(d.startswith("D vanishes off-diagonal") for d in cond3)
+    shifted = GeneralPolynomial(2, (((2, 0, 0, 0), 1), ((0, 0, 2, 0), 1),
+                                    ((1, 0, 1, 0), -2), ((0, 0, 0, 0), F(1, 10**6))))
+    rep = check_simplicity(make_parabola(0, 1), shifted, 64)
+    assert rep.conditions[2].detail == "D(p,p) = 1.000e-06 != 0"
+    assert rep.to_dict() == _dense_check_simplicity(
+        make_parabola(0, 1), shifted, 64).to_dict()
+
+
+def _parabola_with_x(x, nodes):
+    """(t, t^2) on (0, 1), with the x coordinate set to x at the 64-point
+    grid's nodes."""
+    ts = {float(Interval(0.0, 1.0).uniform_grid(64)[k]) for k in nodes}
+
+    def evaluator(t, order):
+        jet = [np.array([t, t * t]), np.array([1.0, 2 * t]), np.array([0.0, 2.0])]
+        if t in ts:
+            jet[0] = np.array([x, t * t])
+        return jet[:order + 1]
+
+    return AnalyticCurve(2, evaluator, Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("x, nodes", [
+    (math.nan, (5,)), (math.nan, (0, 40)), (math.nan, (63,)),
+    # two infinite points: the first NaN, inf - inf at pair (10, 20), lies
+    # in a later row block than the first finite gradient norm
+    (math.inf, (10, 20))], ids=str)
+def test_row_blocks_let_nan_win_as_the_dense_reference(x, nodes, monkeypatch):
+    curve = _parabola_with_x(x, nodes)
+    with np.errstate(invalid="ignore"):
+        for q in _SIMPLICITY_QUANTITIES:
+            want = _dense_check_simplicity(curve, q, 64).to_dict()
+            for budget in (1, 7 * 64, 64 * 64):
+                monkeypatch.setattr(curves, "_BLOCK", budget)
+                got = check_simplicity(curve, q, 64).to_dict()
+                assert got == want
+                assert got["conditions"][4]["detail"] == "min gradient norm = nan"
+
+
+def test_check_simplicity_memory_is_bounded_by_the_block(sq):
+    # the dense arrays peaked at 496 MiB here; row blocks keep a few MiB
+    curve = make_circular_helix(0.5)
+    tracemalloc.start()
+    try:
+        rep = check_simplicity(curve, sq, n=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 64 * 2 ** 20
 
 
 # -- single-point float jets -------------------------------------------------

@@ -148,6 +148,20 @@ def test_batch_matches_scalar(sq):
             assert np.allclose(gy[i], np.asarray(sgy, float))
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+def test_squared_euclidean_batch_is_bitwise_np_sum(sq, d):
+    # the per-coordinate kernel for d < 8 against numpy's sum, which adds
+    # fewer than 8 terms left to right; from d = 8 the kernel is np.sum
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(7, d)) * 10.0 ** rng.integers(-6, 7, size=(7, d))
+    B = rng.normal(size=(5, d)) * 10.0 ** rng.integers(-6, 7, size=(5, d))
+    for X, Y in [(A[:, None, :], B[None, :, :]), (A[2], B), (A, B[3]), (A[1], B[4])]:
+        got = np.asarray(sq.eval_batch(X, Y))
+        want = np.asarray(np.sum(np.square(X - Y), axis=-1))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_general_polynomial_batch_broadcasts():
     rng = np.random.default_rng(1)
     X, Y = rng.normal(size=(3, 1, 2)), rng.normal(size=(4, 2))

@@ -26,8 +26,8 @@ from .counting import (ArithmeticProgression, CountResult, EquallySpacedAngle,
                        elekes_lower_bound, fit_exponent, generate_point_set,
                        parse_param, parse_scheme)
 from .bipoly import BiPoly, square_free_part, sylvester_resultant
-from .elekes import (AdmissibilityReport, ElekesCurve, IncidenceReport,
-                     IntersectionReport, admissibility_scan, elekes_family,
+from .elekes import (AdmissibilityReport, ElekesCurve, ElekesFamily,
+                     IncidenceReport, IntersectionReport, admissibility_scan,
                      implicit_to_dict, implicitize_rational, intersect_elekes_pair,
                      same_algebraic_curve, verify_incidence_invariant)
 from .rigidity import (DegeneracyReport, FlexibilityResult, Framework,

@@ -20,8 +20,7 @@ from .counting import (Exact, ParamPointSet, Tolerance, count_distinct_values,
                        elekes_lower_bound, fit_exponent, generate_point_set,
                        parse_param, parse_scheme)
 from .curves import HelixCurve, builtin_curve, check_simplicity, curve_from_json
-from .elekes import (admissibility_scan, elekes_family,
-                     verify_incidence_invariant)
+from .elekes import ElekesFamily, admissibility_scan, verify_incidence_invariant
 from .errors import CurverigError, DomainExit, SingularH
 from .motion import classify_helix, derivative_norm_profile, trace_triangle_motion
 from .quantity import _json_list, quantity_from_json
@@ -166,12 +165,10 @@ def cmd_elekes_analyze(args) -> Outcome:
     else:
         pset = ParamPointSet(
             curve, tuple(sorted(map(parse_param, args.points.split(",")))))
-    curves = elekes_family(pset, quantity)
-    # the scan first, so that the incidence check finds every implicit cached
-    scan = admissibility_scan(pset, quantity, sample_pairs=args.pairs,
-                              n=args.grid, tol=args.tol, seed=args.seed,
-                              curves=curves)
-    incidence = verify_incidence_invariant(pset, quantity, curves)
+    family = ElekesFamily(pset, quantity)
+    scan = admissibility_scan(family, sample_pairs=args.pairs, n=args.grid,
+                              tol=args.tol, seed=args.seed)
+    incidence = verify_incidence_invariant(family)
     return Outcome({"incidence": incidence.to_dict(),
                     "admissibility": scan.to_dict()})
 

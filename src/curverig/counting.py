@@ -99,11 +99,12 @@ def generate_point_set(curve: CurveSpec, scheme: Scheme) -> ParamPointSet:
         rng = random.Random(scheme.seed)
         lo = as_fraction(dom.lo) if not is_exact(dom.lo) else dom.lo
         hi = as_fraction(dom.hi) if not is_exact(dom.hi) else dom.hi
-        seen = set()
-        while len(seen) < scheme.n:
-            k = rng.randrange(1, _RANDOM_DENOM)
-            seen.add(lo + (hi - lo) * Fraction(k, _RANDOM_DENOM))
-        params = list(seen)
+        # k -> lo + (hi - lo) k / 2^32 is strictly increasing: distinct
+        # sorted draws give the distinct sorted parameters
+        ks = set()
+        while len(ks) < scheme.n:
+            ks.add(rng.randrange(1, _RANDOM_DENOM))
+        params = [lo + (hi - lo) * Fraction(k, _RANDOM_DENOM) for k in sorted(ks)]
         label = f"rand(seed={scheme.seed},{scheme.n})"
     elif isinstance(scheme, EquallySpacedAngle):
         if not (isinstance(curve, HelixCurve) and curve.k == 1 and curve.l == 0):

@@ -14,9 +14,11 @@ where the inverse is undefined at a root in both orders the count is a
 proven upper bound.  On other data (the helix, float parameters) the
 count is a numeric estimate from grid seeds and Newton refinement,
 neither a lower nor an upper bound.
-The curves of one elekes_family share one D evaluation per base point;
-through the swap (X, Y) -> (Y, X) a curve and its mirror (q, p) share
-one resultant, and two mirrored pairs of curves one exact count.
+An ElekesFamily owns what the curves of one point set share: one D
+evaluation per base point; through the swap (X, Y) -> (Y, X) one
+resultant for a curve and its mirror (q, p), and one exact count for two
+mirrored pairs of curves; and the D table of the incidence check, which
+tests every implicit equation whether or not the scan ran first.
 A Newton seed leaves the loop as soon as its iterates repeat bitwise with
 a period of at most 4, taking the value the full 40 steps would end on, so
 the exit saves evaluations without changing any result.
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -69,26 +73,27 @@ def implicit_to_dict(G: BiPoly) -> dict:
 
 
 class ElekesCurve:
-    """Plane curve traced by t -> (D(gamma(t), gamma(a)), D(gamma(t), gamma(b)))."""
+    """Plane curve traced by t -> (D(gamma(t), gamma(a)), D(gamma(t), gamma(b))).
+
+    A curve of an ElekesFamily keeps its legs and implicit in the family's
+    dicts and holds its partner (ElekesFamily.mirror), not the family, so a
+    dropped family is freed at once; a lone curve keeps its own."""
 
     def __init__(self, curve: CurveSpec, quantity: QuantitySpec,
-                 p_param, q_param):
+                 p_param, q_param, family: Optional[ElekesFamily] = None):
         if p_param == q_param:
             raise ValueError("Elekes curve needs two distinct base parameters")
         curve.domain.require(p_param)
         curve.domain.require(q_param)
-        self.curve = curve
-        self.quantity = quantity
-        self.p_param = p_param
-        self.q_param = q_param
-        self._components: Optional[tuple] = None
-        self._base_points: Optional[np.ndarray] = None
-        self._frame: Optional[tuple] = None
-        self._frame_implicit: Optional[BiPoly] = None
-        self._implicit: Optional[BiPoly] = None
-        self._inverse: Optional[tuple] = None
-        self._legs: dict = {}  # base parameter -> leg; elekes_family shares one
-        self._mirror: Optional[ElekesCurve] = None  # see implicit()
+        self.curve, self.quantity = curve, quantity
+        self.p_param, self.q_param = p_param, q_param
+        # caches of components(), base_points(), frame(), frame_implicit()
+        # and inverse(); base parameter -> leg, and pair -> implicit()
+        self._components = self._base_points = self._frame = None
+        self._frame_implicit = self._inverse = None
+        self._legs = {} if family is None else family.legs
+        self._implicits = {} if family is None else family.implicits
+        self._partner = None if family is None else family.mirror(self)
 
     def __repr__(self):
         return f"ElekesCurve(p={self.p_param}, q={self.q_param})"
@@ -102,7 +107,7 @@ class ElekesCurve:
     def components(self) -> tuple[RationalFunction, RationalFunction]:
         """Cached rational components (A(t), B(t)) = (L_p, L_q); exact path
         only.  The leg L_p(t) = D(gamma(t), gamma(p)) depends on its base
-        parameter alone, so the curves of one elekes_family share one dict
+        parameter alone, so the curves of one ElekesFamily share its dict
         of legs and evaluate D once per base point, not twice per curve."""
         if self._components is None:
             if not self.is_exactable():
@@ -135,11 +140,11 @@ class ElekesCurve:
         implicitize_rational on the frame, or on a mirrored curve (see
         implicit()) G(X, Y + X) normalized on a sheared frame, else G."""
         if self._frame_implicit is None:
-            if self._mirror is None:
-                self._frame_implicit = implicitize_rational(*self.frame()[:2])
-            else:
+            if self._partner is not None:
                 G = self.implicit()
                 self._frame_implicit = shear(G, 1).normalized() if self.frame()[2] else G
+            else:
+                self._frame_implicit = implicitize_rational(*self.frame()[:2])
         return self._frame_implicit
 
     def implicit(self) -> BiPoly:
@@ -151,20 +156,21 @@ class ElekesCurve:
         and is the normalized G up to sign (Sendra, Winkler and Perez-Diaz,
         *Rational Algebraic Curves*, 2008, ch. 4).
 
-        A mirrored curve xi_qp of an elekes_family derives it from its
-        partner xi_pq: (L_q, L_p) is (L_p, L_q) under the swap
+        A mirrored curve xi_qp, q > p, of an ElekesFamily derives it from
+        its partner xi_pq: (L_q, L_p) is (L_p, L_q) under the swap
         (X, Y) -> (Y, X), an invertible linear map, so G_pq(Y, X) is
         irreducible and vanishes on xi_qp.  The normalized irreducible
         implicit equation is unique, so G_pq(Y, X) normalized is G_qp."""
-        if self._implicit is None:
-            if self._mirror is not None:
-                G = self._mirror.implicit()
-                self._implicit = BiPoly(
-                    {(j, i): c for (i, j), c in G.terms.items()}).normalized()
+        G = self._implicits.get(self.pair())
+        if G is None:
+            if self._partner is not None:
+                G = BiPoly({(j, i): c for (i, j), c in
+                            self._partner.implicit().terms.items()}).normalized()
             else:
                 G = self.frame_implicit()
-                self._implicit = shear(G, -1).normalized() if self.frame()[2] else G
-        return self._implicit
+                G = shear(G, -1).normalized() if self.frame()[2] else G
+            self._implicits[self.pair()] = G
+        return G
 
     def inverse(self) -> tuple[BiPoly, BiPoly]:
         """Cached (sigma1, sigma0) of first_subresultant on the frame
@@ -507,65 +513,97 @@ class IncidenceReport:
                 "max_incident": self.max_incident}
 
 
-def elekes_family(pset: ParamPointSet, q: QuantitySpec) -> list:
-    """The Elekes curve of every ordered pair (a, b) of distinct parameters,
-    a-major in parameter order.  Each curve caches its components and
-    implicit equation, so the incidence check and the admissibility scan
-    of one point set share one list.  The family shares its work, lazily:
-    one dict of legs L_a (ElekesCurve.components), so D is evaluated once
-    per point; and the curve of (a, b) with a > b takes its implicit
-    equation from that of (b, a) through the swap (X, Y) -> (Y, X)
-    (ElekesCurve.implicit), so n points need n(n - 1) / 2 resultants, not
-    n(n - 1)."""
-    params, legs = pset.params, {}
-    family = {(a, b): ElekesCurve(pset.curve, q, a, b)
-              for a in params for b in params if a != b}
-    for (a, b), e in family.items():
-        e._legs = legs
-        if a > b:
-            e._mirror = family[b, a]
-    return list(family.values())
+class ElekesFamily:
+    """The Elekes curves xi_ab of every ordered pair (a, b) of distinct
+    parameters of a point set, a-major in `curves`, and the work they
+    share, built lazily: the legs L_a (ElekesCurve.components), so D is
+    evaluated once per point; the implicits G_ab, where xi_ba = swap o
+    xi_ab takes G_ba from G_ab for a < b (mirror, ElekesCurve.implicit),
+    so n points need n(n - 1) / 2 resultants; the D table of the incidence
+    check (distances); and the scan's mirrored pairs (intersect)."""
+
+    def __init__(self, pset: ParamPointSet, q: QuantitySpec):
+        self.pset, self.quantity = pset, q
+        self.exact = is_exact_data(pset.curve, pset.params, q)
+        self.legs: dict = {}
+        self.implicits: dict = {}
+        self._distances: Optional[dict] = None
+        self._counted: dict = {}  # exact data: {pair, pair} of two curves -> result
+        self.curves: dict = {}
+        for a, b in permutations(pset.params, 2):  # a-major: xi_ab before xi_ba
+            self.curves[a, b] = ElekesCurve(pset.curve, q, a, b, self)
+
+    def mirror(self, e: ElekesCurve) -> Optional[ElekesCurve]:
+        """xi_ab for a curve xi_ba of the family with a < b, else None."""
+        b, a = e.pair()
+        return self.curves[a, b] if a < b else None
+
+    def distances(self) -> dict:
+        """{(r, i): D(gamma(p_r), gamma(p_i))} for r != i, evaluated once."""
+        if self._distances is None:
+            x = [self.pset.curve.evaluate(t) for t in self.pset.params]
+            self._distances = {(r, i): self.quantity.eval(x[r], x[i])
+                               for r, i in permutations(range(len(x)), 2)}
+        return self._distances
+
+    def intersect(self, e1: ElekesCurve, e2: ElekesCurve, n: int,
+                  tol: float) -> tuple:
+        """(same, count, count_method) of intersect_elekes_pair(e1, e2), on
+        exact data reused from the mirrored pair {xi_ba, xi_dc} of
+        {xi_ab, xi_cd} if that was counted "exact" or found on one curve.
+        The swap (X, Y) -> (Y, X) maps xi_ab(t) to xi_ba(t), so it maps the
+        points xi_ab(t) = xi_cd(s) one to one onto the points
+        xi_ba(t) = xi_dc(s), and G_ab = G_cd iff G_ba = G_dc.  An "upper"
+        bound depends on the order and frame it was found in, and a
+        fingerprint or Newton result is numeric: those are counted afresh."""
+        found = self._counted.get(frozenset((e1.pair()[::-1], e2.pair()[::-1])))
+        if found is None:
+            rep = intersect_elekes_pair(e1, e2, n=n, tol=tol)
+            found = rep.same_algebraic_curve, rep.count, rep.count_method
+            if self.exact and found[2] in ("exact", "same"):
+                self._counted[frozenset((e1.pair(), e2.pair()))] = found
+        return found
 
 
-def verify_incidence_invariant(pset: ParamPointSet, q: QuantitySpec,
-                               curves: Optional[list] = None) -> IncidenceReport:
+def verify_incidence_invariant(family: ElekesFamily) -> IncidenceReport:
     """Check xi_pq(r) = (D(r, p), D(r, q)) for every ordered pair and every
     third point r, and count the distinct product points on each Elekes
     curve.  On exact data xi_pq(r) comes from its symbolic components, so a
-    wrong component fails, and on a curve that already holds its implicit
-    equation G_pq (admissibility_scan computes every one on exact data)
-    each (i, j, r) also fails unless G_pq(D(r, p), D(r, q)) = 0, which the
-    exact intersection counts rely on.  On other data (helix, float
-    parameters) both sides evaluate D at the same points, and the check
-    compares D with itself.  D is evaluated once per ordered pair of
-    points, into a table.  `curves` is elekes_family(pset, q), built here
-    when omitted."""
-    params = pset.params
+    wrong component fails, and each (i, j, r) also fails unless the
+    family's G_pq, computed here if not yet cached, has
+    G_pq(D(r, p), D(r, q)) = 0, which the exact intersection counts rely
+    on.  With D(r, p) = a / b, D(r, q) = u / w and m the family's largest
+    degree in X or Y, b^m w^m G_pq(a / b, u / w) is the integer sum over
+    G_pq's terms c X^k Y^h of c a^k b^(m - k) u^h w^(m - h); the powers are
+    tabled once per (r, p), as D(r, p) is the X value of every curve based
+    at p.  On other data (helix, float parameters) both sides evaluate D at
+    the same points, and the check compares D with itself."""
+    params = family.pset.params
     n = len(params)
     if n < 3:
         raise ValueError("incidence check needs at least 3 points")
+    D = family.distances()
+    G = {pair: e.implicit() for pair, e in family.curves.items()} if family.exact else {}
+    m = max((max(g.degree_x(), g.degree_y()) for g in G.values()), default=0)
+    powers = {}
+    for key, v in D.items() if G else ():
+        a, b = v.as_integer_ratio()
+        powers[key] = [a ** k * b ** (m - k) for k in range(m + 1)]
     checked, failures, incident = 0, [], {}
-    points = [pset.curve.evaluate(t) for t in params]
-    D = {(r, i): q.eval(points[r], points[i])
-         for r in range(n) for i in range(n) if r != i}
-    family = iter(elekes_family(pset, q) if curves is None else curves)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            e = next(family)
-            G = e._implicit
-            hits = set()
-            for r in range(n):
-                if r == i or r == j:
-                    continue
-                checked += 1
-                via_curve = e.eval(params[r])
-                direct = (D[r, i], D[r, j])
-                if via_curve != direct or (G is not None and G.eval_exact(*direct)):
-                    failures.append((i, j, r, via_curve, direct))
-                hits.add(direct)
-            incident[(i, j)] = len(hits)
+    for i, j in permutations(range(n), 2):
+        e = family.curves[params[i], params[j]]
+        terms = G[e.pair()].terms.items() if G else ()
+        hits = set()
+        for r in (r for r in range(n) if r not in (i, j)):
+            checked += 1
+            via_curve = e.eval(params[r])
+            direct = (D[r, i], D[r, j])
+            xs, ys = powers.get((r, i)), powers.get((r, j))
+            if via_curve != direct or terms and sum(
+                    c * xs[k] * ys[h] for (k, h), c in terms):
+                failures.append((i, j, r, via_curve, direct))
+            hits.add(direct)
+        incident[(i, j)] = len(hits)
     return IncidenceReport(checked=checked, failures=failures,
                            incident_counts=incident)
 
@@ -602,33 +640,19 @@ def _unrank_pair(k: int, n: int) -> tuple[int, int]:
     return i, k + i + 1 - n * (n - 1) // 2 + (n - i) * (n - i - 1) // 2
 
 
-def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
-                       n: int = 64, tol: float = 1e-5, seed: int = 0,
-                       curves: Optional[list] = None) -> AdmissibilityReport:
-    """Empirical admissibility of the Elekes family of a point set.
+def admissibility_scan(family: ElekesFamily, sample_pairs: int, n: int = 64,
+                       tol: float = 1e-5, seed: int = 0) -> AdmissibilityReport:
+    """Empirical admissibility of an Elekes family.
 
     Groups curves sharing one algebraic curve (exact implicit equality when
     available, else a flagged fingerprint over the sampled pairs), then
     counts the intersections of `sample_pairs` sampled unordered pairs of
-    curves from distinct classes (intersect_elekes_pair) and histograms
-    the counts; count_methods tallies how each count was found.  `curves`
-    is elekes_family(pset, q), built here when omitted.
-
-    On exact data a pair {xi_ab, xi_cd} whose mirror {xi_ba, xi_dc} was
-    already counted reuses its result if it was an "exact" count or a
-    same-curve verdict.  The swap (X, Y) -> (Y, X) maps xi_ab(t) to
-    xi_ba(t), so it maps the points xi_ab(t) = xi_cd(s) one to one onto
-    the points xi_ba(t) = xi_dc(s): the exact counts agree.  It maps one
-    curve's implicit equation to the other's (ElekesCurve.implicit), so
-    G_ab = G_cd iff G_ba = G_dc.  An "upper" bound depends on the order
-    and frame it was found in, and a fingerprint or Newton result is
-    numeric: those pairs are counted afresh.
+    curves from distinct classes (ElekesFamily.intersect, which reuses a
+    mirrored pair's exact result) and histograms the counts;
+    count_methods tallies how each count was found.
     """
-    if curves is None:
-        curves = elekes_family(pset, q)
-    exact = is_exact_data(pset.curve, pset.params, q)
-
-    if exact:
+    curves = list(family.curves.values())
+    if family.exact:
         by_implicit: dict = {}
         for c in curves:
             by_implicit.setdefault(c.implicit(), []).append(c.pair())
@@ -650,59 +674,32 @@ def admissibility_scan(pset: ParamPointSet, q: QuantitySpec, sample_pairs: int,
     take = min(sample_pairs, n_pairs)
     chosen = sorted(rng.sample(range(n_pairs), take))
 
-    reusable: dict = {}  # exact data: {pair, pair} of two curves -> result
-
     def worker(a, b):
         out = []
         for k in chosen[a:b]:
-            i, j = _unrank_pair(k, len(curves))
-            e1, e2 = curves[i], curves[j]
-            found = reusable.get(frozenset((e1.pair()[::-1], e2.pair()[::-1])))
-            if found is None:
-                rep = intersect_elekes_pair(e1, e2, n=n, tol=tol)
-                found = rep.same_algebraic_curve, rep.count, rep.count_method
-                if exact and found[2] in ("exact", "same"):
-                    reusable[frozenset((e1.pair(), e2.pair()))] = found
-            same, count, how = found
-            out.append(("same", e1.pair(), e2.pair()) if same else ("count", count, how))
+            e1, e2 = (curves[i] for i in _unrank_pair(k, len(curves)))
+            out.append((e1.pair(), e2.pair(), *family.intersect(e1, e2, n, tol)))
         return out
 
     results = parallel_chunked(worker, len(chosen), chunk_size=8)
+    histogram = Counter(count for _, _, same, count, _ in results if not same)
+    count_methods = Counter(how for _, _, same, _, how in results if not same)
+    merged = [(a, b) for a, b, same, _, _ in results if same]
 
-    histogram: dict = {}
-    count_methods: dict = {}
-    max_int = 0
-    merged: list = []
-    for item in results:
-        if item[0] == "count":
-            histogram[item[1]] = histogram.get(item[1], 0) + 1
-            count_methods[item[2]] = count_methods.get(item[2], 0) + 1
-            max_int = max(max_int, item[1])
-        else:
-            merged.append((item[1], item[2]))
-
-    if not exact and merged:
-        # union-find on fingerprint-coincident sampled pairs
-        parent = {c.pair(): c.pair() for c in curves}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+    if not family.exact and merged:
+        # join the classes of fingerprint-coincident sampled pairs
+        label = {c.pair(): c.pair() for c in curves}
         for a, b in merged:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            la, lb = label[a], label[b]
+            label = {k: lb if v == la else v for k, v in label.items()}
         groups: dict = {}
         for c in curves:
-            groups.setdefault(find(c.pair()), []).append(c.pair())
+            groups.setdefault(label[c.pair()], []).append(c.pair())
         classes = list(groups.values())
 
     dup = [sorted(cls) for cls in classes if len(cls) > 1]
     return AdmissibilityReport(
-        pairs_checked=take, max_pairwise_intersections=max_int,
+        pairs_checked=take, max_pairwise_intersections=max(histogram, default=0),
         histogram=histogram, duplicate_curve_classes=dup,
         n_curves=len(curves), n_classes=len(classes), detection_method=method,
         class_implicits=dup_implicits, count_methods=count_methods)

@@ -15,12 +15,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from curverig import (ArithmeticProgression, EquallySpacedAngle, Exact,
-                      Framework, HelixCurve, ParamPointSet, PinnedAreaSquared,
+from curverig import (ArithmeticProgression, ElekesFamily, EquallySpacedAngle,
+                      Exact, Framework, HelixCurve, ParamPointSet, PinnedAreaSquared,
                       SquaredEuclidean, Tolerance, UniformRandom,
                       admissibility_scan, classify_helix, complete_framework,
-                      count_distinct_values, derivative_norm_profile,
-                      elekes_family, eval_H,
+                      count_distinct_values, derivative_norm_profile, eval_H,
                       fit_exponent, generate_point_set, implicitize_rational,
                       infinitesimal_nullity, scan_T_degeneracy,
                       trace_framework_motion, trace_triangle_motion, triangle,
@@ -105,7 +104,8 @@ def _parabola_12_point_set():
 
 def _admissibility_output():
     pset = _parabola_12_point_set()
-    return admissibility_scan(pset, SQ, sample_pairs=200, n=64, seed=1).to_dict()
+    return admissibility_scan(ElekesFamily(pset, SQ), sample_pairs=200, n=64,
+                              seed=1).to_dict()
 
 
 def test_criterion_01_helix_linear_growth():
@@ -314,12 +314,10 @@ def test_criterion_10_incidence_invariant():
         curve = zoo[i % len(zoo)]
         n = 5 + (i % 8)  # 5..12 points
         pset = generate_point_set(curve, UniformRandom(seed=500 + i, n=n))
-        # every implicit cached, so each check also tests
-        # G_pq(D(r, p), D(r, q)) = 0
-        curves = elekes_family(pset, SQ)
-        for e in curves:
-            e.implicit()
-        rep = verify_incidence_invariant(pset, SQ, curves)
+        # each check also tests G_pq(D(r, p), D(r, q)) = 0
+        family = ElekesFamily(pset, SQ)
+        rep = verify_incidence_invariant(family)
+        ok = ok and len(family.implicits) == n * (n - 1)
         ok = ok and rep.failures == [] and rep.checked == n * (n - 1) * (n - 2) \
             and rep.min_incident == rep.max_incident == n - 2
     _report(10, "incidence invariant", time.perf_counter() - t0, 5.0, ok,

@@ -401,6 +401,53 @@ def test_row_blocks_let_nan_win_as_the_dense_reference(x, nodes, monkeypatch):
                 assert got["conditions"][4]["detail"] == "min gradient norm = nan"
 
 
+def _parabola_moved(node, point):
+    """(t, t^2) on (0, 10), with the 64-point grid's node `node` moved to
+    `point`."""
+    t_node = float(Interval(0.0, 10.0).uniform_grid(64)[node])
+
+    def evaluator(t, order):
+        jet = [np.array([t, t * t]), np.array([1.0, 2 * t]), np.array([0.0, 2.0])]
+        if t == t_node:
+            jet[0] = np.asarray(point, dtype=float)
+        return jet[:order + 1]
+
+    return AnalyticCurve(2, evaluator, Interval(0.0, 10.0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_condition_4_scales_each_base_pair_by_its_own_values(sq, m):
+    # node j is moved to the mirror image of node i across the line through
+    # base pair m's points, then along that line until the two-value gap of
+    # (i, j) is tol sqrt(s_0 s_m), s_k = max(1, max |D(., a_k)|, |D(., b_k)|)
+    # the gap scale of base pair k.  So the gap fails on base pair m's own
+    # scale iff s_m > s_0, and base pair 0's scale gives the other verdict
+    n, tol, i, j = 64, 1e-9, 40, 10
+    ts = Interval(0.0, 10.0).uniform_grid(n)
+    P = np.stack([ts, ts * ts], axis=-1)
+    bases = [(int(fa * (n - 1)), int(fb * (n - 1))) for fa, fb in
+             [(0.15, 0.85), (0.3, 0.6), (0.45, 0.95), (0.05, 0.5), (0.25, 0.75)]]
+    (ia, ib) = bases[m]
+    a, b = P[ia], P[ib]
+    d = (b - a) / np.linalg.norm(b - a)
+    P[j] = 2 * (a + (P[i] - a) @ d * d) - P[i]
+
+    def two(X, k):
+        return np.stack([sq.eval_batch(X, P[c]) for c in bases[k]], axis=-1)
+
+    s = [max(1.0, float(np.abs(two(P, k)).max())) for k in (0, m)]
+    assert abs(s[1] / s[0] - 1) > 0.03
+    probe = np.linalg.norm(two(P[i], m) - two(P[j] + 1e-3 * d, m)) / 1e-3
+    curve = _parabola_moved(j, P[j] + tol * math.sqrt(s[0] * s[1]) / probe * d)
+    rep = check_simplicity(curve, sq, n, tol)
+    assert rep.to_dict() == _dense_check_simplicity(curve, sq, n, tol).to_dict()
+    if s[1] > s[0]:
+        assert [c.index for c in rep.failures()] == [4]
+        assert rep.conditions[3].witness == tuple(float(ts[k]) for k in (ia, ib, j, i))
+    else:
+        assert rep.passed
+
+
 def test_check_simplicity_memory_is_bounded_by_the_block(sq):
     # the dense arrays peaked at 496 MiB here; row blocks keep a few MiB
     curve = make_circular_helix(0.5)

@@ -8,18 +8,17 @@ import numpy as np
 import pytest
 
 from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
-                      GeneralPolynomial, ParamPointSet, PinnedAreaSquared,
-                      RationalFunction, SquaredEuclidean, admissibility_scan,
-                      generate_point_set, implicit_to_dict, implicitize_rational,
-                      intersect_elekes_pair, parse_scheme, same_algebraic_curve,
-                      verify_incidence_invariant)
+                      ElekesFamily, GeneralPolynomial, ParamPointSet,
+                      PinnedAreaSquared, RationalFunction, SquaredEuclidean,
+                      admissibility_scan, generate_point_set, implicit_to_dict,
+                      implicitize_rational, intersect_elekes_pair, parse_scheme,
+                      same_algebraic_curve, verify_incidence_invariant)
 import curverig.elekes as elekes_module
 from curverig.bipoly import compose, shear
 from curverig.rational import real_roots
 from curverig.curves import Interval, RationalCurve, builtin_curve
 from curverig.elekes import (IntersectionReport, _merge_points, _newton,
-                             _newton_count, _tangents, _unrank_pair,
-                             elekes_family)
+                             _newton_count, _tangents, _unrank_pair)
 from curverig.quantity import pairings
 from conftest import (deadline, make_circular_helix, make_parabola,
                       make_rational_circle, make_rect_hyperbola, make_unit_circle,
@@ -224,9 +223,10 @@ def test_one_resultant_and_one_root_per_implicit(sq, monkeypatch):
 
 
 def _family_of_two(curve, q, p, r):
-    """The two mirrored curves of a two-point family: (lo, hi) eliminated,
+    """A two-point family and its two mirrored curves: (lo, hi) eliminated,
     (hi, lo) derived through the swap."""
-    return elekes_family(ParamPointSet(curve, tuple(sorted((p, r)))), q)
+    family = ElekesFamily(ParamPointSet(curve, tuple(sorted((p, r)))), q)
+    return family, *family.curves.values()
 
 
 def test_mirrored_implicits_match_their_own_elimination(sq):
@@ -240,8 +240,8 @@ def test_mirrored_implicits_match_their_own_elimination(sq):
     cases += [(nodal, sq, F(-1), F(1)), (make_rational_circle(), sq, F(1, 3), F(2, 3))]
     frames = {True: 0, False: 0}
     for c, q, p, r in cases:
-        computed, mirrored = _family_of_two(c, q, p, r)
-        assert computed._mirror is None and mirrored._mirror is computed
+        family, computed, mirrored = _family_of_two(c, q, p, r)
+        assert family.mirror(computed) is None and family.mirror(mirrored) is computed
         frames[mirrored.frame()[2]] += 1
         for e in (mirrored, computed):
             assert e.frame_implicit() == implicitize_rational(*e.frame()[:2]), e
@@ -268,24 +268,25 @@ def test_family_evaluates_d_once_per_point_and_half_the_resultants(sq, monkeypat
     for curve, n in [(make_parabola(0, 1), 5), (make_rational_circle(), 4), (_cubic(), 4)]:
         calls.update(eval=0, sylvester_resultant=0)
         pset = ParamPointSet(curve, tuple(F(k, 7) for k in range(1, n + 1)))
-        curves = elekes_family(pset, sq)
+        family = ElekesFamily(pset, sq)
+        curves = list(family.curves.values())
         for e in curves:
             e.implicit()
             e.frame_implicit()
         assert curves[0].components()[0] is curves[1].components()[0]
         assert calls == {"eval": n, "sylvester_resultant": n * (n - 1) // 2}
-        admissibility_scan(pset, sq, sample_pairs=10 ** 4, curves=curves)
+        admissibility_scan(family, sample_pairs=10 ** 4)
         assert calls == {"eval": n, "sylvester_resultant": n * (n - 1) // 2}
 
 
 def test_helix_family_builds_no_components(sq):
     helix = make_circular_helix(0.5)
     pset = ParamPointSet(helix, (-613.25, -17.5, 2.0, 401.75))
-    curves = elekes_family(pset, sq)
-    admissibility_scan(pset, sq, sample_pairs=4, n=16, curves=curves)
-    verify_incidence_invariant(pset, sq, curves)
-    assert curves[0]._legs == {} and all(e._legs is curves[0]._legs for e in curves)
-    assert all(e._components is None and e._implicit is None for e in curves)
+    family = ElekesFamily(pset, sq)
+    admissibility_scan(family, sample_pairs=4, n=16)
+    verify_incidence_invariant(family)
+    # the legs and implicits of a family's curves live in the family's dicts
+    assert family.legs == {} and family.implicits == {}
 
 
 def test_implicitize_soundness_random_rational_curves():
@@ -886,7 +887,8 @@ def _count_evaluations(monkeypatch) -> list:
 ], ids=["parabola", "rational_circle", "cubic", "helix"])
 def test_active_set_newton_matches_full_iteration(sq, make_curve, params,
                                                   n_pairs, monkeypatch):
-    curves = elekes_family(ParamPointSet(make_curve(), tuple(params)), sq)
+    family = ElekesFamily(ParamPointSet(make_curve(), tuple(params)), sq)
+    curves = list(family.curves.values())
     rng = random.Random(5)
     pairs = rng.sample(list(combinations(curves, 2)), n_pairs)
     expected = [_intersect_reference(e1, e2) for e1, e2 in pairs]
@@ -938,7 +940,7 @@ def test_cycle_exit_matches_full_iteration(sq, monkeypatch):
 def test_incidence_invariant_parabola(sq):
     par = make_parabola(0, 1)
     pset = ParamPointSet(par, tuple(F(k, 7) for k in range(1, 6)))
-    rep = verify_incidence_invariant(pset, sq)
+    rep = verify_incidence_invariant(ElekesFamily(pset, sq))
     assert rep.checked == 5 * 4 * 3
     assert rep.failures == []
     assert rep.min_incident == rep.max_incident == 3
@@ -948,7 +950,7 @@ def test_incidence_invariant_hyperbola_pinned_area():
     hyp = make_rect_hyperbola(F(1, 100), 64)
     q = PinnedAreaSquared(apex=(0, 0))
     pset = ParamPointSet(hyp, (F(1, 2), F(1), F(2), F(3)))
-    rep = verify_incidence_invariant(pset, q)
+    rep = verify_incidence_invariant(ElekesFamily(pset, q))
     assert rep.failures == []
     assert rep.min_incident == rep.max_incident == 2
 
@@ -956,7 +958,7 @@ def test_incidence_invariant_hyperbola_pinned_area():
 def test_incidence_invariant_three_points_circle(sq):
     circ = make_rational_circle()
     pset = ParamPointSet(circ, (F(0), F(1, 2), F(2)))
-    rep = verify_incidence_invariant(pset, sq)
+    rep = verify_incidence_invariant(ElekesFamily(pset, sq))
     assert rep.failures == []
     assert rep.min_incident == rep.max_incident == 1  # |P| - 2
 
@@ -974,28 +976,49 @@ def test_incidence_invariant_catches_wrong_component(sq, make_curve, monkeypatch
 
     monkeypatch.setattr(ElekesCurve, "components", shifted)
     pset = ParamPointSet(make_curve(), tuple(F(k, 7) for k in range(1, 6)))
-    rep = verify_incidence_invariant(pset, sq)
+    rep = verify_incidence_invariant(ElekesFamily(pset, sq))
     assert rep.checked == len(rep.failures) == 60
+
+
+def _off_by_one(G):
+    """G with one coefficient changed by 1."""
+    key = min(G.terms)
+    return BiPoly({**G.terms, key: G.terms[key] + 1})
 
 
 @pytest.mark.parametrize("make_curve", [make_parabola, make_rational_circle],
                          ids=["parabola", "rational_circle"])
 def test_incidence_invariant_catches_a_wrong_implicit(sq, make_curve):
-    # G_pq(D(r, p), D(r, q)) = 0 for each r on the curves whose implicit is
-    # cached, as after admissibility_scan: one coefficient of one cached
+    # G_pq(D(r, p), D(r, q)) = 0 for each r and every family implicit, all
+    # cached here by admissibility_scan: one coefficient of one cached
     # implicit changed by 1 fails its 3 checks and no other
     pset = ParamPointSet(make_curve(), tuple(F(k, 7) for k in range(1, 6)))
-    curves = elekes_family(pset, sq)
-    admissibility_scan(pset, sq, sample_pairs=0, curves=curves)
-    assert all(e._implicit is not None for e in curves)
-    rep = verify_incidence_invariant(pset, sq, curves)
+    family = ElekesFamily(pset, sq)
+    admissibility_scan(family, sample_pairs=0)
+    assert len(family.implicits) == 20
+    rep = verify_incidence_invariant(family)
     assert (rep.checked, rep.failures) == (60, [])
-    G = curves[5].implicit()
-    key = min(G.terms)
-    curves[5]._implicit = BiPoly({**G.terms, key: G.terms[key] + 1})
-    rep = verify_incidence_invariant(pset, sq, curves)
+    pair = pset.params[1], pset.params[2]
+    family.implicits[pair] = _off_by_one(family.implicits[pair])
+    rep = verify_incidence_invariant(family)
     assert rep.checked == 60 and rep.to_dict()["n_failures"] == 3
-    assert {f[:2] for f in rep.failures} == {(1, 2)}   # curve 5: (p_1, p_2)
+    assert {f[:2] for f in rep.failures} == {(1, 2)}
+
+
+@pytest.mark.parametrize("make_curve", [make_parabola, make_rational_circle],
+                         ids=["parabola", "rational_circle"])
+def test_incidence_invariant_catches_a_wrong_implicit_without_a_scan(sq, make_curve):
+    # the check tests every implicit whatever ran before it: a wrong G_12
+    # in a fresh family fails its 3 checks, and the 3 of its mirror G_21,
+    # which the family derives from it through the swap
+    pset = ParamPointSet(make_curve(), tuple(F(k, 7) for k in range(1, 6)))
+    family = ElekesFamily(pset, sq)
+    e = family.curves[pset.params[1], pset.params[2]]
+    family.implicits[e.pair()] = _off_by_one(ElekesCurve(e.curve, sq, *e.pair()).implicit())
+    rep = verify_incidence_invariant(family)
+    assert rep.checked == 60 and rep.to_dict()["n_failures"] == 6
+    assert {f[:2] for f in rep.failures} == {(1, 2), (2, 1)}
+    assert len(family.implicits) == 20
 
 
 # -- admissibility -------------------------------------------------------------------
@@ -1004,7 +1027,7 @@ def test_incidence_invariant_catches_a_wrong_implicit(sq, make_curve):
 def test_admissibility_empty_sample(sq):
     par = make_parabola(0, 1)
     pset = ParamPointSet(par, tuple(F(k, 9) for k in range(1, 5)))
-    rep = admissibility_scan(pset, sq, sample_pairs=0)
+    rep = admissibility_scan(ElekesFamily(pset, sq), sample_pairs=0)
     assert rep.pairs_checked == 0 and rep.histogram == {}
     assert rep.max_pairwise_intersections == 0
 
@@ -1014,7 +1037,7 @@ def test_admissibility_parabola_no_duplicates(sq):
     rng = random.Random(3)
     params = tuple(sorted(F(rng.randrange(1, 997), 997) for _ in range(8)))
     pset = ParamPointSet(par, params)
-    rep = admissibility_scan(pset, sq, sample_pairs=40, n=48, seed=1)
+    rep = admissibility_scan(ElekesFamily(pset, sq), sample_pairs=40, n=48, seed=1)
     assert rep.detection_method == "exact"
     assert rep.duplicate_curve_classes == []
     assert rep.n_classes == 8 * 7
@@ -1025,7 +1048,7 @@ def test_admissibility_parabola_no_duplicates(sq):
 def test_admissibility_circle_orbit_has_duplicates(sq):
     circ = make_rational_circle()
     pset = ParamPointSet(circ, rational_rotation_circle_params(8))
-    rep = admissibility_scan(pset, sq, sample_pairs=30, n=48, seed=2)
+    rep = admissibility_scan(ElekesFamily(pset, sq), sample_pairs=30, n=48, seed=2)
     assert rep.detection_method == "exact"
     assert rep.duplicate_curve_classes            # collapse happens
     assert all(len(cls) > 1 for cls in rep.duplicate_curve_classes)
@@ -1039,7 +1062,7 @@ def test_exact_pairs_never_reach_newton(sq, monkeypatch):
 
     monkeypatch.setattr(elekes_module, "_newton", refuse)
     pset = ParamPointSet(make_parabola(0, 1), tuple(F(k, 7) for k in range(1, 6)))
-    rep = admissibility_scan(pset, sq, sample_pairs=200)
+    rep = admissibility_scan(ElekesFamily(pset, sq), sample_pairs=200)
     assert rep.count_methods == {"exact": 190}
     assert rep.histogram == {1: 16, 2: 164, 3: 10}
 
@@ -1048,7 +1071,8 @@ def _scan_recording(pset, q, monkeypatch, **kwargs):
     """admissibility_scan with every visited pair and every counted pair
     recorded: (report, visited [(e1, e2)], counted {(pair1, pair2): report})."""
     visited, counted = [], {}
-    curves = elekes_family(pset, q)
+    family = ElekesFamily(pset, q)
+    curves = list(family.curves.values())
     unrank, intersect = elekes_module._unrank_pair, elekes_module.intersect_elekes_pair
 
     def visiting(k, n):
@@ -1063,7 +1087,7 @@ def _scan_recording(pset, q, monkeypatch, **kwargs):
 
     monkeypatch.setattr(elekes_module, "_unrank_pair", visiting)
     monkeypatch.setattr(elekes_module, "intersect_elekes_pair", counting)
-    rep = admissibility_scan(pset, q, curves=curves, **kwargs)
+    rep = admissibility_scan(family, **kwargs)
     monkeypatch.undo()
     return rep, visited, counted
 

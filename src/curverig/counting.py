@@ -99,12 +99,16 @@ def generate_point_set(curve: CurveSpec, scheme: Scheme) -> ParamPointSet:
         rng = random.Random(scheme.seed)
         lo = as_fraction(dom.lo) if not is_exact(dom.lo) else dom.lo
         hi = as_fraction(dom.hi) if not is_exact(dom.hi) else dom.hi
-        # k -> lo + (hi - lo) k / 2^32 is strictly increasing: distinct
-        # sorted draws give the distinct sorted parameters
+        # k -> lo + (hi - lo) k / 2^32 = (a + w k) / den is strictly
+        # increasing: distinct sorted draws give the distinct sorted
+        # parameters, and the first and last lie in the domain iff all do
         ks = set()
         while len(ks) < scheme.n:
             ks.add(rng.randrange(1, _RANDOM_DENOM))
-        params = [lo + (hi - lo) * Fraction(k, _RANDOM_DENOM) for k in sorted(ks)]
+        den = lo.denominator * hi.denominator * _RANDOM_DENOM
+        a = lo.numerator * hi.denominator * _RANDOM_DENOM
+        w = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+        params = tuple(Fraction(a + w * k, den) for k in sorted(ks))
         label = f"rand(seed={scheme.seed},{scheme.n})"
     elif isinstance(scheme, EquallySpacedAngle):
         if not (isinstance(curve, HelixCurve) and curve.k == 1 and curve.l == 0):
@@ -121,14 +125,16 @@ def generate_point_set(curve: CurveSpec, scheme: Scheme) -> ParamPointSet:
     else:
         raise TypeError(f"unknown scheme {scheme!r}")
 
-    for t in params:
+    rand = isinstance(scheme, UniformRandom)  # sorted and distinct already
+    for t in (params[0], params[-1]) if rand else params:
         if not curve.domain.contains(t):
             raise DomainError(
                 f"scheme parameter {t} leaves domain "
                 f"({curve.domain.lo}, {curve.domain.hi})")
-    params = tuple(sorted(params))
-    if any(not (a < b) for a, b in zip(params, params[1:])):
-        raise ValueError("scheme generated duplicate parameters")
+    if not rand:
+        params = tuple(sorted(params))
+        if any(not (a < b) for a, b in zip(params, params[1:])):
+            raise ValueError("scheme generated duplicate parameters")
     pset = object.__new__(ParamPointSet)  # checked above: no second check
     pset.__dict__.update(curve=curve, params=params, label=label)
     return pset

@@ -569,8 +569,9 @@ def verify_incidence_invariant(family: ElekesFamily) -> IncidenceReport:
     """Check xi_pq(r) = (D(r, p), D(r, q)) for every ordered pair and every
     third point r, and count the distinct product points on each Elekes
     curve.  On exact data xi_pq(r) comes from its symbolic components, so a
-    wrong component fails, and each (i, j, r) also fails unless the
-    family's G_pq, computed here if not yet cached, has
+    wrong component fails; each component object is evaluated once per r,
+    as a family's curves share their legs.  Each (i, j, r) also fails
+    unless the family's G_pq, computed here if not yet cached, has
     G_pq(D(r, p), D(r, q)) = 0, which the exact intersection counts rely
     on.  With D(r, p) = a / b, D(r, q) = u / w and m the family's largest
     degree in X or Y, b^m w^m G_pq(a / b, u / w) is the integer sum over
@@ -589,14 +590,24 @@ def verify_incidence_invariant(family: ElekesFamily) -> IncidenceReport:
     for key, v in D.items() if G else ():
         a, b = v.as_integer_ratio()
         powers[key] = [a ** k * b ** (m - k) for k in range(m + 1)]
+    values = {}  # id(c) -> (c, {r: c(params[r])}); holding c keeps its id
+
+    def value(c, r):  # one evaluation per component object and r
+        at = values.setdefault(id(c), (c, {}))[1]
+        if r not in at:
+            at[r] = c(params[r])
+        return at[r]
+
     checked, failures, incident = 0, [], {}
     for i, j in permutations(range(n), 2):
         e = family.curves[params[i], params[j]]
         terms = G[e.pair()].terms.items() if G else ()
+        comps = e.components() if family.exact else None
         hits = set()
         for r in (r for r in range(n) if r not in (i, j)):
             checked += 1
-            via_curve = e.eval(params[r])
+            via_curve = (tuple(value(c, r) for c in comps) if comps
+                         else e.eval(params[r]))
             direct = (D[r, i], D[r, j])
             xs, ys = powers.get((r, i)), powers.get((r, j))
             if via_curve != direct or terms and sum(

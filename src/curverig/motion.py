@@ -4,8 +4,11 @@ Motions are traced by per-step Newton constraint propagation along a BFS
 tree of the framework (no ODE integration, so no integrator drift): the
 driver vertex advances, every other vertex is re-solved on its defining
 edge, and all remaining edges are drift monitors.  Zero drift on the
-monitors witnesses local smooth flexibility.  Newton reads one point at a
-time from the curve's float_jet, without numpy's per-call cost.
+monitors witnesses local smooth flexibility.  Each step is a secant
+predictor with at least one Newton correction (Allgower and Georg,
+*Introduction to Numerical Continuation Methods*, ch. 2), and each vertex's
+point is evaluated once per step, read from the curve's float_jet without
+numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -91,42 +94,44 @@ _MAX_HALVINGS = 10  # step halvings before a trace aborts
 
 
 class _EdgeSolver:
-    """Newton solve of D(gamma(anchor), gamma(x)) = target in x."""
+    """Newton solve of D(pa, gamma(x)) = target in x, pa the anchor's point."""
 
     def __init__(self, curve, quantity):
         self.curve = curve
         self.quantity = quantity
 
-    def edge_value(self, a: float, b: float) -> float:
-        jet = self.curve.float_jet
-        return float(self.quantity.eval(jet(a, 0)[0], jet(b, 0)[0]))
-
-    def solve(self, anchor: float, seed: float, target: float):
-        """Returns (x, iterations) or (None, iterations) on failure."""
-        pa = self.curve.float_jet(anchor, 0)[0]
+    def solve(self, pa, seed: float, target: float):
+        """Returns (x, gamma(x), iterations), or (None, None, iterations) on
+        failure.  A solve is accepted only after at least one Newton update,
+        so a seed that already meets the tolerance is still corrected once."""
         x = seed
         for it in range(1, _NEWTON_MAX_ITER + 1):
             try:
                 px, vx = self.curve.float_jet(x, 1)
             except DomainError:
-                return None, it
+                return None, None, it
             g = float(self.quantity.eval(pa, px)) - target
-            if _rel(g, target) <= _NEWTON_TOL:
-                return x, it
+            if it > 1 and _rel(g, target) <= _NEWTON_TOL:
+                return x, px, it
             dg = float(pairing(self.quantity, pa, None, px, vx)[1])
             if abs(dg) < 1e-300:
-                return None, it
+                return None, None, it
             x = x - g / dg
-        return None, _NEWTON_MAX_ITER
+        return None, None, _NEWTON_MAX_ITER
 
 
 def trace_framework_motion(fw: Framework, driver: int = 0,
                            delta: float = 0.005, steps: int = 100) -> MotionTrace:
     """Propagate one vertex's motion through the framework.
 
-    Per step the driver advances by delta, each remaining vertex is Newton
-    solved on its BFS defining edge seeded at its previous position, and the
-    drift of every non-defining edge against its initial value is recorded.
+    Per trial step h the driver advances by h and each remaining vertex v is
+    Newton solved on its BFS defining edge, seeded by the secant predictor
+    x_v + r_v h: r_v is v's last accepted increment divided by the driver's
+    (0 before the first accepted step), and a predicted seed outside the
+    domain falls back to x_v.  Each vertex's point gamma(x_v) is evaluated
+    once per trial: the driver's directly, every other one by its own solve,
+    and the child solves and the drift monitors read those points.  The drift
+    of every non-defining edge against its initial value is recorded.
     Newton failures trigger step halving (up to _MAX_HALVINGS), after which
     the trace aborts and is returned partially with aborted=True.  The
     driver leaving the domain raises DomainExit.
@@ -135,9 +140,15 @@ def trace_framework_motion(fw: Framework, driver: int = 0,
         raise ValueError(f"driver index {driver} out of range")
     order, parent = _bfs_tree(fw, driver)
     solver = _EdgeSolver(fw.curve, fw.quantity)
+    domain = fw.curve.domain
+    jet = fw.curve.float_jet
+
+    def edge_value(pts, e):
+        return float(fw.quantity.eval(pts[e[0]], pts[e[1]]))
 
     cur = [float(t) for t in fw.params]
-    edge_targets = {e: solver.edge_value(cur[e[0]], cur[e[1]]) for e in fw.edges}
+    cur_pts = [jet(t, 0)[0] for t in cur]
+    edge_targets = {e: edge_value(cur_pts, e) for e in fw.edges}
     defining = {v: (min(v, parent[v]), max(v, parent[v]))
                 for v in order if parent[v] is not None}
     monitored = [e for e in fw.edges if e not in set(defining.values())]
@@ -145,6 +156,7 @@ def trace_framework_motion(fw: Framework, driver: int = 0,
     paths = [[c] for c in cur]
     step_grid = [cur[driver]]
     drift = {e: 0.0 for e in monitored}
+    rates = [0.0] * fw.vertex_count
     total_iters = 0
     failures = 0
     aborted = False
@@ -154,23 +166,27 @@ def trace_framework_motion(fw: Framework, driver: int = 0,
         nonlocal total_iters
         new = list(state)
         new[driver] = state[driver] + h
-        if not fw.curve.domain.contains(new[driver]):
+        if not domain.contains(new[driver]):
             return None
+        pts = [None] * len(state)
+        pts[driver] = jet(new[driver], 0)[0]
         for v in order[1:]:
-            u = parent[v]
-            target = edge_targets[defining[v]]
-            x, iters = solver.solve(new[u], state[v], target)
+            seed = state[v] + rates[v] * h
+            if not domain.contains(seed):
+                seed = state[v]
+            x, px, iters = solver.solve(pts[parent[v]], seed,
+                                        edge_targets[defining[v]])
             total_iters += iters
-            if x is None or not fw.curve.domain.contains(x):
+            if x is None:  # a returned x passed float_jet's domain check
                 return None
-            new[v] = x
+            new[v], pts[v] = x, px
         if any(abs(a - b) < 1e-12 for i, a in enumerate(new)
                for b in new[i + 1:]):
             return None  # vertex collision: topology change, abort
-        return new
+        return new, pts
 
     for _ in range(steps):
-        if not fw.curve.domain.contains(cur[driver] + delta):
+        if not domain.contains(cur[driver] + delta):
             raise DomainExit(
                 f"driver parameter {cur[driver] + delta} leaves the domain")
         remaining = delta
@@ -178,8 +194,8 @@ def trace_framework_motion(fw: Framework, driver: int = 0,
         halvings = 0
         stepped = True
         while abs(remaining) > 1e-16 * max(1.0, abs(delta)):
-            trial = propagate(cur, math.copysign(min(abs(h), abs(remaining)),
-                                                 delta))
+            advanced = math.copysign(min(abs(h), abs(remaining)), delta)
+            trial = propagate(cur, advanced)
             if trial is None:
                 failures += 1
                 halvings += 1
@@ -188,8 +204,8 @@ def trace_framework_motion(fw: Framework, driver: int = 0,
                     aborted, reason, stepped = True, "newton divergence", False
                     break
                 continue
-            advanced = math.copysign(min(abs(h), abs(remaining)), delta)
-            cur = trial
+            rates = [(b - a) / advanced for a, b in zip(cur, trial[0])]
+            cur, cur_pts = trial
             remaining -= advanced
         if not stepped:
             break
@@ -197,7 +213,7 @@ def trace_framework_motion(fw: Framework, driver: int = 0,
         for v, p in enumerate(paths):
             p.append(cur[v])
         for e in monitored:
-            val = solver.edge_value(cur[e[0]], cur[e[1]])
+            val = edge_value(cur_pts, e)
             drift[e] = max(drift[e], _rel(val - edge_targets[e],
                                           edge_targets[e]))
 

@@ -45,6 +45,20 @@ def test_uniform_random_reproducible(sq):
     assert is_exact_data(a.curve, a.params, sq)
 
 
+@pytest.mark.parametrize("curve", [
+    make_parabola(0, 1), make_circular_helix(0.4),
+    make_rational_circle(F(-16, 5), F(7, 3))], ids=["0-1", "float", "negative"])
+def test_uniform_random_matches_the_fraction_reference(curve):
+    # the parameters are lo + (hi - lo) k / 2^32 over the sorted distinct
+    # draws k, whatever the endpoints: rational, float, of either sign
+    rng, ks = random.Random(17), set()
+    while len(ks) < 200:
+        ks.add(rng.randrange(1, 2 ** 32))
+    lo, hi = (F(v) for v in (curve.domain.lo, curve.domain.hi))
+    want = tuple(lo + (hi - lo) * F(k, 2 ** 32) for k in sorted(ks))
+    assert generate_point_set(curve, UniformRandom(seed=17, n=200)).params == want
+
+
 def test_progression_leaving_domain_errors():
     par = make_parabola(0, 1)
     with pytest.raises(DomainError,

@@ -15,7 +15,7 @@ from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
                       same_algebraic_curve, verify_incidence_invariant)
 import curverig.elekes as elekes_module
 from curverig.bipoly import compose, shear
-from curverig.rational import real_roots
+from curverig.rational import RationalFunction, real_roots
 from curverig.curves import Interval, RationalCurve, builtin_curve
 from curverig.elekes import (IntersectionReport, _merge_points, _newton,
                              _newton_count, _tangents, _unrank_pair)
@@ -944,6 +944,21 @@ def test_incidence_invariant_parabola(sq):
     assert rep.checked == 5 * 4 * 3
     assert rep.failures == []
     assert rep.min_incident == rep.max_incident == 3
+
+
+def test_incidence_invariant_evaluates_each_leg_once_per_point(sq, monkeypatch):
+    # the curves based at p share the leg L_p, so a check with every leg,
+    # D value and implicit cached makes 5 * 4 component evaluations, one per
+    # (r, p), not 2 per curve and third point, 5 * 4 * 3 * 2
+    pset = ParamPointSet(make_parabola(0, 1), tuple(F(k, 7) for k in range(1, 6)))
+    family = ElekesFamily(pset, sq)
+    assert verify_incidence_invariant(family).failures == []
+    calls = []
+    call = RationalFunction.__call__
+    monkeypatch.setattr(RationalFunction, "__call__",
+                        lambda self, t: calls.append(t) or call(self, t))
+    assert verify_incidence_invariant(family).failures == []
+    assert len(calls) == 5 * 4
 
 
 def test_incidence_invariant_hyperbola_pinned_area():

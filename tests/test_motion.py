@@ -54,6 +54,19 @@ def test_newton_residuals_on_defining_edges(sq):
             assert abs(val - target) <= 1e-11 * max(1.0, abs(target))
 
 
+def test_drift_is_read_at_each_accepted_position(sq):
+    # the monitor reuses the points of the step's solves: bitwise a fresh
+    # evaluation at the accepted parameters
+    par = make_parabola(-2, 3)
+    tr = trace_triangle_motion(par, sq, (0.0, 0.5, 1.0), 0.01, 10)
+    (u, w), = tr.monitored_edges
+    target = tr.edge_targets[(u, w)]
+    drift = max(abs(float(sq.eval(par.float_jet(a, 0)[0], par.float_jet(b, 0)[0]))
+                    - target) / max(1.0, abs(target))
+                for a, b in zip(tr.paths[u], tr.paths[w]))
+    assert tr.max_drift == drift > 1e-4
+
+
 _JSON_CIRCLE = {"kind": "rational", "domain": ["-16/5", "7/3"],
                 "coords": [{"num": ["1", "0", "-1"], "den": ["1", "0", "1"]},
                            {"num": ["0", "2"], "den": ["1", "0", "1"]}]}
@@ -61,14 +74,14 @@ _JSON_CIRCLE = {"kind": "rational", "domain": ["-16/5", "7/3"],
 
 @pytest.mark.parametrize("curve, initial, delta, want", [
     (curve_from_json(_JSON_CIRCLE), (1.0, 1.8, 2.2), -0.005,
-     (100, 740, 0, False, "2.983967239966745e-13",
-      "[0.49999999999999956, 0.9166666666666661, 1.0769230769231748]")),
+     (100, 600, 0, False, "1.8790524691780774e-13",
+      "[0.49999999999999956, 0.9166666666666661, 1.0769230769230762]")),
     (builtin_curve("circular_helix(0.4)"), (0.0, 0.7, 1.5), 0.005,
-     (100, 700, 0, False, "8.83182416089312e-13",
-      "[0.5000000000000003, 1.2000000000000002, 2.0000000000005222]")),
+     (100, 403, 0, False, "8.82738326879462e-13",
+      "[0.5000000000000003, 1.2000000000000004, 2.0000000000000004]")),
     # beta reaches the domain end 1: step halvings, then an abort
     (builtin_curve("parabola"), (0.3, 0.6, 0.9), 0.002,
-     (86, 777, 11, True, "0.004206354707012971",
+     (86, 584, 11, True, "0.004206354707012971",
       "[0.47200000000000014, 0.7301153796172476, 0.9989300468707836]")),
 ], ids=["json-circle", "helix", "parabola"])
 def test_motion_traces_are_pinned_to_the_bit(sq, curve, initial, delta, want):
@@ -134,10 +147,65 @@ def test_local_uniqueness_of_constraint_follow(sq):
     from curverig.motion import _EdgeSolver
     circ = make_unit_circle()
     solver = _EdgeSolver(circ, sq)
-    target = solver.edge_value(0.0, 1.0)
+    anchor = circ.float_jet(0.0, 0)[0]
+    target = float(sq.eval(anchor, circ.float_jet(1.0, 0)[0]))
     for seed in (0.95, 1.0, 1.05):
-        x, _ = solver.solve(0.0, seed, target)
+        x, px, _ = solver.solve(anchor, seed, target)
         assert x == pytest.approx(1.0, abs=1e-9)
+        assert px == circ.float_jet(x, 0)[0]
+
+
+@pytest.mark.parametrize("curve, initial, delta, want", [
+    (curve_from_json(_JSON_CIRCLE), (1.0, 1.8, 2.2), -0.005, (11 / 12, 14 / 13)),
+    (builtin_curve("circular_helix(0.4)"), (0.0, 0.7, 1.5), 0.005, (1.2, 2.0)),
+], ids=["json-circle", "helix"])
+def test_flexible_traces_end_on_the_exact_orbit(sq, curve, initial, delta, want):
+    # 100 steps of an isometry land on exact end parameters: on the circle
+    # the rotation taking the tan-half-angle parameter 1 to 1/2 takes 1.8 to
+    # 11/12 and 2.2 to 14/13, on the helix a screw motion shifts by 1/2.
+    # Seeded without the predictor, beta ends 1e-13 and 5e-13 away
+    tr = trace_triangle_motion(curve, sq, initial, delta, 100)
+    assert abs(tr.paths[1][-1] - want[0]) <= 1e-14
+    assert abs(tr.paths[2][-1] - want[1]) <= 1e-14
+
+
+@pytest.mark.parametrize("delta", [0.005, 1e-13])
+def test_every_solve_takes_a_newton_update(sq, delta):
+    # a step of 1e-13 leaves the old positions within the Newton tolerance,
+    # and each solve still corrects them once: two iterations or more
+    circ = make_unit_circle()
+    tr = trace_triangle_motion(circ, sq, (0.0, 0.8, 1.7), delta, 20)
+    assert (tr.steps_completed, tr.newton_failures) == (20, 0)
+    assert tr.newton_iterations >= 2 * 2 * tr.steps_completed
+
+
+def _cubic_line(hi: str):
+    return curve_from_json({"kind": "rational", "domain": ["-1", hi],
+                            "coords": [{"num": ["0", "1", "0", "1"], "den": ["1"]},
+                                       {"num": ["0"], "den": ["1"]}]})
+
+
+def test_predicted_seed_outside_the_domain_falls_back(sq, monkeypatch):
+    # on the line (t + t^3, 0) beta's secant prediction at step 2 overshoots
+    # its solution by 7.8e-6; with the domain's upper end between the two,
+    # beta's solve starts from its position after step 1
+    from curverig import motion
+    seeds = []
+    solve = motion._EdgeSolver.solve
+
+    def recording(self, pa, seed, target):
+        seeds.append(seed)
+        return solve(self, pa, seed, target)
+
+    monkeypatch.setattr(motion._EdgeSolver, "solve", recording)
+    wide = trace_triangle_motion(_cubic_line("3"), sq, (0.0, 0.5, 1.0), 0.01, 2)
+    beta0, beta1, beta2 = wide.paths[2]
+    assert seeds[3] == beta1 + (beta1 - beta0) / 0.01 * 0.01  # tau, beta, tau, beta
+    assert beta2 < 1.004987 < seeds[3]
+    seeds.clear()
+    trace_triangle_motion(_cubic_line("1004987/1000000"), sq, (0.0, 0.5, 1.0),
+                          0.01, 2)
+    assert seeds[3] == beta1
 
 
 # -- framework traces --------------------------------------------------------------

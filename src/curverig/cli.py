@@ -304,7 +304,7 @@ _SELF_TESTS = {
 
 def _run_self_test(command: str) -> int:
     flags, checks = _SELF_TESTS[command]
-    doc, outcome = _execute(build_parser().parse_args([command] + flags))
+    doc, outcome = _execute(build_parser(command).parse_args([command] + flags))
     result = json.loads(_json_text(doc))["result"]
     results = [("exit code 0", outcome.code == 0)] + \
         [(name, bool(check(result))) for name, check in checks]
@@ -315,102 +315,102 @@ def _run_self_test(command: str) -> int:
 
 # -- parser --------------------------------------------------------------------
 
+_OPTIONS = [  # every subcommand's own options follow these
+    ("--out", dict(default=None, help="output file (default stdout)")),
+    ("--format", dict(default="json", choices=["json", "csv"])),
+    ("--threads", dict(type=int, default=1, help="accepted and echoed; has no effect")),
+    ("--seed", dict(type=int, default=0)),
+    ("--self-test", dict(action="store_true",
+                         help="run this subcommand on a fixed input, check its report")),
+]
+_CURVE = ("--curve", {})
+_QUANTITY = ("--quantity", dict(default="sq_euclidean"))
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (function, required options, help, options)
+_COMMANDS = {
+    "count-distances": (cmd_count_distances, ["curve", "scheme"],
+                        "count distinct D values", [
+        _CURVE, _QUANTITY,
+        ("--scheme", dict(default=None,
+                          help="arith:s:d:N | geom:s:r:N | rand:seed:N | angles:N")),
+        ("--mode", dict(default="tol:1e-9"))]),
+    "estimate-exponent": (cmd_estimate_exponent, ["curve", "scheme", "sizes"],
+                          "fit log count vs log N", [
+        _CURVE, _QUANTITY,
+        ("--scheme", dict(default=None,
+                          help="scheme prefix without N, e.g. arith:0:0.001")),
+        ("--sizes", dict(type=_parse_sizes, default=None,
+                         help="comma list, e.g. 64,128,256")),
+        ("--mode", dict(default="tol:1e-9")),
+        ("--csv-out", dict(default=None))]),
+    "elekes-analyze": (cmd_elekes_analyze, ["curve", "points"],
+                       "incidence identity + admissibility scan", [
+        _CURVE, _QUANTITY,
+        ("--points", dict(default=None,
+                          help="comma-separated parameters or a scheme string")),
+        ("--pairs", dict(type=int, default=50)),
+        ("--grid", dict(type=int, default=64)),
+        ("--tol", dict(type=float, default=1e-5))]),
+    "test-degeneracy": (cmd_test_degeneracy, ["curve"], "scan H variation", [
+        _CURVE, _QUANTITY,
+        ("--pairs", dict(type=int, default=16)),
+        ("--tau-grid", dict(type=int, default=256)),
+        ("--tol", dict(type=float, default=1e-8))]),
+    "flex": (cmd_flex, ["framework"], "infinitesimal flexibility of a framework", [
+        ("--framework", dict(help="JSON with curve, quantity, params, edges")),
+        ("--tol", dict(type=float, default=1e-9))]),
+    "trace-motion": (cmd_trace_motion, ["curve", "triangle"],
+                     "trace a triangle motion", [
+        _CURVE, _QUANTITY,
+        ("--triangle", dict(default=None, help="alpha,tau,beta")),
+        ("--step", dict(type=float, default=0.005)),
+        ("--steps", dict(type=int, default=100))]),
+    "classify-curve": (cmd_classify_curve, ["curve"],
+                       "derivative-norm profile and helix verdict", [
+        _CURVE,
+        ("--max-order", dict(type=int, default=3)),
+        ("--samples", dict(type=int, default=24)),
+        ("--denominator-bound", dict(type=int, default=10 ** 6)),
+        ("--ratio-tol", dict(type=float, default=1e-12)),
+        ("--csv-out", dict(default=None))]),
+    "check-simplicity": (cmd_check_simplicity, ["curve"],
+                         "verify simple-pair conditions", [
+        _CURVE, _QUANTITY,
+        ("--grid", dict(type=int, default=256)),
+        ("--tol", dict(type=float, default=1e-9))]),
+    "bound": (cmd_bound, ["np", "nxi"], "incidence-implied distinct-value bound", [
+        ("--np", dict(type=int, default=None)),
+        ("--nxi", dict(type=int, default=None)),
+        ("--k", dict(type=float, default=1.0))]),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with `command` alone.
+
+    A command's argv parses to the same namespace either way, and a parse
+    error prints the same usage line, so `main` builds only the parser of
+    the command it runs.  --help, a missing and an unknown command go
+    through the full parser."""
     parser = argparse.ArgumentParser(
         prog="curverig",
         description="Distinct-value counting and rigidity analysis on curves")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, required_opts, help):
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else [command]:
+        func, required_opts, help, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func, required_opts=required_opts)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and echoed; has no effect")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--self-test", action="store_true",
-                       help="run this subcommand on a fixed input, check its report")
-        return p
-
-    p = command("count-distances", cmd_count_distances, ["curve", "scheme"],
-                "count distinct D values")
-    p.add_argument("--curve")
-    p.add_argument("--quantity", default="sq_euclidean")
-    p.add_argument("--scheme", default=None,
-                   help="arith:s:d:N | geom:s:r:N | rand:seed:N | angles:N")
-    p.add_argument("--mode", default="tol:1e-9")
-
-    p = command("estimate-exponent", cmd_estimate_exponent,
-                ["curve", "scheme", "sizes"], "fit log count vs log N")
-    p.add_argument("--curve")
-    p.add_argument("--quantity", default="sq_euclidean")
-    p.add_argument("--scheme", default=None,
-                   help="scheme prefix without N, e.g. arith:0:0.001")
-    p.add_argument("--sizes", type=_parse_sizes, default=None,
-                   help="comma list, e.g. 64,128,256")
-    p.add_argument("--mode", default="tol:1e-9")
-    p.add_argument("--csv-out", default=None)
-
-    p = command("elekes-analyze", cmd_elekes_analyze, ["curve", "points"],
-                "incidence identity + admissibility scan")
-    p.add_argument("--curve")
-    p.add_argument("--quantity", default="sq_euclidean")
-    p.add_argument("--points", default=None,
-                   help="comma-separated parameters or a scheme string")
-    p.add_argument("--pairs", type=int, default=50)
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-5)
-
-    p = command("test-degeneracy", cmd_test_degeneracy, ["curve"],
-                "scan H variation")
-    p.add_argument("--curve")
-    p.add_argument("--quantity", default="sq_euclidean")
-    p.add_argument("--pairs", type=int, default=16)
-    p.add_argument("--tau-grid", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    p = command("flex", cmd_flex, ["framework"],
-                "infinitesimal flexibility of a framework")
-    p.add_argument("--framework", help="JSON with curve, quantity, params, edges")
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = command("trace-motion", cmd_trace_motion, ["curve", "triangle"],
-                "trace a triangle motion")
-    p.add_argument("--curve")
-    p.add_argument("--quantity", default="sq_euclidean")
-    p.add_argument("--triangle", default=None, help="alpha,tau,beta")
-    p.add_argument("--step", type=float, default=0.005)
-    p.add_argument("--steps", type=int, default=100)
-
-    p = command("classify-curve", cmd_classify_curve, ["curve"],
-                "derivative-norm profile and helix verdict")
-    p.add_argument("--curve")
-    p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--samples", type=int, default=24)
-    p.add_argument("--denominator-bound", type=int, default=10 ** 6)
-    p.add_argument("--ratio-tol", type=float, default=1e-12)
-    p.add_argument("--csv-out", default=None)
-
-    p = command("check-simplicity", cmd_check_simplicity, ["curve"],
-                "verify simple-pair conditions")
-    p.add_argument("--curve")
-    p.add_argument("--quantity", default="sq_euclidean")
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = command("bound", cmd_bound, ["np", "nxi"],
-                "incidence-implied distinct-value bound")
-    p.add_argument("--np", type=int, default=None)
-    p.add_argument("--nxi", type=int, default=None)
-    p.add_argument("--k", type=float, default=1.0)
-
+        for flag, kwargs in _OPTIONS + options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None
+                        ).parse_args(argv)
     missing = [o for o in args.required_opts if getattr(args, o) is None]
     if missing and not args.self_test:
         sys.stderr.write(

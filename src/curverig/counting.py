@@ -93,6 +93,9 @@ def generate_point_set(curve: CurveSpec, scheme: Scheme) -> ParamPointSet:
         params = [start * ratio ** i for i in range(scheme.n)]
         label = f"geom({scheme.start},{scheme.ratio},{scheme.n})"
     elif isinstance(scheme, UniformRandom):
+        if scheme.n >= _RANDOM_DENOM:  # the draws below could never finish
+            raise ValueError(f"rand draws N distinct numerators k/2^32, so N "
+                             f"<= {_RANDOM_DENOM - 1}; got N = {scheme.n}")
         dom = curve.domain
         if not dom.is_finite():
             raise DomainError("UniformRandom needs a finite domain")
@@ -258,47 +261,64 @@ def _primes():
     return filter(_is_prime, range(2 ** 31 - 1, 1, -1))
 
 
-def _separated(q: QuantitySpec, pts: list) -> tuple:
-    """Factor rows (a, b) with D(x_i, x_j) = sum_t a[t][i] * b[t][j]: one
-    list of Fractions over the points per term t."""
-    n = len(pts)
+def _integer_points(curve, params) -> tuple:
+    """(N, delta): the points x_i = N[i] / delta[i] coordinatewise, each
+    over one denominator delta[i] > 0, the lcm of its coordinates' Horner
+    denominators (RationalFunction.ratio)."""
+    coords = [rf.ratio for rf in curve.coords]
+    N, delta = [], []
+    for t in params:
+        nd = [f(t) for f in coords]
+        m = math.lcm(*(d for _, d in nd))
+        N.append([n * (m // d) for n, d in nd])
+        delta.append(m)
+    return N, delta
+
+
+def _separated(q: QuantitySpec, N: list, delta: list) -> tuple:
+    """Integer factor rows (A, alpha), (B, beta) of D on the points
+    N[i] / delta[i]: D(x_i, x_j) = sum_t A[t][i] B[t][j] / (alpha[i] beta[j])
+    with alpha, beta > 0, one list of ints over the points per term t."""
     if isinstance(q, SquaredEuclidean):
-        # sum_k (x_k - y_k)^2 = |x|^2 + |y|^2 + sum_k x_k * (-2 y_k)
-        norms = [sum(x * x for x in p) for p in pts]
-        one = [Fraction(1)] * n
-        coords = list(zip(*pts))
-        return ([norms, one] + [list(c) for c in coords],
-                [one, norms] + [[-2 * x for x in c] for c in coords])
+        # sum_k (x_k - y_k)^2 = |x|^2 + |y|^2 + sum_k x_k (-2 y_k), over delta^2
+        sq = [m * m for m in delta]
+        norms = [sum(x * x for x in p) for p in N]
+        cols = [list(c) for c in zip(*([x * m for x in p] for p, m in zip(N, delta)))]
+        return ([norms, sq] + cols, sq,
+                [sq, norms] + [[-2 * x for x in c] for c in cols], sq)
     if isinstance(q, GeneralPolynomial):
+        # c x^e y^f = (C x^e delta_x^(da - |e|)) (y^f delta_y^(db - |f|))
+        # / (L delta_x^da delta_y^db), with C = L c and L the coefficients' lcm
         d = q.dimension
-        return ([[c * math.prod(map(pow, p, e[:d])) for p in pts]
-                 for e, c in q.terms],
-                [[math.prod(map(pow, p, e[d:])) for p in pts] for e, _ in q.terms])
-    # pinned area about the apex: (u0 w1 - u1 w0)^2, u = x - apex, w = y - apex
-    v0, v1 = q.apex
-    u = [(x0 - v0, x1 - v1) for x0, x1 in pts]
-    s0, s1 = [x * x for x, _ in u], [y * y for _, y in u]
-    m = [x * y for x, y in u]
-    return [s0, s1, m], [s1, s0, [-2 * c for c in m]]
+        lcm = math.lcm(*(c.denominator for _, c in q.terms))
+        da = max((sum(e[:d]) for e, _ in q.terms), default=0)
+        db = max((sum(e[d:]) for e, _ in q.terms), default=0)
+        A = [[c.numerator * (lcm // c.denominator) * math.prod(map(pow, p, e[:d]))
+              * m ** (da - sum(e[:d])) for p, m in zip(N, delta)] for e, c in q.terms]
+        B = [[math.prod(map(pow, p, e[d:])) * m ** (db - sum(e[d:]))
+              for p, m in zip(N, delta)] for e, _ in q.terms]
+        return A, [lcm * m ** da for m in delta], B, [m ** db for m in delta]
+    # pinned area about the apex v = V / s: (u0 w1 - u1 w0)^2 with
+    # u = x - v = (N s - V delta) / (s delta), w likewise
+    s = math.lcm(*(Fraction(v).denominator for v in q.apex))
+    V0, V1 = (int(v * s) for v in q.apex)
+    u0 = [x * s - V0 * m for (x, _), m in zip(N, delta)]
+    u1 = [y * s - V1 * m for (_, y), m in zip(N, delta)]
+    s0, s1 = [x * x for x in u0], [y * y for y in u1]
+    mix = [x * y for x, y in zip(u0, u1)]
+    den = [(s * m) ** 2 for m in delta]
+    return [s0, s1, mix], den, [s1, s0, [-2 * c for c in mix]], den
 
 
-def _height_bound(a: list, b: list) -> int:
+def _height_bound(A: list, alpha: list, B: list, beta: list) -> int:
     """H with |S1 m2 - S2 m1| <= H for any two pair values S1/m1, S2/m2.
 
-    m = alpha_i beta_j, the lcm of the factor denominators of x_i in a
-    times that of x_j in b, clears a pair value's denominator.  With
-    V = sum_t (max |a_t| + 1)(max |b_t| + 1) >= |D| over the pairs and
-    M = max alpha * max beta, the cross difference is at most 2 V M^2 in
-    absolute value."""
-    def side(cols):
-        size = [max(abs(v.numerator) // v.denominator for v in c) + 1
-                for c in cols]
-        den = max((math.lcm(*(v.denominator for v in p)) for p in zip(*cols)),
-                  default=1)
-        return size, den
-
-    (sa, da), (sb, db) = side(a), side(b)
-    return 2 * sum(x * y for x, y in zip(sa, sb)) * (da * db) ** 2
+    A pair value is S / m with S = sum_t A[t][i] B[t][j] and
+    m = alpha[i] beta[j] > 0.  |S| <= V = sum_t max |A_t| max |B_t| and
+    0 < m <= M = max alpha * max beta, so |S1 m2 - S2 m1| <= |S1| m2 +
+    |S2| m1 <= 2 V M."""
+    V = sum(max(map(abs, x)) * max(map(abs, y)) for x, y in zip(A, B))
+    return 2 * V * max(alpha) * max(beta)
 
 
 def _powmod(x: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -311,21 +331,22 @@ def _powmod(x: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def _fingerprints(a: list, b: list, n: int):
-    """(p, a mod p, b mod p) for the usable primes, largest first, each
-    residue row a uint64 array over the points.  A prime is usable when it
-    divides no denominator of a factor value (so of no coordinate or
-    coefficient that D uses): reduction mod p is then a ring homomorphism
-    on every value involved."""
-    flat = [v for col in a + b for v in col]
-    nums = [v.numerator for v in flat]
-    dens = [v.denominator for v in flat]
+def _fingerprints(A: list, alpha: list, B: list, beta: list):
+    """(p, A mod p / alpha, B mod p / beta) for the usable primes, largest
+    first, each residue row a uint64 array over the points.  A prime is
+    usable when it divides no alpha[i] and no beta[j]: every pair value
+    S / m then has the residue S m^-1 mod p, and reduction mod p is a ring
+    homomorphism on the values involved."""
+    n = len(alpha)
+    nums = [v for row in A + B for v in row]
+    dens = alpha + beta
     for p in _primes():
         den = np.array([d % p for d in dens], dtype=np.uint64)
         if not den.all():
             continue
+        inv = _powmod(den, p - 2, p).reshape(2, 1, n)
         num = np.array([x % p for x in nums], dtype=np.uint64)
-        r = (num * _powmod(den, p - 2, p) % p).reshape(2, len(a), n)
+        r = num.reshape(2, len(A), n) * inv % p
         yield p, r[0], r[1]
 
 
@@ -342,7 +363,7 @@ def _pair_residues(ra, rb, I, J, p: int) -> np.ndarray:
     return acc
 
 
-def _count_exact(a, b, n, I, J) -> int:
+def _count_exact(A, alpha, B, beta, I, J) -> int:
     """The number of distinct values of D over the pairs (I, J).
 
     Equal values have equal residues mod every usable prime, so differing
@@ -353,8 +374,8 @@ def _count_exact(a, b, n, I, J) -> int:
     bound: residues equal mod primes whose product exceeds |S1 m2 - S2 m1|
     make that difference 0.  The source holds about 10^8 primes, far more
     than any height bound that fits in memory needs."""
-    bound = _height_bound(a, b)
-    prints = _fingerprints(a, b, n)
+    bound = _height_bound(A, alpha, B, beta)
+    prints = _fingerprints(A, alpha, B, beta)
     (p0, *r0), (p1, *r1) = next(prints), next(prints)
     key = _pair_residues(*r0, I, J, p0)
     key *= p1
@@ -387,22 +408,25 @@ def _count_exact(a, b, n, I, J) -> int:
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _exact_extremes(q, pts, a, b, I, J) -> tuple:
+def _exact_extremes(A, alpha, B, beta, I, J) -> tuple:
     """(min, max) of D over the pairs (I, J), exact.
 
-    The float value f = sum_t fl(a) fl(b) of a pair is within
-    e = gamma_(T+2) * sum_t |fl(a) fl(b)| of D (Higham, Accuracy and
+    The factor values a = A[t][i] / alpha[i] and b = B[t][j] / beta[j]
+    round once each (int true division is correctly rounded, so fl(a) is
+    float(Fraction(a))).  The float value f = sum_t fl(a) fl(b) of a pair
+    is within e = gamma_(T+2) * sum_t |fl(a) fl(b)| of D (Higham, Accuracy and
     Stability of Numerical Algorithms, 3.1), doubled here to cover the
     rounding of that sum and of f -/+ e, plus an absolute part for
     underflow: a factor that rounds into the subnormal range is off by up
     to half the smallest subnormal s, and that error is multiplied by its
     partner factor, so each pair adds s (sum_t |fl(a)| + |fl(b)| + 2T).
     Only pairs whose interval [f - e, f + e] can hold the min or the max
-    are evaluated exactly, or every pair when a float is not finite."""
+    are evaluated exactly, as one Fraction each, or every pair when a
+    float is not finite."""
     keep = np.ones(len(I), dtype=bool)
     try:
-        af = np.array([[float(v) for v in col] for col in a])
-        bf = np.array([[float(v) for v in col] for col in b])
+        af = np.array([[x / m for x, m in zip(row, alpha)] for row in A])
+        bf = np.array([[y / m for y, m in zip(row, beta)] for row in B])
     except OverflowError:  # a factor value beyond the float range
         af = None
     if af is not None:
@@ -413,17 +437,17 @@ def _exact_extremes(q, pts, a, b, I, J) -> tuple:
                 prod *= np.take(y, J)
                 f += prod
                 size += np.abs(prod, out=prod)
-            n = len(a) + 2
+            n = len(A) + 2
             size *= 2 * n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
             s = np.finfo(float).smallest_subnormal
-            size += np.take(s * (np.abs(af).sum(0) + len(a)), I)
-            size += np.take(s * (np.abs(bf).sum(0) + len(a)), J)
+            size += np.take(s * (np.abs(af).sum(0) + len(A)), I)
+            size += np.take(s * (np.abs(bf).sum(0) + len(A)), J)
         if np.isfinite(size).all():
             hi = f + size
             lo = np.subtract(f, size, out=f)
             keep = (lo <= hi.min()) | (hi >= lo.max())
-    vals = [q.eval(pts[i], pts[j]) for i, j in zip(I[keep].tolist(),
-                                                    J[keep].tolist())]
+    vals = [Fraction(sum(x[i] * y[j] for x, y in zip(A, B)), alpha[i] * beta[j])
+            for i, j in zip(I[keep].tolist(), J[keep].tolist())]
     return min(vals), max(vals)
 
 
@@ -432,14 +456,16 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
     """|{D(p, r) : p != r in P}| with exact or tolerance deduplication.
 
     Exact mode needs a rational curve, rational parameters and a
-    rational-coefficient quantity.  D is written in separated form,
-    D(x_i, x_j) = sum_t a_t(x_i) b_t(x_j), with the factors a_t, b_t
-    evaluated exactly once per point.  Every pair value is then reduced
-    mod primes p < 2^31 in uint64 numpy arithmetic: differing residues
-    prove two values distinct, and residues equal mod primes whose
-    product passes a height bound prove them equal (see _count_exact).
-    The min and max come from float pair values with a proven error
-    bound, evaluated exactly only where the bound leaves a doubt.
+    rational-coefficient quantity.  It runs on integers: each point is
+    integer numerators over one positive denominator (_integer_points),
+    and D is written in separated form with integer factor rows,
+    D(x_i, x_j) = sum_t A_t[i] B_t[j] / (alpha_i beta_j), computed once
+    per point (_separated).  Every pair value is then reduced mod primes
+    p < 2^31 in uint64 numpy arithmetic: differing residues prove two
+    values distinct, and residues equal mod primes whose product passes
+    a height bound prove them equal (see _count_exact).  The min and max
+    come from float pair values with a proven error bound; only the pairs
+    where the bound leaves a doubt become Fractions.
     Tolerance mode sorts all pair values and merges runs whose relative
     gap is below rel_eps (scale-free; adversarial near-collisions can
     over- or under-merge).  It takes the gaps in blocks of _BLOCK, so its
@@ -454,11 +480,10 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
                 "Exact counting needs rational curve, params and quantity")
         if n_pairs == 0:
             return CountResult(0, n, 0, "exact")
-        pts = [pset.curve.evaluate(t) for t in pset.params]
-        a, b = _separated(q, pts)
+        rows = _separated(q, *_integer_points(pset.curve, pset.params))
         I, J = np.triu_indices(n, 1)
-        lo, hi = _exact_extremes(q, pts, a, b, I, J)
-        return CountResult(count=_count_exact(a, b, n, I, J), n_points=n,
+        lo, hi = _exact_extremes(*rows, I, J)
+        return CountResult(count=_count_exact(*rows, I, J), n_points=n,
                            n_pairs=n_pairs, mode="exact",
                            value_min=lo, value_max=hi)
 

@@ -351,9 +351,10 @@ class RationalFunction:
         return _rf(_add(_mul(_diff(n), d), [-c for c in _mul(n, _diff(d))]),
                    _mul(d, d))
 
-    def __call__(self, t) -> Fraction:
-        """Exact value at an int or Fraction t; PoleError at a root of den."""
-        _require_exact(t)
+    def ratio(self, t) -> tuple:
+        """(num, den), two ints with num / den the value at an int or
+        Fraction t = a/b: the homogeneous Horner sums, unreduced, den of
+        either sign.  PoleError at a root of den."""
         a, b = t.numerator, t.denominator
         num = den = 0
         bk = 1  # b^(n-i) at coefficient i
@@ -363,7 +364,12 @@ class RationalFunction:
             bk *= b
         if den == 0:
             raise PoleError(f"denominator vanishes at t={t}")
-        return Fraction(num, den)
+        return num, den
+
+    def __call__(self, t) -> Fraction:
+        """Exact value at an int or Fraction t; PoleError at a root of den."""
+        _require_exact(t)
+        return Fraction(*self.ratio(t))
 
 
 # -- real-root isolation (Descartes) -------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from curverig.cli import build_parser, main, _SELF_TESTS
+from curverig.cli import _COMMANDS, _SELF_TESTS, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -363,3 +363,58 @@ def test_readme_example_exits_zero(command, tmp_path, monkeypatch, capsys):
         assert adm["histogram"] == {"1": 16, "2": 164, "3": 10}
         assert adm["max_pairwise_intersections"] == 3
         assert adm["count_methods"] == {"exact": 190}
+
+
+# -- one parser per command ------------------------------------------------------
+
+_PARSED_ARGVS = ([[command] + flags
+                  for command, (flags, _) in sorted(_SELF_TESTS.items())]
+                 + [argv for _, argv in sorted(_README_EXAMPLES.items())])
+
+
+@pytest.mark.parametrize("argv", _PARSED_ARGVS, ids=lambda argv: " ".join(argv)[:50])
+def test_one_command_parser_matches_the_full_parser(argv):
+    assert (vars(build_parser(argv[0]).parse_args(argv))
+            == vars(build_parser().parse_args(argv)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-distances", "--curve", "line", "--bogus"],
+    ["bound", "--np", "x"],
+    ["estimate-exponent", "--sizes", "1,x"],
+    ["flex", "--help"],
+])
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, capsys):
+    printed = []
+    for parser in (build_parser(argv[0]), build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        out = capsys.readouterr()
+        printed.append((exc.value.code, out.out, out.err))
+    assert printed[0] == printed[1]
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(_COMMANDS) + "}" in out
+    assert len(_COMMANDS) == 9
+    assert all(re.search(rf"^    {name} +\S", out, re.M) for name in _COMMANDS)
+
+
+def test_unknown_subcommand_names_the_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count-everything", "--curve", "line"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'count-everything'" in err
+    assert all(f"'{name}'" in err for name in _COMMANDS)
+
+
+def test_rand_beyond_its_numerators_exits_2(capsys):
+    code, _, err = run_cli(["count-distances", "--curve", "parabola", "--scheme",
+                            "rand:1:4294967296", "--mode", "exact"], capsys)
+    assert code == 2
+    assert err.startswith("error: rand draws N distinct numerators")

@@ -10,7 +10,8 @@ import pytest
 from curverig import (ArithmeticProgression, DimensionMismatch, DomainError,
                       EquallySpacedAngle, Exact, ExactnessUnavailable,
                       GeneralPolynomial, GeometricProgression,
-                      InsufficientSamples, ParamPointSet, PinnedAreaSquared,
+                      InsufficientSamples, Interval, ParamPointSet,
+                      PinnedAreaSquared, RationalCurve, RationalFunction,
                       SchemeMismatch, SquaredEuclidean, Tolerance,
                       UniformRandom, count_distinct_values,
                       elekes_lower_bound, fit_exponent, generate_point_set,
@@ -21,6 +22,7 @@ from conftest import (make_circular_helix, make_line, make_parabola,
                       make_unit_circle)
 
 F = Fraction
+RF = RationalFunction.from_coeffs
 
 
 def test_arithmetic_progression_on_line(sq):
@@ -217,6 +219,83 @@ def test_primes_dividing_a_denominator_are_skipped(sq, first, monkeypatch):
     q = _ORACLE_QUANTITIES["poly"]
     _assert_matches_oracle(count_distinct_values(pset, q, Exact()),
                            _oracle(pset, q))
+
+
+# (t, 1/(t - 5)) on (0, 1): the Horner denominator a - 5b of the second
+# coordinate is negative at every parameter a/b
+_NEGATIVE_DENOMINATOR = RationalCurve([RF([0, 1]), RF([1], [-5, 1])],
+                                      Interval(0, 1))
+_ROW_CURVES = {
+    "parabola": make_parabola(0, 1),
+    "rational_circle": make_rational_circle(),
+    "rect_hyperbola": make_rect_hyperbola(),
+    "negative_denominator": _NEGATIVE_DENOMINATOR,
+}
+_ROW_QUANTITIES = dict(_ORACLE_QUANTITIES, **{
+    # odd degree in x, so a negative point denominator would give alpha < 0
+    "poly_odd": GeneralPolynomial(2, (((3, 0, 0, 1), F(-5, 6)),
+                                      ((1, 1, 1, 1), F(2, 9)), ((0, 0, 2, 0), 4))),
+})
+
+
+def _rows(cname, qname, n=9, seed=31):
+    curve, q = _ROW_CURVES[cname], _ROW_QUANTITIES[qname]
+    pset = generate_point_set(curve, UniformRandom(seed=seed, n=n))
+    pts = [curve.evaluate(t) for t in pset.params]
+    return pset, q, pts, counting._separated(
+        q, *counting._integer_points(curve, pset.params))
+
+
+@pytest.mark.parametrize("qname", sorted(_ROW_QUANTITIES))
+@pytest.mark.parametrize("cname", sorted(_ROW_CURVES))
+def test_integer_rows_give_every_pair_value(cname, qname):
+    pset, q, pts, (A, alpha, B, beta) = _rows(cname, qname)
+    N, delta = counting._integer_points(pset.curve, pset.params)
+    assert all(m > 0 for m in delta)
+    assert all(tuple(F(x, m) for x in row) == p
+               for row, m, p in zip(N, delta, pts))
+    assert all(m > 0 for m in alpha + beta)
+    assert all(type(v) is int for row in A + B + [alpha, beta] for v in row)
+    for i, j in itertools.product(range(len(pts)), repeat=2):
+        value = F(sum(a[i] * b[j] for a, b in zip(A, B)), alpha[i] * beta[j])
+        assert value == q.eval(pts[i], pts[j]), (i, j)
+
+
+@pytest.mark.parametrize("qname", sorted(_ROW_QUANTITIES))
+@pytest.mark.parametrize("cname", sorted(_ROW_CURVES))
+def test_height_bound_covers_every_cross_difference(cname, qname):
+    # S1 m2 - S2 m1 over every two pair values S / m, brute force
+    _, _, pts, rows = _rows(cname, qname, n=7)
+    A, alpha, B, beta = rows
+    values = [(sum(a[i] * b[j] for a, b in zip(A, B)), alpha[i] * beta[j])
+              for i, j in combinations(range(len(pts)), 2)]
+    worst = max(abs(s1 * m2 - s2 * m1)
+                for (s1, m1), (s2, m2) in combinations(values, 2))
+    assert 0 < worst <= counting._height_bound(*rows)
+
+
+@pytest.mark.parametrize("qname", sorted(_ROW_QUANTITIES))
+def test_exact_count_on_a_negative_denominator(qname, monkeypatch):
+    _small_primes_first(monkeypatch)
+    q = _ROW_QUANTITIES[qname]
+    pset = generate_point_set(_NEGATIVE_DENOMINATOR, UniformRandom(seed=41, n=20))
+    _assert_matches_oracle(count_distinct_values(pset, q, Exact()),
+                           _oracle(pset, q))
+
+
+def test_fingerprints_skip_a_prime_dividing_one_denominator(sq, monkeypatch):
+    # one point of 1/7 among integers: 7 divides that point's alpha only
+    monkeypatch.setattr(counting, "_primes", lambda: iter((7, 47, 43)))
+    pset = ParamPointSet(make_line(), (F(-3), F(1, 7), F(2), F(5)))
+    rows = counting._separated(
+        sq, *counting._integer_points(pset.curve, pset.params))
+    assert [p for p, _, _ in counting._fingerprints(*rows)] == [47, 43]
+
+
+def test_rand_beyond_its_numerators_fails_before_drawing():
+    # 2^32 - 1 numerators k/2^32 exist: N = 2^32 can never be drawn
+    with pytest.raises(ValueError, match="N <= 4294967295; got N = 4294967296"):
+        generate_point_set(make_parabola(0, 1), UniformRandom(seed=1, n=2 ** 32))
 
 
 @pytest.mark.parametrize("mode", [Exact(), Tolerance(1e-9)], ids=str)

@@ -84,9 +84,20 @@ def generate_point_set(curve: CurveSpec, scheme: Scheme) -> ParamPointSet:
     """Generate N distinct in-domain parameters according to the scheme."""
     if scheme.n < 2:
         raise ValueError("schemes need N >= 2 points")
+    dom = curve.domain
+    # rand and an exact progression with a nonzero step are strictly
+    # monotone, so distinct, and lie in the (convex) domain iff both ends do
+    monotone = isinstance(scheme, UniformRandom)
     if isinstance(scheme, ArithmeticProgression):
         start, step = parse_param(scheme.start), parse_param(scheme.step)
-        params = [start + i * step for i in range(scheme.n)]
+        monotone = (isinstance(start, Fraction) and isinstance(step, Fraction)
+                    and step != 0)
+        if monotone:  # start + i step = (a d + i c b) / (b d), a/b + i c/d
+            a, b = start.numerator, start.denominator
+            c, d = step.numerator, step.denominator
+            params = [Fraction(a * d + i * c * b, b * d) for i in range(scheme.n)]
+        else:
+            params = [start + i * step for i in range(scheme.n)]
         label = f"arith({scheme.start},{scheme.step},{scheme.n})"
     elif isinstance(scheme, GeometricProgression):
         start, ratio = parse_param(scheme.start), parse_param(scheme.ratio)
@@ -96,7 +107,6 @@ def generate_point_set(curve: CurveSpec, scheme: Scheme) -> ParamPointSet:
         if scheme.n >= _RANDOM_DENOM:  # the draws below could never finish
             raise ValueError(f"rand draws N distinct numerators k/2^32, so N "
                              f"<= {_RANDOM_DENOM - 1}; got N = {scheme.n}")
-        dom = curve.domain
         if not dom.is_finite():
             raise DomainError("UniformRandom needs a finite domain")
         rng = random.Random(scheme.seed)
@@ -128,13 +138,14 @@ def generate_point_set(curve: CurveSpec, scheme: Scheme) -> ParamPointSet:
     else:
         raise TypeError(f"unknown scheme {scheme!r}")
 
-    rand = isinstance(scheme, UniformRandom)  # sorted and distinct already
-    for t in (params[0], params[-1]) if rand else params:
-        if not curve.domain.contains(t):
-            raise DomainError(
-                f"scheme parameter {t} leaves domain "
-                f"({curve.domain.lo}, {curve.domain.hi})")
-    if not rand:
+    if not (monotone and dom.contains(params[0]) and dom.contains(params[-1])):
+        for t in params:  # the first parameter to leave, in generation order
+            if not dom.contains(t):
+                raise DomainError(
+                    f"scheme parameter {t} leaves domain ({dom.lo}, {dom.hi})")
+    if monotone:
+        params = tuple(params if params[0] < params[-1] else params[::-1])
+    else:
         params = tuple(sorted(params))
         if any(not (a < b) for a, b in zip(params, params[1:])):
             raise ValueError("scheme generated duplicate parameters")
@@ -408,8 +419,26 @@ def _count_exact(A, alpha, B, beta, I, J) -> int:
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
+def _disjoint(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the closed intervals [lo[k], hi[k]] are pairwise disjoint.
+    Sorts lo and hi, each in place.
+
+    With both sorted, they are disjoint iff lo[k + 1] > hi[k] for every k.
+    If: take two that overlap, a and b with lo_a <= lo_b <= hi_a, let
+    x = lo_b and r = #{lo <= x} >= 2.  The condition gives
+    hi[r - 2] < lo[r - 1] <= x, so #{hi < x} >= r - 1: of the r intervals
+    that start at or below x, at most one reaches x, yet a and b both do.
+    Only if: disjoint intervals sorted by lo are also sorted by hi, and
+    each ends before the next starts.  The comparison is strict because
+    closed intervals that touch may share their one common value."""
+    lo.sort()
+    hi.sort()
+    return bool(np.all(lo[1:] > hi[:-1]))
+
+
 def _exact_extremes(A, alpha, B, beta, I, J) -> tuple:
-    """(min, max) of D over the pairs (I, J), exact.
+    """(min, max, distinct) of D over the pairs (I, J): the min and max
+    exact, and distinct True when the values are proven pairwise distinct.
 
     The factor values a = A[t][i] / alpha[i] and b = B[t][j] / beta[j]
     round once each (int true division is correctly rounded, so fl(a) is
@@ -422,8 +451,11 @@ def _exact_extremes(A, alpha, B, beta, I, J) -> tuple:
     partner factor, so each pair adds s (sum_t |fl(a)| + |fl(b)| + 2T).
     Only pairs whose interval [f - e, f + e] can hold the min or the max
     are evaluated exactly, as one Fraction each, or every pair when a
-    float is not finite."""
+    float is not finite.  The values are distinct when the intervals are
+    pairwise disjoint (_disjoint); one pair is distinct by itself, and
+    an interval that is not finite proves nothing."""
     keep = np.ones(len(I), dtype=bool)
+    distinct = len(I) == 1
     try:
         af = np.array([[x / m for x, m in zip(row, alpha)] for row in A])
         bf = np.array([[y / m for y, m in zip(row, beta)] for row in B])
@@ -445,10 +477,12 @@ def _exact_extremes(A, alpha, B, beta, I, J) -> tuple:
         if np.isfinite(size).all():
             hi = f + size
             lo = np.subtract(f, size, out=f)
+            del size  # the in-place sorts below add no O(n^2) array
             keep = (lo <= hi.min()) | (hi >= lo.max())
+            distinct = _disjoint(lo, hi)
     vals = [Fraction(sum(x[i] * y[j] for x, y in zip(A, B)), alpha[i] * beta[j])
             for i, j in zip(I[keep].tolist(), J[keep].tolist())]
-    return min(vals), max(vals)
+    return min(vals), max(vals), distinct
 
 
 def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
@@ -460,12 +494,14 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
     integer numerators over one positive denominator (_integer_points),
     and D is written in separated form with integer factor rows,
     D(x_i, x_j) = sum_t A_t[i] B_t[j] / (alpha_i beta_j), computed once
-    per point (_separated).  Every pair value is then reduced mod primes
-    p < 2^31 in uint64 numpy arithmetic: differing residues prove two
-    values distinct, and residues equal mod primes whose product passes
-    a height bound prove them equal (see _count_exact).  The min and max
-    come from float pair values with a proven error bound; only the pairs
-    where the bound leaves a doubt become Fractions.
+    per point (_separated).  A float pass encloses every pair value in an
+    interval with a proven error bound (_exact_extremes).  It gives the
+    min and max: only the pairs where the bound leaves a doubt become
+    Fractions.  When no two intervals meet, it also proves every value
+    distinct, and the count is n_pairs.  Otherwise every pair value is
+    reduced mod primes p < 2^31 in uint64 numpy arithmetic: differing
+    residues prove two values distinct, and residues equal mod primes
+    whose product passes a height bound prove them equal (_count_exact).
     Tolerance mode sorts all pair values and merges runs whose relative
     gap is below rel_eps (scale-free; adversarial near-collisions can
     over- or under-merge).  It takes the gaps in blocks of _BLOCK, so its
@@ -482,10 +518,10 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
             return CountResult(0, n, 0, "exact")
         rows = _separated(q, *_integer_points(pset.curve, pset.params))
         I, J = np.triu_indices(n, 1)
-        lo, hi = _exact_extremes(*rows, I, J)
-        return CountResult(count=_count_exact(*rows, I, J), n_points=n,
-                           n_pairs=n_pairs, mode="exact",
-                           value_min=lo, value_max=hi)
+        lo, hi, distinct = _exact_extremes(*rows, I, J)
+        count = n_pairs if distinct else _count_exact(*rows, I, J)
+        return CountResult(count=count, n_points=n, n_pairs=n_pairs,
+                           mode="exact", value_min=lo, value_max=hi)
 
     if n_pairs == 0:
         return CountResult(0, n, 0, "tolerance")
@@ -501,11 +537,12 @@ def count_distinct_values(pset: ParamPointSet, q: QuantitySpec,
     for s in range(0, n_pairs - 1, _BLOCK):
         e = min(s + _BLOCK, n_pairs - 1)
         lo, hi = vals[s:e], vals[s + 1:e + 1]
-        scale, gaps = np.abs(lo), np.abs(hi)
-        np.maximum(scale, gaps, out=scale)
+        # lo <= hi, so max(|lo|, |hi|) is max(-lo, hi)
+        scale = np.negative(lo)
+        np.maximum(scale, hi, out=scale)
         scale *= mode.rel_eps
         scale += _ABS_FLOOR
-        boundary = np.subtract(hi, lo, out=gaps) > scale
+        boundary = np.subtract(hi, lo) > scale
         if boundary.any():
             count += int(np.count_nonzero(boundary))
             last = e - int(np.argmax(boundary[::-1]))

@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from curverig import (ArithmeticProgression, DimensionMismatch, DomainError,
@@ -83,6 +84,41 @@ def test_progression_with_duplicates_errors():
     pset = generate_point_set(par, UniformRandom(seed=9, n=20))
     assert pset == ParamPointSet(par, pset.params, pset.label)
     assert pset.label == "rand(seed=9,20)"
+
+
+def test_exact_progressions_match_fraction_arithmetic():
+    # the integer build start + i step = (a d + i c b) / (b d), ascending,
+    # against Fraction arithmetic and a sort
+    rng = random.Random(30)
+    line = make_line(-10 ** 6, 10 ** 6)
+    for k in range(50):
+        start = F(rng.randrange(-5000, 5000), rng.randrange(1, 60))
+        step = F(rng.randrange(1, 400), rng.randrange(1, 60)) * rng.choice((1, -1))
+        if k % 2:  # int inputs
+            start, step = int(start), int(step) or rng.choice((1, -1))
+        n = rng.randrange(2, 80)
+        pset = generate_point_set(line, ArithmeticProgression(start, step, n))
+        want = tuple(sorted(F(start) + i * F(step) for i in range(n)))
+        assert pset.params == want, (start, step, n)
+        assert all(type(t) is F for t in pset.params)
+        assert pset == ParamPointSet(line, want, pset.label)
+
+
+def test_float_progressions_stay_float():
+    pset = generate_point_set(make_line(), ArithmeticProgression(0.5, F(-1, 4), 3))
+    assert pset.params == (0.0, 0.25, 0.5)
+    assert all(type(t) is float for t in pset.params)
+
+
+def test_descending_progression_leaving_domain_names_the_first_generated():
+    par = make_parabola(0, 1)
+    with pytest.raises(DomainError,
+                       match=r"^scheme parameter 0 leaves domain \(0, 1\)$"):
+        generate_point_set(par, ArithmeticProgression(F(1, 2), F(-1, 4), 3))
+    # every parameter leaves: the first generated is named, not the least
+    with pytest.raises(DomainError,
+                       match=r"^scheme parameter 2 leaves domain \(0, 1\)$"):
+        generate_point_set(par, ArithmeticProgression(2, -1, 3))
 
 
 def test_equally_spaced_angle_only_on_circles():
@@ -292,6 +328,106 @@ def test_fingerprints_skip_a_prime_dividing_one_denominator(sq, monkeypatch):
     assert [p for p, _, _ in counting._fingerprints(*rows)] == [47, 43]
 
 
+def _pairwise_disjoint(lo, hi):
+    return all(h1 < l2 or h2 < l1
+               for (l1, h1), (l2, h2) in combinations(zip(lo, hi), 2))
+
+
+@pytest.mark.parametrize("lo, hi, want", [
+    ([2, 0, 5], [3, 1, 6], True),        # disjoint, not in order
+    ([0, 1], [10, 2], False),            # nested
+    ([0, 0], [1, 2], False),             # equal lo
+    ([0, 1], [1, 2], False),             # touching at one endpoint
+    ([1, 1], [1, 1], False),             # one point twice
+    ([4], [5], True),                    # one interval
+], ids=["disjoint", "nested", "equal_lo", "touching", "equal_points", "one"])
+def test_disjoint_intervals(lo, hi, want):
+    assert _pairwise_disjoint(lo, hi) == want
+    assert counting._disjoint(np.array(lo, float), np.array(hi, float)) is want
+
+
+def test_disjoint_intervals_brute_force():
+    rng = random.Random(5)
+    for _ in range(500):
+        k = rng.randrange(1, 7)
+        lo = [rng.randrange(0, 30) for _ in range(k)]
+        hi = [x + rng.randrange(0, 4) for x in lo]
+        want = _pairwise_disjoint(lo, hi)
+        assert counting._disjoint(np.array(lo, float), np.array(hi, float)) is want
+
+
+def _spy_count_exact(monkeypatch) -> list:
+    """Record every call of counting._count_exact."""
+    calls, count_exact = [], counting._count_exact
+
+    def spy(*args):
+        calls.append(len(args[-1]))
+        return count_exact(*args)
+
+    monkeypatch.setattr(counting, "_count_exact", spy)
+    return calls
+
+
+@pytest.mark.parametrize("curve, scheme", [
+    (make_parabola(0, 1), UniformRandom(seed=7, n=512)),
+    (make_rational_circle(), UniformRandom(seed=3, n=128)),
+], ids=["parabola", "rational_circle"])
+def test_distinct_values_certified_without_fingerprints(sq, curve, scheme,
+                                                        monkeypatch):
+    pset = generate_point_set(curve, scheme)
+    rows = counting._separated(sq, *counting._integer_points(curve, pset.params))
+    I, J = np.triu_indices(len(pset), 1)
+    want = counting._count_exact(*rows, I, J)
+
+    def refuse(*args):
+        raise AssertionError("the certificate should have decided the count")
+
+    monkeypatch.setattr(counting, "_fingerprints", refuse)
+    res = count_distinct_values(pset, sq, Exact())
+    assert res.count == want == res.n_pairs
+    lo, hi, distinct = counting._exact_extremes(*rows, I, J)
+    assert distinct and (res.value_min, res.value_max) == (lo, hi)
+
+
+def test_colliding_values_reach_the_modular_count(sq, monkeypatch):
+    calls = _spy_count_exact(monkeypatch)
+    pset = generate_point_set(make_line(),
+                              ArithmeticProgression(F(-300, 7), F(1, 7), 256))
+    assert count_distinct_values(pset, sq, Exact()).count == 255
+    assert calls == [256 * 255 // 2]
+
+
+def test_non_finite_bound_reaches_the_modular_count(sq, monkeypatch):
+    # |x|^2 near 1.5e308 is finite, but |x|^2 + |y|^2 and 2 x y overflow:
+    # the float values are NaN and their bound infinite, which proves
+    # nothing, so the 3 values of the 6 pairs take the modular count
+    pset = generate_point_set(make_line(0, 10 ** 160), ArithmeticProgression(
+        12 * 10 ** 153, 10 ** 152, 4))
+    rows = counting._separated(
+        sq, *counting._integer_points(pset.curve, pset.params))
+    assert all(abs(x / m) < 1.8e308 for row in rows[0] for x, m in zip(row, rows[1]))
+    calls = _spy_count_exact(monkeypatch)
+    res = count_distinct_values(pset, sq, Exact())
+    _assert_matches_oracle(res, _oracle(pset, sq))
+    assert (res.count, calls) == (3, [6])
+
+
+def test_counts_of_distinct_sets_agree_with_the_modular_count(monkeypatch):
+    # the certificate settles these sets; the modular count, forced through
+    # colliding small primes, must reach the same answer on its own
+    _small_primes_first(monkeypatch)
+    for sname in ("parabola", "rational_circle", "rect_hyperbola"):
+        curve, scheme = _ORACLE_SETS[sname]
+        pset = generate_point_set(curve, scheme)
+        for q in _ORACLE_QUANTITIES.values():
+            rows = counting._separated(
+                q, *counting._integer_points(curve, pset.params))
+            I, J = np.triu_indices(len(pset), 1)
+            want = len(_oracle(pset, q))
+            assert counting._count_exact(*rows, I, J) == want, (sname, q)
+            assert count_distinct_values(pset, q, Exact()).count == want
+
+
 def test_rand_beyond_its_numerators_fails_before_drawing():
     # 2^32 - 1 numerators k/2^32 exist: N = 2^32 can never be drawn
     with pytest.raises(ValueError, match="N <= 4294967295; got N = 4294967296"):
@@ -306,9 +442,11 @@ def test_single_point_has_no_pairs(sq, mode):
     assert "value_min" not in res.to_dict()
 
 
-def test_exact_extremes_inside_float_ties(sq):
+def test_exact_extremes_inside_float_ties(sq, monkeypatch):
     # 1 and (1 + 2^-60)^2 = 1 + 2^-59 + 2^-120 round to the same float, so
-    # only exact evaluation inside runs of equal floats finds the extremes
+    # only exact evaluation inside runs of equal floats finds the extremes;
+    # their intervals overlap, so the modular count decides the count
+    calls = _spy_count_exact(monkeypatch)
     eps = F(1, 2 ** 60)
     pset = ParamPointSet(make_line(), (F(0), 1 + eps, 2 + eps))
     want = [F(1), (1 + eps) ** 2, (2 + eps) ** 2]
@@ -325,6 +463,7 @@ def test_exact_extremes_inside_float_ties(sq):
     oracle = _oracle(pset, sq)
     assert sum(float(v) == 1.0 for v in oracle) == 9
     _assert_matches_oracle(count_distinct_values(pset, sq, Exact()), oracle)
+    assert calls == [3, 45]
 
 
 @pytest.mark.parametrize("offset", [F(600, 7), F(7001, 11), F(-900, 13)])

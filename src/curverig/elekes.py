@@ -19,9 +19,8 @@ evaluation per base point; through the swap (X, Y) -> (Y, X) one
 resultant for a curve and its mirror (q, p), and one exact count for two
 mirrored pairs of curves; and the D table of the incidence check, which
 tests every implicit equation whether or not the scan ran first.
-A Newton seed leaves the loop as soon as its iterates repeat bitwise with
-a period of at most 4, taking the value the full 40 steps would end on, so
-the exit saves evaluations without changing any result.
+A Newton seed leaves the loop at a fixed point (an iterate bitwise equal to
+the one before), which every later step would return: no result changes.
 """
 
 from __future__ import annotations
@@ -41,8 +40,9 @@ from .counting import ParamPointSet
 from .curves import CurveSpec, RationalCurve, is_exact_data
 from .errors import DegenerateParametrization
 from .parallel import parallel_chunked
-from .quantity import QuantitySpec, pairings, quantity_degree
-from .rational import (RationalFunction, _add, _gcd, as_fraction, is_exact,
+from .quantity import (PinnedAreaSquared, QuantitySpec, SquaredEuclidean,
+                       pairings, quantity_degree)
+from .rational import (RationalFunction, _add, _gcd, as_fraction,
                        real_roots, root_float, root_sign, vanishes_at)
 
 
@@ -196,17 +196,6 @@ class ElekesCurve:
         dg = self.curve.degree if self.curve.degree else 2
         return quantity_degree(self.quantity) * dg
 
-    def eval(self, t):
-        """xi(t) as a 2-tuple: the cached components (A(t), B(t)) on exact
-        data with an exact t, else D at gamma(t) and the two base points."""
-        if is_exact(t) and self.is_exactable():
-            self.curve.domain.require(t)
-            return tuple(c(t) for c in self.components())
-        x = self.curve.evaluate(t)
-        p = self.curve.evaluate(self.p_param)
-        q = self.curve.evaluate(self.q_param)
-        return (self.quantity.eval(x, p), self.quantity.eval(x, q))
-
     def base_points(self) -> np.ndarray:
         """gamma(p) and gamma(q), evaluated once, rounded to float and
         stacked as a (2, 1, d) array that broadcasts against a batch."""
@@ -222,39 +211,18 @@ class ElekesCurve:
 
     def tangent_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(xi(t), xi'(t)) over a float array, each shape (len(ts), 2), with
-        xi'(t) = gamma'(t) . D_X(gamma(t), p_or_q); xi is eval_batch's."""
-        X, V = _jet(self.curve, np.asarray(ts, dtype=float))
+        xi'(t) = gamma'(t) . D_X(gamma(t), p_or_q); xi is eval_batch's.  A
+        rational curve's jet keeps jet_array's coordinate-major layout, which
+        pairings runs faster on, except past two coordinates, whose sums
+        round in memory order: those take derivative_array's C order."""
+        if isinstance(self.curve, RationalCurve):
+            X, V = self.curve.jet_array(ts, 1)
+            if X.shape[-1] > 2:
+                X, V = np.ascontiguousarray(X), np.ascontiguousarray(V)
+        else:
+            X, V = self.curve.evaluate_array(ts), self.curve.derivative_array(ts, 1)
         D, T, _ = pairings(self.quantity, X, V, self.base_points(), None)
         return D.T, T.T
-
-
-def _jet(curve: CurveSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gamma(ts), gamma'(ts)), on rational curves from one Horner loop in
-    its coordinate-major layout, which pairings runs several times faster
-    on; but a sum of three or more coordinates rounds in memory order, so
-    it takes the C order that derivative_array gives."""
-    if not isinstance(curve, RationalCurve):
-        return curve.evaluate_array(ts), curve.derivative_array(ts, 1)
-    X, V = curve.jet_array(ts, 1)
-    if X.shape[-1] > 2:
-        X, V = np.ascontiguousarray(X), np.ascontiguousarray(V)
-    return X, V
-
-
-def _tangents(e1: ElekesCurve, e2: ElekesCurve, ta: np.ndarray,
-              sa: np.ndarray) -> tuple:
-    """(xi1(ta) - xi2(sa), xi1'(ta), xi2'(sa)) as (2, m) rows, one per base
-    point.  Two Elekes curves of one curve and one D (any pair of a family)
-    take both sides from one _jet and one pairings call, bit for bit the
-    values of tangent_batch."""
-    if e1.curve is not e2.curve or e1.quantity is not e2.quantity:
-        (xi1, J1), (xi2, J2) = e1.tangent_batch(ta), e2.tangent_batch(sa)
-        return (xi1 - xi2).T, J1.T, J2.T
-    m = len(ta)
-    X, V = (a.reshape(2, 1, m, -1) for a in _jet(e1.curve, np.concatenate([ta, sa])))
-    bases = np.stack([e1.base_points(), e2.base_points()])
-    D, T, _ = pairings(e1.quantity, X, V, bases, None)
-    return D[0] - D[1], T[0], T[1]
 
 
 def same_algebraic_curve(e1: ElekesCurve, e2: ElekesCurve,
@@ -316,7 +284,6 @@ def _merge_points(pts: np.ndarray, radius: float) -> list:
 
 
 _NEWTON_STEPS = 40
-_MAX_PERIOD = 4  # longest cycle of iterates the Newton exit detects
 
 
 def _newton(e1: ElekesCurve, e2: ElekesCurve, t: np.ndarray,
@@ -325,53 +292,35 @@ def _newton(e1: ElekesCurve, e2: ElekesCurve, t: np.ndarray,
     from every seed (t[i], s[i]), each step clipped to a tenth of the wider
     domain and each iterate to the closed domains.
 
-    The step is a pure function of (t, s), so once a seed's iterate k
-    equals its iterate k - p bitwise, for some p <= _MAX_PERIOD, the seed
-    is periodic from k - p on and the full loop would end on its iterate
-    k - p + (_NEWTON_STEPS - k + p) mod p.  The seed takes that value from
-    a ring of its last _MAX_PERIOD + 1 iterates and leaves the loop, so
-    only seeds still moving are evaluated; p = 1 is a fixed point.
+    The step is a pure function of (t, s), so a seed whose iterate equals
+    the one before it bitwise is at a fixed point: every later step returns
+    it, and so would the full loop.  The seed leaves the loop there, so only
+    seeds still moving are evaluated.
     """
     lo1, hi1 = float(e1.curve.domain.lo), float(e1.curve.domain.hi)
     lo2, hi2 = float(e2.curve.domain.lo), float(e2.curve.domain.hi)
     max_step = 0.1 * max(hi1 - lo1, hi2 - lo2)
-    ring_len = _MAX_PERIOD + 1
-    ring = np.empty((2, ring_len, len(t)))  # [:, k % ring_len]: iterate k
-    ring[:, 0] = t, s
-    out = np.empty((2, len(t)))  # (t, s), written as seeds leave
-    active = np.arange(len(t))  # seeds that still move
-    for k in range(1, _NEWTON_STEPS + 1):
-        ta, sa = ring[:, (k - 1) % ring_len]
-        F, J1, J2 = _tangents(e1, e2, ta, sa)
-        det = -J1[0] * J2[1] + J1[1] * J2[0]
+    t, s = np.array(t, dtype=float), np.array(s, dtype=float)
+    active, ta, sa = np.arange(len(t)), t, s  # the seeds that still move
+    for _ in range(_NEWTON_STEPS):
+        (xi1, J1), (xi2, J2) = e1.tangent_batch(ta), e2.tangent_batch(sa)
+        F = xi1 - xi2
+        det = -J1[:, 0] * J2[:, 1] + J1[:, 1] * J2[:, 0]
         ok = np.abs(det) > 1e-300
         safe = np.where(ok, det, 1.0)
-        dt = np.where(ok, (-J2[1] * F[0] + J2[0] * F[1]) / safe, 0.0)
-        ds = np.where(ok, (-J1[1] * F[0] + J1[0] * F[1]) / safe, 0.0)
+        dt = np.where(ok, (-J2[:, 1] * F[:, 0] + J2[:, 0] * F[:, 1]) / safe, 0.0)
+        ds = np.where(ok, (-J1[:, 1] * F[:, 0] + J1[:, 0] * F[:, 1]) / safe, 0.0)
         step = np.maximum(np.abs(dt), np.abs(ds))
         clip = np.minimum(1.0, max_step / np.maximum(step, 1e-300))
-        now = k % ring_len
-        np.clip(ta - clip * dt, lo1, hi1, out=ring[0, now])
-        np.clip(sa - clip * ds, lo2, hi2, out=ring[1, now])
-        # bitwise comparison: -0.0 and 0.0 differ, a NaN equals itself
-        bits = ring.view(np.int64)  # row (k - p) % ring_len of same: lag p
-        same = np.logical_and(*(bits == bits[:, now:now + 1]))
-        same[now] = same[k + 1:] = False  # lag 0, and rows not written yet
-        left = same.any(axis=0)
-        if left.any():
-            # a seed still here repeats at one lag only: two lags p < p'
-            # would have made it repeat at lag p' - p, p steps ago
-            hit = np.flatnonzero(left)
-            p = (now - same[:, hit].argmax(axis=0)) % ring_len
-            last = (k - p + (_NEWTON_STEPS - k + p) % p) % ring_len
-            out[:, active[hit]] = ring[:, last, hit]
-            keep = np.flatnonzero(~left)
-            if not len(keep):
-                return out[0], out[1]
-            active = active[keep]
-            ring = ring.take(keep, axis=2)
-    out[:, active] = ring[:, _NEWTON_STEPS % ring_len]
-    return out[0], out[1]
+        tn, sn = np.clip(ta - clip * dt, lo1, hi1), np.clip(sa - clip * ds, lo2, hi2)
+        # bitwise: -0.0 and 0.0 differ, a NaN equals itself
+        moved = ((tn.view(np.int64) != ta.view(np.int64))
+                 | (sn.view(np.int64) != sa.view(np.int64)))
+        t[active], s[active] = tn, sn
+        active, ta, sa = active[moved], tn[moved], sn[moved]
+        if not len(active):
+            break
+    return t, s
 
 
 def intersect_elekes_pair(e1: ElekesCurve, e2: ElekesCurve, n: int = 64,
@@ -461,14 +410,15 @@ def _newton_count(e1: ElekesCurve, e2: ElekesCurve, method: str, n: int = 64,
                   tol: float = 1e-5) -> IntersectionReport:
     """Solve xi1(t) = xi2(s) from an n x n seed grid with Newton refinement.
 
-    Each seed takes at most 40 Newton steps.  It leaves the loop once its
-    iterates repeat bitwise with a period of at most 4, taking the (t, s)
-    the full 40 steps would end on (see _newton).  Only machine-converged
-    solutions are kept.  Their image points are merged greedily in
-    lexicographic order (a point is dropped when an earlier kept point lies
-    within tol * scale).  The count is a numeric estimate, neither a lower
-    nor an upper bound: a tangential intersection can survive the merge as
-    two points, and a root no seed converges to is dropped.
+    Each seed takes at most 40 Newton steps.  It leaves the loop at a fixed
+    point, once an iterate equals the one before it bitwise, where the full
+    40 steps would end too (see _newton); a seed in a cycle takes all 40.
+    Only machine-converged solutions are kept.  Their image points are
+    merged greedily in lexicographic order (a point is dropped when an
+    earlier kept point lies within tol * scale).  The count is a numeric
+    estimate, neither a lower nor an upper bound: a tangential intersection
+    can survive the merge as two points, a root no seed converges to is
+    dropped, and a shared arc reads as many points.
     """
     t0 = e1.curve.domain.uniform_grid(n)
     s0 = e2.curve.domain.uniform_grid(n)
@@ -565,6 +515,21 @@ class ElekesFamily:
         return found
 
 
+def _rounding_bound(q: QuantitySpec, points) -> float:
+    """2^-40 W S^m >= |fl D(x', y) - fl D(x, y)| when each coordinate of x'
+    is within 4 ulp of x's; m = deg D, S >= 1 the largest |coordinate| of
+    the points or apex, and W S^m >= D~, D on |coordinates| with each
+    subtraction made an addition.  Each side is within gamma_n D~ of its
+    exact value, n the longest chain of operations in a term (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3), and to
+    first order the exact values differ by at most 8 m u D~, u = 2^-53: for
+    n <= 2^11 and m <= 2^9, below 2^13 u = 2^-40."""
+    z = [abs(float(c)) for x in points for c in (*x, *getattr(q, "apex", ()))]
+    w = (4 * len(points[0]) if isinstance(q, SquaredEuclidean) else 64
+         if isinstance(q, PinnedAreaSquared) else sum(abs(c) for _, c in q.terms))
+    return 2.0 ** -40 * float(w) * max(1.0, *z) ** quantity_degree(q)
+
+
 def verify_incidence_invariant(family: ElekesFamily) -> IncidenceReport:
     """Check xi_pq(r) = (D(r, p), D(r, q)) for every ordered pair and every
     third point r, and count the distinct product points on each Elekes
@@ -577,8 +542,12 @@ def verify_incidence_invariant(family: ElekesFamily) -> IncidenceReport:
     degree in X or Y, b^m w^m G_pq(a / b, u / w) is the integer sum over
     G_pq's terms c X^k Y^h of c a^k b^(m - k) u^h w^(m - h); the powers are
     tabled once per (r, p), as D(r, p) is the X value of every curve based
-    at p.  On other data (helix, float parameters) both sides evaluate D at
-    the same points, and the check compares D with itself."""
+    at p.  On other data (helix, float parameters) xi_pq(r) comes from one
+    eval_batch at the third points, the Newton count's float path, and fails
+    unless within _rounding_bound of the D table: both sides run the same
+    float operations on the same base points, and their third points differ
+    only by the rounding of sin, cos and pow in libm and numpy (or of float
+    Horner, left to the bound's margin, on exact points and a float apex)."""
     params = family.pset.params
     n = len(params)
     if n < 3:
@@ -590,6 +559,8 @@ def verify_incidence_invariant(family: ElekesFamily) -> IncidenceReport:
     for key, v in D.items() if G else ():
         a, b = v.as_integer_ratio()
         powers[key] = [a ** k * b ** (m - k) for k in range(m + 1)]
+    tol = None if family.exact else _rounding_bound(
+        family.quantity, [family.pset.curve.evaluate(t) for t in params])
     values = {}  # id(c) -> (c, {r: c(params[r])}); holding c keeps its id
 
     def value(c, r):  # one evaluation per component object and r
@@ -598,24 +569,25 @@ def verify_incidence_invariant(family: ElekesFamily) -> IncidenceReport:
             at[r] = c(params[r])
         return at[r]
 
-    checked, failures, incident = 0, [], {}
+    failures, incident = [], {}
     for i, j in permutations(range(n), 2):
         e = family.curves[params[i], params[j]]
         terms = G[e.pair()].terms.items() if G else ()
-        comps = e.components() if family.exact else None
-        hits = set()
-        for r in (r for r in range(n) if r not in (i, j)):
-            checked += 1
-            via_curve = (tuple(value(c, r) for c in comps) if comps
-                         else e.eval(params[r]))
+        others = [r for r in range(n) if r not in (i, j)]
+        if family.exact:
+            via = [tuple(value(c, r) for c in e.components()) for r in others]
+        else:
+            via = map(tuple, e.eval_batch([float(params[r]) for r in others]).tolist())
+        for r, via_curve in zip(others, via):
             direct = (D[r, i], D[r, j])
             xs, ys = powers.get((r, i)), powers.get((r, j))
-            if via_curve != direct or terms and sum(
-                    c * xs[k] * ys[h] for (k, h), c in terms):
+            # not <=: a NaN fails
+            if (via_curve != direct if tol is None else not all(
+                    abs(a - b) <= tol for a, b in zip(via_curve, direct))) or \
+                    terms and sum(c * xs[k] * ys[h] for (k, h), c in terms):
                 failures.append((i, j, r, via_curve, direct))
-            hits.add(direct)
-        incident[(i, j)] = len(hits)
-    return IncidenceReport(checked=checked, failures=failures,
+        incident[i, j] = len({(D[r, i], D[r, j]) for r in others})
+    return IncidenceReport(checked=n * (n - 1) * (n - 2), failures=failures,
                            incident_counts=incident)
 
 

@@ -93,31 +93,25 @@ _NEWTON_MAX_ITER = 60
 _MAX_HALVINGS = 10  # step halvings before a trace aborts
 
 
-class _EdgeSolver:
-    """Newton solve of D(pa, gamma(x)) = target in x, pa the anchor's point."""
-
-    def __init__(self, curve, quantity):
-        self.curve = curve
-        self.quantity = quantity
-
-    def solve(self, pa, seed: float, target: float):
-        """Returns (x, gamma(x), iterations), or (None, None, iterations) on
-        failure.  A solve is accepted only after at least one Newton update,
-        so a seed that already meets the tolerance is still corrected once."""
-        x = seed
-        for it in range(1, _NEWTON_MAX_ITER + 1):
-            try:
-                px, vx = self.curve.float_jet(x, 1)
-            except DomainError:
-                return None, None, it
-            g = float(self.quantity.eval(pa, px)) - target
-            if it > 1 and _rel(g, target) <= _NEWTON_TOL:
-                return x, px, it
-            dg = float(pairing(self.quantity, pa, None, px, vx)[1])
-            if abs(dg) < 1e-300:
-                return None, None, it
-            x = x - g / dg
-        return None, None, _NEWTON_MAX_ITER
+def _solve_edge(curve, quantity, pa, seed: float, target: float):
+    """Newton solve of D(pa, gamma(x)) = target in x, pa the anchor's point.
+    Returns (x, gamma(x), iterations), or (None, None, iterations) on
+    failure.  A solve is accepted only after at least one Newton update, so
+    a seed that already meets the tolerance is still corrected once."""
+    x = seed
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        try:
+            px, vx = curve.float_jet(x, 1)
+        except DomainError:
+            return None, None, it
+        g = float(quantity.eval(pa, px)) - target
+        if it > 1 and _rel(g, target) <= _NEWTON_TOL:
+            return x, px, it
+        dg = float(pairing(quantity, pa, None, px, vx)[1])
+        if abs(dg) < 1e-300:
+            return None, None, it
+        x = x - g / dg
+    return None, None, _NEWTON_MAX_ITER
 
 
 def trace_framework_motion(fw: Framework, driver: int = 0,
@@ -139,7 +133,6 @@ def trace_framework_motion(fw: Framework, driver: int = 0,
     if not (0 <= driver < fw.vertex_count):
         raise ValueError(f"driver index {driver} out of range")
     order, parent = _bfs_tree(fw, driver)
-    solver = _EdgeSolver(fw.curve, fw.quantity)
     domain = fw.curve.domain
     jet = fw.curve.float_jet
 
@@ -174,8 +167,8 @@ def trace_framework_motion(fw: Framework, driver: int = 0,
             seed = state[v] + rates[v] * h
             if not domain.contains(seed):
                 seed = state[v]
-            x, px, iters = solver.solve(pts[parent[v]], seed,
-                                        edge_targets[defining[v]])
+            x, px, iters = _solve_edge(fw.curve, fw.quantity, pts[parent[v]],
+                                       seed, edge_targets[defining[v]])
             total_iters += iters
             if x is None:  # a returned x passed float_jet's domain check
                 return None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
-                      ElekesFamily, GeneralPolynomial, ParamPointSet,
+                      ElekesFamily, GeneralPolynomial, HelixCurve, ParamPointSet,
                       PinnedAreaSquared, RationalFunction, SquaredEuclidean,
                       admissibility_scan, generate_point_set, implicit_to_dict,
                       implicitize_rational, intersect_elekes_pair, parse_scheme,
@@ -16,9 +16,9 @@ from curverig import (BiPoly, DegenerateParametrization, ElekesCurve,
 import curverig.elekes as elekes_module
 from curverig.bipoly import compose, shear
 from curverig.rational import RationalFunction, real_roots
-from curverig.curves import Interval, RationalCurve, builtin_curve
+from curverig.curves import Interval, RationalCurve, builtin_curve, trig_ellipse
 from curverig.elekes import (IntersectionReport, _merge_points, _newton,
-                             _newton_count, _tangents, _unrank_pair)
+                             _newton_count, _unrank_pair)
 from curverig.quantity import pairings
 from conftest import (deadline, make_circular_helix, make_parabola,
                       make_rational_circle, make_rect_hyperbola, make_unit_circle,
@@ -343,12 +343,18 @@ def test_implicit_poly_serialization_roundtrip():
 # -- Elekes curve evaluation -----------------------------------------------------
 
 
+def _at(e, t):
+    """xi(t) on exact data, from the cached components."""
+    return tuple(c(t) for c in e.components())
+
+
 def test_elekes_eval_trivial_triple(sq):
     par = make_parabola(-1, 3)
     e = ElekesCurve(par, sq, F(0), F(1))
-    assert e.eval(F(0)) == (0, 2)
-    assert e.eval(F(1)) == (2, 0)
-    assert e.eval(F(2)) == (20, 10)
+    assert _at(e, F(0)) == (0, 2)
+    assert _at(e, F(1)) == (2, 0)
+    assert _at(e, F(2)) == (20, 10)
+    assert e.eval_batch(np.array([0.0, 1.0, 2.0])).tolist() == [[0, 2], [2, 0], [20, 10]]
 
 
 # Each D written out by hand, independently of curverig.quantity
@@ -397,18 +403,18 @@ def test_elekes_swap_symmetry_exact(sq):
     es = ElekesCurve(par, sq, F(1), F(0))
     for k in range(-3, 10):
         t = F(k, 4)
-        a, b = e.eval(t)
-        assert es.eval(t) == (b, a)
+        a, b = _at(e, t)
+        assert _at(es, t) == (b, a)
 
 
 def test_elekes_first_coordinate_zero_locus(sq):
     par = make_parabola(0, 1)
     p, q_ = F(1, 3), F(2, 3)
     e = ElekesCurve(par, sq, p, q_)
-    zeros = [t for k in range(1, 64)
-             if (t := F(k, 64)) and e.eval(t)[0] == 0]
+    A = e.components()[0]
+    zeros = [t for k in range(1, 64) if (t := F(k, 64)) and A(t) == 0]
     assert zeros == []          # grid avoids p itself
-    assert e.eval(p)[0] == 0    # and vanishes exactly at p
+    assert A(p) == 0            # and vanishes exactly at p
 
 
 def test_elekes_batch_matches_scalar(sq):
@@ -416,8 +422,8 @@ def test_elekes_batch_matches_scalar(sq):
     e = ElekesCurve(par, sq, F(1, 4), F(3, 4))
     ts = np.linspace(0.05, 0.95, 17)
     batch = e.eval_batch(ts)
-    for i, t in enumerate(ts):
-        assert np.allclose(batch[i], np.asarray(e.eval(float(t)), float))
+    for i, t in enumerate(ts):  # the components at the float t, exactly
+        assert np.allclose(batch[i], np.asarray(_at(e, F(t)), float))
     # tangent against finite differences; its xi is eval_batch's, bitwise
     xi, tan = e.tangent_batch(ts)
     assert np.array_equal(xi, batch)
@@ -462,23 +468,21 @@ def test_jet_batches_match_polyval_bitwise(name, kind):
         assert np.array_equal(_bits(xi), _bits(np.stack(D, axis=-1)))
         assert np.array_equal(_bits(tan), _bits(np.stack(T, axis=-1)))
         assert np.array_equal(_bits(e.eval_batch(ts)), _bits(np.stack(D, axis=-1)))
-        # both sides of a Newton step from one jet: tangent_batch's bits
-        e2 = ElekesCurve(curve, q, *e.pair()[::-1])
-        ss = ts[::-1].copy()
-        xi2, tan2 = e2.tangent_batch(ss)
-        for got, want in zip(_tangents(e, e2, ts, ss), (xi - xi2, tan, tan2)):
-            assert np.array_equal(_bits(got), _bits(want.T))
 
 
 def test_step_of_two_distances_takes_each_curves_own(sq):
-    # one curve, two D: each side of the step keeps its own D
+    # one curve, two D: each side of a Newton step, one tangent_batch per
+    # curve, keeps its own D, bit for bit its pairings on polyval's points
     par = make_parabola(0, 1)
     e1 = ElekesCurve(par, sq, F(1, 7), F(3, 7))
     e2 = ElekesCurve(par, PinnedAreaSquared(apex=(0, 0)), F(2, 7), F(5, 7))
     ts, ss = np.linspace(0.05, 0.95, 40), np.linspace(0.9, 0.1, 40)
-    (xi1, tan1), (xi2, tan2) = e1.tangent_batch(ts), e2.tangent_batch(ss)
-    for got, want in zip(_tangents(e1, e2, ts, ss), (xi1 - xi2, tan1, tan2)):
-        assert np.array_equal(_bits(got), _bits(want.T))
+    for e, us in ((e1, ts), (e2, ss)):
+        X, V = polyval_array(par, us, 0), polyval_array(par, us, 1)
+        bases = [np.array([float(c) for c in par.evaluate(b)]) for b in e.pair()]
+        D, T = zip(*(pairings(e.quantity, X, V, b, None)[:2] for b in bases))
+        for got, want in zip(e.tangent_batch(us), (D, T)):
+            assert np.array_equal(_bits(got), _bits(np.stack(want, axis=-1)))
 
 
 def test_helix_step_matches_reference_bitwise(sq):
@@ -488,9 +492,9 @@ def test_helix_step_matches_reference_bitwise(sq):
     e2 = ElekesCurve(helix, sq, -17.5, 401.75)
     rng = np.random.default_rng(3)
     ts, ss = rng.uniform(-1000, 1000, (2, 2000))
-    (xi1, tan1), (xi2, tan2) = _tangent_reference(e1, ts), _tangent_reference(e2, ss)
-    for got, want in zip(_tangents(e1, e2, ts, ss), (xi1 - xi2, tan1, tan2)):
-        assert np.array_equal(_bits(got), _bits(want.T))
+    for e, us in ((e1, ts), (e2, ss)):
+        for got, want in zip(e.tangent_batch(us), _tangent_reference(e, us)):
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 # -- intersections ----------------------------------------------------------------
@@ -731,8 +735,8 @@ def test_a_node_on_the_other_curve_gives_the_proven_bound():
     plus = GeneralPolynomial(2, (((1, 0, 0, 0), 1), ((0, 0, 1, 0), 1)))
     e2 = ElekesCurve(nodal, SquaredEuclidean(), F(1, 2), F(3, 2))
     e1 = ElekesCurve(line, plus, 0, F(35, 8))
-    assert e2.eval(F(1)) == e2.eval(F(-1)) == (F(45, 64), F(325, 64))
-    assert e1.eval(F(45, 64)) == e2.eval(F(1))
+    assert _at(e2, F(1)) == _at(e2, F(-1)) == (F(45, 64), F(325, 64))
+    assert _at(e1, F(45, 64)) == _at(e2, F(1))
     want = _oracle_count((t, t + F(35, 8), -10, 10),
                          (*_sympy_components([t ** 2 - 1, t ** 3 - t], _sq,
                                              F(1, 2), F(3, 2)), -2, 2))
@@ -857,25 +861,26 @@ def _cubic():
     return RationalCurve([RF([0, 1]), RF([0, -1, 0, 1])], Interval(-2, 2))
 
 
-def _newton_pair(e1, e2):
+def _newton_pair(e1, e2, verdict):
     """intersect_elekes_pair with the Newton count on every data, exact
-    data included: the routine the helix and float data still use."""
-    same, method = same_algebraic_curve(e1, e2)
+    data included: the routine the helix and float data still use, given
+    the pair's same_algebraic_curve verdict."""
+    same, method = verdict
     return IntersectionReport([], True, method, count_method="same") if same else \
         _newton_count(e1, e2, method)
 
 
 def _count_evaluations(monkeypatch) -> list:
-    """Count the seeds each Newton step evaluates, one per curve, through
-    the step's two-sided evaluation."""
+    """Count the seeds each Newton step evaluates: one tangent_batch call
+    per curve and step."""
     evaluated = []
-    tangents = elekes_module._tangents
+    tangent_batch = ElekesCurve.tangent_batch
 
-    def counting(e1, e2, ta, sa):
-        evaluated.append(len(ta) + len(sa))
-        return tangents(e1, e2, ta, sa)
+    def counting(self, ts):
+        evaluated.append(len(ts))
+        return tangent_batch(self, ts)
 
-    monkeypatch.setattr(elekes_module, "_tangents", counting)
+    monkeypatch.setattr(ElekesCurve, "tangent_batch", counting)
     return evaluated
 
 
@@ -892,9 +897,11 @@ def test_active_set_newton_matches_full_iteration(sq, make_curve, params,
     rng = random.Random(5)
     pairs = rng.sample(list(combinations(curves, 2)), n_pairs)
     expected = [_intersect_reference(e1, e2) for e1, e2 in pairs]
+    # the fingerprint's own tangent_batch calls run before the count
+    verdicts = [same_algebraic_curve(e1, e2) for e1, e2 in pairs]
 
     evaluated = _count_evaluations(monkeypatch)
-    got = [_newton_pair(e1, e2) for e1, e2 in pairs]
+    got = [_newton_pair(e1, e2, v) for (e1, e2), v in zip(pairs, verdicts)]
     assert any(rep.count for rep in expected)
     for rep, ref in zip(got, expected):
         assert rep.points == ref.points
@@ -916,22 +923,24 @@ def test_cycle_exit_matches_full_iteration(sq, monkeypatch):
     grid = par.domain.uniform_grid(16)
     T, S = [a.ravel() for a in np.meshgrid(grid, grid)]
     path = [(_bits(t), _bits(s)) for t, s in _newton_reference(e1, e2, T, S)]
-    # each seed's first bitwise repeat at a lag p <= 4: the step k it
-    # happens at, and the phase of the cycle the 40 steps end on
-    exits = []
-    for i in range(len(T)):
-        k, lag = next(((k, p) for k in range(1, 41) for p in range(1, min(4, k) + 1)
-                       if path[k][0][i] == path[k - p][0][i]
-                       and path[k][1][i] == path[k - p][1][i]), (40, None))
-        exits.append((k, lag, lag and (40 - k + lag) % lag))
-    assert any(lag and lag >= 2 and phase for _, lag, phase in exits)
+
+    def same(i, k, j):  # iterates k and j of seed i, bitwise
+        return path[k][0][i] == path[j][0][i] and path[k][1][i] == path[j][1][i]
+
+    # each seed's first fixed step: the k whose iterate equals iterate k - 1
+    exits = [next((k for k in range(1, 41) if same(i, k, k - 1)), 40)
+             for i in range(len(T))]
+    # seeds still in a 2-cycle after 40 steps never reach a fixed point
+    cycling = [i for i in range(len(T)) if same(i, 40, 38) and not same(i, 40, 39)]
+    assert cycling and all(exits[i] == 40 for i in cycling)
+    assert min(exits) < 40
 
     evaluated = _count_evaluations(monkeypatch)
     t, s = _newton(e1, e2, T, S)
     assert np.array_equal(_bits(t), path[-1][0])
     assert np.array_equal(_bits(s), path[-1][1])
     # a seed is evaluated on both curves at each step up to its exit
-    assert sum(evaluated) == 2 * sum(k for k, _, _ in exits)
+    assert sum(evaluated) == 2 * sum(exits)
 
 
 # -- incidence invariant ------------------------------------------------------------
@@ -1034,6 +1043,73 @@ def test_incidence_invariant_catches_a_wrong_implicit_without_a_scan(sq, make_cu
     assert rep.checked == 60 and rep.to_dict()["n_failures"] == 6
     assert {f[:2] for f in rep.failures} == {(1, 2), (2, 1)}
     assert len(family.implicits) == 20
+
+
+def _float_family(name, sq):
+    """A family on data that is not exact: the incidence check's float side."""
+    poly = GeneralPolynomial(2, (((2, 0, 0, 0), 1), ((1, 0, 0, 1), -2),
+                                 ((0, 1, 2, 0), 3), ((0, 0, 0, 1), F(7, 2))))
+    curve, params, q = {
+        "helix": (make_circular_helix(0.5), (-613.25, -17.5, 2.0, 401.75, 733.3), sq),
+        "helix_rational": (make_circular_helix(0.5), "rand:1006:5", sq),
+        "circle": (make_unit_circle(), (-2.5, -1.0, 0.25, 1.5, 3.0), sq),
+        "two_frequency": (HelixCurve([1.0, 0.5], [1.0, 2.5], [0.3], 5, Interval(-50, 50)),
+                          (-31.5, -4.25, 0.5, 12.0, 44.75), sq),
+        "ellipse": (trig_ellipse(2.0, 1.0), (-2.0, -0.5, 0.75, 2.5), sq),
+        "parabola_pinned_area": (make_parabola(), (0.1, 0.3, 0.55, 0.9),
+                                 PinnedAreaSquared(apex=(F(1, 3), F(-2, 5)))),
+        "parabola_poly": (make_parabola(), (0.1, 0.3, 0.55, 0.9), poly),
+    }[name]
+    pset = generate_point_set(curve, parse_scheme(params)) if isinstance(params, str) \
+        else ParamPointSet(curve, params)
+    return ElekesFamily(pset, q)
+
+
+@pytest.mark.parametrize("name", ["helix", "helix_rational", "circle", "two_frequency",
+                                  "ellipse", "parabola_pinned_area", "parabola_poly"])
+def test_incidence_invariant_on_float_data(sq, name):
+    # eval_batch at the third points against the D table, within the bound
+    family = _float_family(name, sq)
+    assert not family.exact
+    n = len(family.pset.params)
+    rep = verify_incidence_invariant(family)
+    assert (rep.checked, rep.failures) == (n * (n - 1) * (n - 2), [])
+    assert rep.min_incident == rep.max_incident == n - 2
+    assert family.legs == {} and family.implicits == {}
+
+
+_BASE_POINTS, _EVAL_BATCH = ElekesCurve.base_points, ElekesCurve.eval_batch
+_FLOAT_MUTATIONS = {
+    "base_points_swapped": ("base_points", lambda self: _BASE_POINTS(self)[::-1]),
+    "base_point_p_for_q": ("base_points", lambda self: _BASE_POINTS(self)[[0, 0]]),
+    "base_points_float32": ("base_points", lambda self:
+                            _BASE_POINTS(self).astype(np.float32).astype(float)),
+    "eval_batch_shifted": ("eval_batch", lambda self, ts:
+                           _EVAL_BATCH(self, np.asarray(ts) + 1e-7)),
+    "eval_batch_columns_swapped": ("eval_batch", lambda self, ts:
+                                   _EVAL_BATCH(self, ts)[:, ::-1]),
+    "eval_batch_nan": ("eval_batch", lambda self, ts:
+                       np.where(np.arange(len(ts))[:, None] == 0, np.nan,
+                                _EVAL_BATCH(self, ts))),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_FLOAT_MUTATIONS))
+@pytest.mark.parametrize("name", ["helix", "helix_rational"])
+def test_incidence_invariant_catches_float_mutations(sq, name, mutation, monkeypatch):
+    # on a helix both sides are float: a wrong base point or a wrong float
+    # evaluation of xi fails checks that the unmutated family passes
+    attr, mutant = _FLOAT_MUTATIONS[mutation]
+    monkeypatch.setattr(ElekesCurve, attr, mutant)
+    rep = verify_incidence_invariant(_float_family(name, sq))
+    assert rep.failures
+    # one NaN row fails one check per curve; float32 keeps coordinates that
+    # fit it, such as the drift of a quarter-integer parameter; the coarse
+    # mutations fail every check
+    if mutation == "eval_batch_nan":
+        assert len(rep.failures) == 5 * 4
+    elif mutation != "base_points_float32":
+        assert len(rep.failures) == rep.checked
 
 
 # -- admissibility -------------------------------------------------------------------

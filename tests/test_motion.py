@@ -144,13 +144,12 @@ def test_smooth_flex_implies_infinitesimal_flex(sq):
 
 def test_local_uniqueness_of_constraint_follow(sq):
     # Newton lands on the same branch from nearby seeds
-    from curverig.motion import _EdgeSolver
+    from curverig.motion import _solve_edge
     circ = make_unit_circle()
-    solver = _EdgeSolver(circ, sq)
     anchor = circ.float_jet(0.0, 0)[0]
     target = float(sq.eval(anchor, circ.float_jet(1.0, 0)[0]))
     for seed in (0.95, 1.0, 1.05):
-        x, px, _ = solver.solve(anchor, seed, target)
+        x, px, _ = _solve_edge(circ, sq, anchor, seed, target)
         assert x == pytest.approx(1.0, abs=1e-9)
         assert px == circ.float_jet(x, 0)[0]
 
@@ -191,13 +190,13 @@ def test_predicted_seed_outside_the_domain_falls_back(sq, monkeypatch):
     # beta's solve starts from its position after step 1
     from curverig import motion
     seeds = []
-    solve = motion._EdgeSolver.solve
+    solve = motion._solve_edge
 
-    def recording(self, pa, seed, target):
+    def recording(curve, quantity, pa, seed, target):
         seeds.append(seed)
-        return solve(self, pa, seed, target)
+        return solve(curve, quantity, pa, seed, target)
 
-    monkeypatch.setattr(motion._EdgeSolver, "solve", recording)
+    monkeypatch.setattr(motion, "_solve_edge", recording)
     wide = trace_triangle_motion(_cubic_line("3"), sq, (0.0, 0.5, 1.0), 0.01, 2)
     beta0, beta1, beta2 = wide.paths[2]
     assert seeds[3] == beta1 + (beta1 - beta0) / 0.01 * 0.01  # tau, beta, tau, beta
